@@ -8,6 +8,11 @@ and a leaving-variable rule that always picks the smallest basis column
 among tied ratios. Identical inputs give identical bases on every call,
 which distributed protocols rely on for consensus.
 
+The solver keeps the basis inverse B^-1 explicitly (the product form of
+Dantzig and Orchard-Hays): each pivot applies a rank-1 eta update in
+O(m^2), and the inverse is recomputed from scratch every
+``_REFACTOR_EVERY`` pivots to bound the rounding the updates accumulate.
+
 An exact mode re-runs the same pivot rules over ``fractions.Fraction``
 arithmetic (floats convert losslessly), useful in tests where perturbation
 tie-breaking must be provable rather than numerical.
@@ -24,7 +29,6 @@ from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import LpError
 
@@ -53,6 +57,7 @@ _TOL = 1e-9
 _PHASE1_TOL = 1e-7
 _BLAND_AFTER = 50
 _MAX_ITER = 50000
+_REFACTOR_EVERY = 100
 
 
 @dataclass(frozen=True)
@@ -109,18 +114,37 @@ class LpSolution:
     iterations: int = 0
 
 
+def _pivot_inverse(Binv, d, r):
+    """Rank-1 (eta) update of B^-1 in place after column ``r`` of B is
+    replaced by a column whose representation in the old basis is ``d``."""
+    prow = Binv[r] / d[r]
+    rows = np.flatnonzero(d)  # rows with d == 0 are unchanged
+    Binv[rows] -= np.outer(d[rows], prow)
+    Binv[r] = prow
+
+
 def _simplex(A, b, c, basis, *, bland_after=_BLAND_AFTER, max_iter=_MAX_ITER):
-    """Revised simplex from a feasible basis. Returns (basis, xB, status, iters)."""
+    """Revised simplex from a feasible basis with an explicit basis inverse.
+
+    B^-1 is computed from scratch, at O(m^3), on entry and every
+    ``_REFACTOR_EVERY`` pivots; in between, each pivot updates it with a
+    rank-1 eta step, so a pivot costs O(m^2 + mn).
+    Returns (basis, xB, y, Binv, status, iters), where ``y`` are the duals
+    and ``Binv`` the inverse at the final basis.
+    """
     m, n = A.shape
     basis = list(basis)
     stall = 0
+    since_refactor = _REFACTOR_EVERY
     for it in range(max_iter):
-        B = A[:, basis]
-        try:
-            xB = np.linalg.solve(B, b)
-            y = np.linalg.solve(B.T, c[basis])
-        except np.linalg.LinAlgError as exc:
-            raise LpError("singular basis during simplex") from exc
+        if since_refactor >= _REFACTOR_EVERY:
+            try:
+                Binv = np.linalg.inv(A[:, basis])
+            except np.linalg.LinAlgError as exc:
+                raise LpError("singular basis during simplex") from exc
+            since_refactor = 0
+        xB = Binv @ b
+        y = c[basis] @ Binv
         rc = c - y @ A
         rc[basis] = 0.0
         if stall >= bland_after:
@@ -131,11 +155,11 @@ def _simplex(A, b, c, basis, *, bland_after=_BLAND_AFTER, max_iter=_MAX_ITER):
             if rc[enter] >= -_TOL:
                 enter = -1
         if enter < 0:
-            return basis, xB, OPTIMAL, it
-        d = np.linalg.solve(B, A[:, enter])
+            return basis, xB, y, Binv, OPTIMAL, it
+        d = Binv @ A[:, enter]
         pos = d > _TOL
         if not pos.any():
-            return basis, xB, UNBOUNDED, it
+            return basis, xB, y, Binv, UNBOUNDED, it
         safe_xb = np.maximum(xB, 0.0)
         ratios = np.full(m, np.inf)
         ratios[pos] = safe_xb[pos] / d[pos]
@@ -144,6 +168,8 @@ def _simplex(A, b, c, basis, *, bland_after=_BLAND_AFTER, max_iter=_MAX_ITER):
         leave_row = min(ties, key=lambda r: basis[r])
         stall = stall + 1 if rmin <= _TOL else 0
         basis[leave_row] = enter
+        _pivot_inverse(Binv, d, leave_row)
+        since_refactor += 1
     raise LpError("simplex exceeded %d iterations" % max_iter)
 
 
@@ -157,7 +183,7 @@ def simplex_from_basis(A, b, c, basis, **kw):
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    final, xB, status, _ = _simplex(A, b, c, list(basis), **kw)
+    final, xB, _, _, status, _ = _simplex(A, b, c, list(basis), **kw)
     x = np.zeros(A.shape[1])
     x[final] = np.maximum(xB, 0.0)
     return final, x, float(c @ x), status
@@ -184,26 +210,26 @@ def solve_lp(problem: StandardLP, *, exact: bool = False) -> LpSolution:
     A1 = np.hstack([A, np.eye(m)])
     c1 = np.concatenate([np.zeros(n), np.ones(m)])
     basis = list(range(n, n + m))
-    basis, xB, status, it1 = _simplex(A1, b, c1, basis)
+    basis, xB, _, Binv, status, it1 = _simplex(A1, b, c1, basis)
     if status != OPTIMAL:
         raise LpError("phase 1 ended %s, which should be impossible" % status)
     if float(c1[basis] @ xB) > _PHASE1_TOL:
         return LpSolution(status=INFEASIBLE, iterations=it1)
 
     # Drive leftover artificials out of the basis; a row where that is
-    # impossible is linearly dependent and gets dropped.
+    # impossible is linearly dependent and gets dropped. Row ``row`` of the
+    # tableau B^-1 A is row ``row`` of B^-1 times A.
     kept = list(range(m))
     drop_rows = []
-    B = A1[:, basis]
     for row, col in enumerate(basis):
         if col < n:
             continue
-        u = np.linalg.solve(B.T, np.eye(m)[row])
-        coeffs = u @ A
+        coeffs = Binv[row] @ A
         cands = np.flatnonzero((np.abs(coeffs) > 1e-7) & ~np.isin(np.arange(n), basis))
         if cands.size:
-            basis[row] = int(cands[0])
-            B = A1[:, basis]
+            enter = int(cands[0])
+            basis[row] = enter
+            _pivot_inverse(Binv, Binv @ A[:, enter], row)
         else:
             drop_rows.append(row)
     if drop_rows:
@@ -215,13 +241,12 @@ def solve_lp(problem: StandardLP, *, exact: bool = False) -> LpSolution:
         basis = [basis[r] for r in range(m) if keep_mask[r]]
         m = A.shape[0]
 
-    basis, xB, status, it2 = _simplex(A, b, c, basis)
+    basis, xB, y, _, status, it2 = _simplex(A, b, c, basis)
     iters = it1 + it2
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED, basis=basis, iterations=iters)
     x = np.zeros(n)
     x[basis] = np.maximum(xB, 0.0)
-    y = np.linalg.solve(A[:, basis].T, c[basis])
     # express the duals against the caller's row orientation, not the
     # sign-normalized one used internally
     y[flip[kept]] *= -1.0
@@ -393,6 +418,9 @@ def assignment_cost(perm, cost: np.ndarray) -> float:
 
 def hungarian(p: AssignmentProblem) -> tuple[tuple[int, ...], float]:
     """Optimal assignment oracle, O(n^3). Returns (perm, objective)."""
+    # imported here so that ``import fleetsim`` does not load scipy
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(p.cost)
     perm = tuple(int(c) for c in cols[np.argsort(rows)])
     return perm, assignment_cost(perm, p.cost)

@@ -5,10 +5,16 @@ assignment formulation with the dropped redundant row.
 """
 
 import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+import fleetsim
+from fleetsim import mpc
 from fleetsim.errors import LpError
 from fleetsim.lp import (
     INFEASIBLE,
@@ -27,6 +33,8 @@ from fleetsim.lp import (
     simplex_from_basis,
     solve_lp,
 )
+from fleetsim.simrunner import default_config
+from fleetsim.simrunner.scenarios import _build_ocp_specs
 
 
 def solution_perm(sol, n):
@@ -91,24 +99,90 @@ def test_redundant_rows_are_dropped():
     assert sol.objective == pytest.approx(0.0)
 
 
+def assert_kkt(lp, sol):
+    """Primal feasibility, dual feasibility, and strong duality."""
+    A, b, c = lp.A, lp.b, lp.c
+    assert sol.status == OPTIMAL
+    kept = sol.kept_rows if sol.kept_rows is not None else list(range(lp.m))
+    assert np.allclose(A[kept] @ sol.x, b[kept], atol=1e-8)
+    assert np.all(sol.x >= -1e-9)
+    reduced = c - A[kept].T @ sol.y
+    assert np.all(reduced >= -1e-9)
+    assert abs(float(b[kept] @ sol.y) - sol.objective) <= 1e-8
+
+
+def random_feasible_lp(rng, m, n):
+    A = rng.standard_normal((m, n))
+    b = A @ rng.random(n)
+    c = rng.random(n)  # nonnegative costs keep the problem bounded
+    return StandardLP(A, b, c)
+
+
 def test_random_lps_satisfy_kkt():
     """Feasibility, dual feasibility, and strong duality on random instances."""
     rng = np.random.default_rng(11)
     for _ in range(60):
         m = int(rng.integers(2, 6))
         n = m + int(rng.integers(1, 6))
-        A = rng.standard_normal((m, n))
-        x_feas = rng.random(n)
-        b = A @ x_feas
-        c = rng.random(n)  # nonnegative costs keep the problem bounded
-        sol = solve_lp(StandardLP(A, b, c))
-        assert sol.status == OPTIMAL
-        kept = sol.kept_rows if sol.kept_rows is not None else list(range(m))
-        assert np.allclose(A[kept] @ sol.x, b[kept], atol=1e-8)
-        assert np.all(sol.x >= -1e-9)
-        reduced = c - A[kept].T @ sol.y
-        assert np.all(reduced >= -1e-9)
-        assert abs(float(b[kept] @ sol.y) - sol.objective) <= 1e-8
+        lp = random_feasible_lp(rng, m, n)
+        assert_kkt(lp, solve_lp(lp))
+
+
+def mpc_bootstrap_lp():
+    """The stacked LP that ``centralized_bootstrap`` solves for the default
+    four-agent MPC config."""
+    captured = []
+    real = mpc.solve_lp
+
+    def capture(problem, **kw):
+        captured.append(problem)
+        return real(problem, **kw)
+
+    mpc.solve_lp = capture
+    try:
+        mpc.centralized_bootstrap(_build_ocp_specs(default_config("mpc", 4).params))
+    finally:
+        mpc.solve_lp = real
+    return captured[0]
+
+
+@pytest.mark.parametrize("m", [40, 120, 240, "mpc bootstrap"])
+def test_large_lps_match_highs(m):
+    """Solves long enough to cross several refactorizations of the basis
+    inverse still reach the HiGHS optimum and satisfy KKT."""
+    if m == "mpc bootstrap":
+        lp = mpc_bootstrap_lp()
+    else:
+        lp = random_feasible_lp(np.random.default_rng(m), m, 2 * m)
+    sol = solve_lp(lp)
+    assert_kkt(lp, sol)
+    ref = linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
+    assert ref.status == 0
+    assert sol.objective == pytest.approx(ref.fun, rel=1e-7)
+
+
+def test_mpc_bootstrap_lp_is_deterministic():
+    lp = mpc_bootstrap_lp()
+    first = solve_lp(lp)
+    second = solve_lp(lp)
+    assert first.iterations > 200
+    assert first.basis == second.basis
+    assert first.x.tobytes() == second.x.tobytes()
+    assert first.iterations == second.iterations
+
+
+def test_import_does_not_load_scipy_optimize():
+    """scipy serves only the Hungarian oracle and loads when it is called."""
+    src = os.path.dirname(os.path.dirname(fleetsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import sys\n"
+        "import fleetsim, fleetsim.simrunner, fleetsim.assignment, fleetsim.mpc\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_solver_is_deterministic():
@@ -140,6 +214,12 @@ def test_simplex_from_basis_already_optimal():
     A = np.array([[1.0, 1.0]])
     basis, x, obj, status = simplex_from_basis(A, np.array([1.0]), np.array([5.0, 1.0]), [1])
     assert status == OPTIMAL and basis == [1]
+
+
+def test_simplex_from_basis_singular_basis_raises():
+    A = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 0.0]])
+    with pytest.raises(LpError, match="singular"):
+        simplex_from_basis(A, np.array([1.0, 2.0]), np.zeros(3), [0, 1])
 
 
 # -- assignment LP construction ----------------------------------------------
