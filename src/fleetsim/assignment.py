@@ -60,6 +60,8 @@ __all__ = [
     "basis_support",
     "DistributedSimplexAgent",
     "default_margin",
+    "lockstep_round",
+    "agreed_result",
     "run_distributed_simplex",
     "solve_assignment_network",
     "cloud_complete",
@@ -399,6 +401,48 @@ def default_margin(graph: CommGraph, drop_prob: float = 0.0) -> int:
     return base
 
 
+def _gather(agent: DistributedSimplexAgent,
+            comm: Communicator) -> tuple[list[SimplexColumn], dict[int, bool]]:
+    """Drain every in-neighbor's mailbox: the columns received plus each
+    sender's latest halt flag. A payload that fails to parse is skipped,
+    as a lost message would be."""
+    received: list[SimplexColumn] = []
+    flags: dict[int, bool] = {}
+    for j in comm.in_neighbors:
+        for _, payload in comm.drain(j):
+            try:
+                cols, flags[j] = agent.parse(payload)
+            except ProtocolError:
+                continue
+            received.extend(cols)
+    return received, flags
+
+
+def lockstep_round(agents: list[DistributedSimplexAgent], comms: list[Communicator],
+                   rnd: int) -> None:
+    """One synchronous protocol round over real communicators: every agent
+    broadcasts its basis to its out-neighbors, then every agent gathers
+    what arrived and re-optimizes."""
+    for agent, comm in zip(agents, comms):
+        comm.send(agent.payload(), comm.out_neighbors, round=rnd)
+    for agent, comm in zip(agents, comms):
+        agent.absorb(_gather(agent, comm)[0])
+
+
+def agreed_result(agents) -> tuple[int, tuple[int, ...], float]:
+    """The result every halted agent agrees on, as (own task, permutation,
+    objective) of the first agent; raises NonConvergenceError listing the
+    permutations when the agents disagree."""
+    results = [a.result() for a in agents]
+    perms = {r[1] for r in results}
+    if len(perms) != 1:
+        raise NonConvergenceError(
+            "agents halted on different permutations",
+            diagnostics={"perms": sorted(perms)},
+        )
+    return results[0]
+
+
 def run_distributed_simplex(comm: Communicator, i: int, costs, n: int,
                             graph: CommGraph | None = None, *,
                             eps: float = 1e-7, ratio: float = 0.5,
@@ -426,15 +470,8 @@ def run_distributed_simplex(comm: Communicator, i: int, costs, n: int,
         comm.send(agent.payload(), comm.out_neighbors, round=rnd)
         if pace:
             time.sleep(pace)
-        received: list[SimplexColumn] = []
-        for j in comm.in_neighbors:
-            for _, payload in comm.drain(j):
-                try:
-                    cols, flag = agent.parse(payload)
-                except ProtocolError:
-                    continue
-                received.extend(cols)
-                neighbor_halted[j] = flag
+        received, flags = _gather(agent, comm)
+        neighbor_halted.update(flags)
         agent.absorb(received)
         if agent.halted and all(neighbor_halted.values()):
             comm.send(agent.payload(), comm.out_neighbors, round=rnd + 1)
@@ -478,28 +515,10 @@ def solve_assignment_network(costs, graph, *, profile: str = "static",
     ]
     budget = round_budget if round_budget is not None else 50 * n
     for rnd in range(budget):
-        for i, agent in enumerate(agents):
-            comms[i].send(agent.payload(), comms[i].out_neighbors, round=rnd)
-        for i, agent in enumerate(agents):
-            received: list[SimplexColumn] = []
-            for j in comms[i].in_neighbors:
-                for _, payload in comms[i].drain(j):
-                    try:
-                        cols, _ = agent.parse(payload)
-                    except ProtocolError:
-                        continue
-                    received.extend(cols)
-            agent.absorb(received)
+        lockstep_round(agents, comms, rnd)
         if all(a.halted for a in agents):
-            results = [a.result() for a in agents]
-            perms = {r[1] for r in results}
-            if len(perms) != 1:
-                raise NonConvergenceError(
-                    "agents halted on different permutations",
-                    diagnostics={"perms": sorted(perms)},
-                )
-            perm = results[0][1]
-            return perm, results[0][2], rnd + 1
+            _, perm, objective = agreed_result(agents)
+            return perm, objective, rnd + 1
     raise NonConvergenceError(
         "no convergence in %d rounds" % budget,
         diagnostics={

@@ -63,7 +63,8 @@ class ProtocolError(FleetError):
 
 
 class NonConvergenceError(FleetError):
-    """Distributed protocol exhausted its round budget.
+    """Distributed protocol exhausted its round budget or halted without
+    agreeing on a result.
 
     ``diagnostics`` holds per-agent state useful for debugging.
     """
@@ -107,7 +108,3 @@ class ConfigError(FleetError):
 
 class TraceError(FleetError):
     """Trace file unreadable or written by an incompatible schema."""
-
-
-class ScenarioError(FleetError):
-    """A scenario run failed mid-flight."""

@@ -1,4 +1,4 @@
-"""Distributed velocity laws and the exchange-evaluate guidance step.
+"""Distributed velocity laws.
 
 Laws are pure functions of the agent's own position and a map of neighbor
 positions; agents learn neighbor positions exclusively through the
@@ -18,7 +18,6 @@ import numpy as np
 from .errors import FormationError
 
 __all__ = [
-    "GuidanceConfig",
     "FormationSpec",
     "hexagon_formation",
     "rendezvous_velocity",
@@ -27,20 +26,9 @@ __all__ = [
     "rendezvous_law",
     "containment_law",
     "formation_law",
-    "guidance_step",
 ]
 
 Law = Callable[[np.ndarray, Mapping[int, np.ndarray]], np.ndarray]
-
-
-@dataclass(frozen=True)
-class GuidanceConfig:
-    """Per-agent guidance parameters used by the runtime and scenarios."""
-
-    agent: int
-    is_leader: bool = False
-    period: float = 0.01
-    gain: float = 1.0
 
 
 def rendezvous_velocity(own: np.ndarray, neigh: Mapping[int, np.ndarray]) -> np.ndarray:
@@ -156,17 +144,3 @@ def formation_law(spec: FormationSpec, self_id: int) -> Law:
         return formation_velocity(own, neigh, spec, self_id)
     return law
 
-
-def guidance_step(comm, pose: np.ndarray, law: Law, round: int | None = None,
-                  timeout: float | None = None) -> np.ndarray:
-    """One guidance cycle: exchange positions, evaluate the law.
-
-    Sends this agent's position to its out-neighbors, gathers whatever the
-    profile delivers from in-neighbors, and returns the commanded velocity
-    for the control stage. Neighbors that sent nothing this round simply
-    do not appear in the evaluation.
-    """
-    pose = np.asarray(pose, dtype=float)
-    got = comm.neighbors_exchange(pose, round=round, timeout=timeout)
-    neigh = {j: np.asarray(p, dtype=float) for j, p in got.items()}
-    return law(pose, neigh)

@@ -291,7 +291,7 @@ def plan_cost(plan: Plan, spec: OcpSpec) -> float:
 
 
 class LocalOcp:
-    """A built local problem: the standard-form LP plus plan extraction."""
+    """A built problem: the standard-form LP plus one agent's plan extraction."""
 
     def __init__(self, spec: OcpSpec, lp, extract, var_x, var_u):
         self.spec = spec
@@ -307,27 +307,16 @@ class LocalOcp:
         return Plan.from_states_inputs(self.spec.model, xs, us)
 
 
-def build_local_ocp(spec: OcpSpec, x_now=None, others_sum=None) -> LocalOcp:
-    """Encode one agent's T-step OCP as a standard-form LP.
+def _agent_rows(bld: LpBuilder, spec: OcpSpec, x_init: np.ndarray) -> tuple[int, int]:
+    """Declare one agent's variables in ``bld`` and emit its own OCP rows
+    and stage-cost weights.
 
-    ``x_now`` defaults to the model's x0. ``others_sum`` is the (T, r)
-    summed output plan of the other agents; coupling rows become
-    H z_i(t) <= h - H others_sum(t). Passing None with a coupling set
-    declared means the other agents are at zero output.
+    Returns the free state (T+1)n and input Tm variables; the epigraph
+    slacks stay internal. Coupling rows are left to the caller, since
+    they involve other agents' outputs.
     """
     mdl = spec.model
-    T, n, m, r = spec.horizon, mdl.n, mdl.m, mdl.r
-    x_now = mdl.x0 if x_now is None else np.asarray(x_now, dtype=float).ravel()
-    if x_now.shape != (n,):
-        raise ModelError("x_now shape %s does not match state dim %d" % (x_now.shape, n))
-    if others_sum is None:
-        others = np.zeros((T, r))
-    else:
-        others = np.atleast_2d(np.asarray(others_sum, dtype=float))
-        if others.shape != (T, r):
-            raise ModelError("others_sum shape %s, expected (%d, %d)" % (others.shape, T, r))
-
-    bld = LpBuilder()
+    T, n, m = spec.horizon, mdl.n, mdl.m
     vx = bld.add_var((T + 1) * n, free=True)
     vu = bld.add_var(T * m, free=True)
     vsx = bld.add_var(T * n, free=False)
@@ -337,7 +326,7 @@ def build_local_ocp(spec: OcpSpec, x_now=None, others_sum=None) -> LocalOcp:
     for k in range(n):
         row = np.zeros((T + 1) * n)
         row[k] = 1.0
-        bld.add_eq({vx: row}, float(x_now[k]))
+        bld.add_eq({vx: row}, float(x_init[k]))
         row = np.zeros((T + 1) * n)
         row[T * n + k] = 1.0
         bld.add_eq({vx: row}, float(spec.terminal_state[k]))
@@ -352,38 +341,68 @@ def build_local_ocp(spec: OcpSpec, x_now=None, others_sum=None) -> LocalOcp:
             ru[t * m : (t + 1) * m] = -mdl.B[k]
             bld.add_eq({vx: rx, vu: ru}, 0.0)
 
-    # epigraph rows: +-(v - ref) <= s
+    # epigraph rows: +-(v - ref) <= s, states then inputs at each t
     for t in range(T):
-        for k in range(n):
-            for sign in (1.0, -1.0):
-                rx = np.zeros((T + 1) * n)
-                rx[t * n + k] = sign
-                rs = np.zeros(T * n)
-                rs[t * n + k] = -1.0
-                bld.add_le({vx: rx, vsx: rs}, sign * float(spec.x_ref[k]))
-        for k in range(m):
-            for sign in (1.0, -1.0):
-                ru = np.zeros(T * m)
-                ru[t * m + k] = sign
-                rs = np.zeros(T * m)
-                rs[t * m + k] = -1.0
-                bld.add_le({vu: ru, vsu: rs}, sign * float(spec.u_ref[k]))
+        for v, vs, size, dim, ref in ((vx, vsx, (T + 1) * n, n, spec.x_ref),
+                                      (vu, vsu, T * m, m, spec.u_ref)):
+            for k in range(dim):
+                for sign in (1.0, -1.0):
+                    rv = np.zeros(size)
+                    rv[t * dim + k] = sign
+                    rs = np.zeros(T * dim)
+                    rs[t * dim + k] = -1.0
+                    bld.add_le({v: rv, vs: rs}, sign * float(ref[k]))
 
-    # state and input sets
-    if spec.x_set is not None:
-        G, g = spec.x_set.rows(n)
-        for t in range(1, T + 1):
+    # state set on x(1..T), input set on u(0..T-1)
+    for v, size, dim, region, first in ((vx, (T + 1) * n, n, spec.x_set, 1),
+                                        (vu, T * m, m, spec.u_set, 0)):
+        if region is None:
+            continue
+        G, g = region.rows(dim)
+        for t in range(first, first + T):
             for row, rhs in zip(G, g):
-                rx = np.zeros((T + 1) * n)
-                rx[t * n : (t + 1) * n] = row
-                bld.add_le({vx: rx}, float(rhs))
-    if spec.u_set is not None:
-        G, g = spec.u_set.rows(m)
-        for t in range(T):
-            for row, rhs in zip(G, g):
-                ru = np.zeros(T * m)
-                ru[t * m : (t + 1) * m] = row
-                bld.add_le({vu: ru}, float(rhs))
+                rv = np.zeros(size)
+                rv[t * dim : (t + 1) * dim] = row
+                bld.add_le({v: rv}, float(rhs))
+
+    bld.add_cost(vsx, np.tile(spec.cost.w_x, T))
+    bld.add_cost(vsu, np.tile(spec.cost.w_u, T))
+    return vx, vu
+
+
+def _output_terms(spec: OcpSpec, t: int, row: np.ndarray, vx: int, vu: int) -> dict:
+    """Coefficients of row . z(t) = row . (C x(t) + D u(t)) on one agent's
+    state and input variables."""
+    T, n, m = spec.horizon, spec.model.n, spec.model.m
+    rx = np.zeros((T + 1) * n)
+    rx[t * n : (t + 1) * n] = row @ spec.model.C
+    ru = np.zeros(T * m)
+    ru[t * m : (t + 1) * m] = row @ spec.model.D
+    return {vx: rx, vu: ru}
+
+
+def build_local_ocp(spec: OcpSpec, x_now=None, others_sum=None) -> LocalOcp:
+    """Encode one agent's T-step OCP as a standard-form LP.
+
+    ``x_now`` defaults to the model's x0. ``others_sum`` is the (T, r)
+    summed output plan of the other agents; coupling rows become
+    H z_i(t) <= h - H others_sum(t). Passing None with a coupling set
+    declared means the other agents are at zero output.
+    """
+    mdl = spec.model
+    T, n, r = spec.horizon, mdl.n, mdl.r
+    x_now = mdl.x0 if x_now is None else np.asarray(x_now, dtype=float).ravel()
+    if x_now.shape != (n,):
+        raise ModelError("x_now shape %s does not match state dim %d" % (x_now.shape, n))
+    if others_sum is None:
+        others = np.zeros((T, r))
+    else:
+        others = np.atleast_2d(np.asarray(others_sum, dtype=float))
+        if others.shape != (T, r):
+            raise ModelError("others_sum shape %s, expected (%d, %d)" % (others.shape, T, r))
+
+    bld = LpBuilder()
+    vx, vu = _agent_rows(bld, spec, x_now)
 
     # coupled output rows: H (C x(t) + D u(t)) <= h - H others(t)
     if spec.coupling is not None:
@@ -391,14 +410,8 @@ def build_local_ocp(spec: OcpSpec, x_now=None, others_sum=None) -> LocalOcp:
         for t in range(T):
             hz = H @ others[t]
             for row, rhs, shift in zip(H, h, hz):
-                rx = np.zeros((T + 1) * n)
-                rx[t * n : (t + 1) * n] = row @ mdl.C
-                ru = np.zeros(T * m)
-                ru[t * m : (t + 1) * m] = row @ mdl.D
-                bld.add_le({vx: rx, vu: ru}, float(rhs - shift))
+                bld.add_le(_output_terms(spec, t, row, vx, vu), float(rhs - shift))
 
-    bld.add_cost(vsx, np.tile(spec.cost.w_x, T))
-    bld.add_cost(vsu, np.tile(spec.cost.w_u, T))
     lp, extract = bld.build()
     return LocalOcp(spec, lp, extract, vx, vu)
 
@@ -559,61 +572,10 @@ def centralized_bootstrap(specs: list[OcpSpec], x_now=None) -> list[Plan]:
     states0 = [s.model.x0 for s in specs] if x_now is None else x_now
 
     bld = LpBuilder()
-    vxs, vus, vsxs, vsus = [], [], [], []
-    for s in specs:
-        vxs.append(bld.add_var((T + 1) * s.model.n, free=True))
-        vus.append(bld.add_var(T * s.model.m, free=True))
-        vsxs.append(bld.add_var(T * s.model.n, free=False))
-        vsus.append(bld.add_var(T * s.model.m, free=False))
-
-    for idx, s in enumerate(specs):
-        mdl, n, m = s.model, s.model.n, s.model.m
-        x_init = np.asarray(states0[idx], dtype=float).ravel()
-        for k in range(n):
-            row = np.zeros((T + 1) * n)
-            row[k] = 1.0
-            bld.add_eq({vxs[idx]: row}, float(x_init[k]))
-            row = np.zeros((T + 1) * n)
-            row[T * n + k] = 1.0
-            bld.add_eq({vxs[idx]: row}, float(s.terminal_state[k]))
-        for t in range(T):
-            for k in range(n):
-                rx = np.zeros((T + 1) * n)
-                rx[(t + 1) * n + k] = 1.0
-                rx[t * n : (t + 1) * n] -= mdl.A[k]
-                ru = np.zeros(T * m)
-                ru[t * m : (t + 1) * m] = -mdl.B[k]
-                bld.add_eq({vxs[idx]: rx, vus[idx]: ru}, 0.0)
-            for k in range(n):
-                for sign in (1.0, -1.0):
-                    rx = np.zeros((T + 1) * n)
-                    rx[t * n + k] = sign
-                    rs = np.zeros(T * n)
-                    rs[t * n + k] = -1.0
-                    bld.add_le({vxs[idx]: rx, vsxs[idx]: rs}, sign * float(s.x_ref[k]))
-            for k in range(m):
-                for sign in (1.0, -1.0):
-                    ru = np.zeros(T * m)
-                    ru[t * m + k] = sign
-                    rs = np.zeros(T * m)
-                    rs[t * m + k] = -1.0
-                    bld.add_le({vus[idx]: ru, vsus[idx]: rs}, sign * float(s.u_ref[k]))
-        if s.x_set is not None:
-            G, g = s.x_set.rows(n)
-            for t in range(1, T + 1):
-                for row, rhs in zip(G, g):
-                    rx = np.zeros((T + 1) * n)
-                    rx[t * n : (t + 1) * n] = row
-                    bld.add_le({vxs[idx]: rx}, float(rhs))
-        if s.u_set is not None:
-            G, g = s.u_set.rows(m)
-            for t in range(T):
-                for row, rhs in zip(G, g):
-                    ru = np.zeros(T * m)
-                    ru[t * m : (t + 1) * m] = row
-                    bld.add_le({vus[idx]: ru}, float(rhs))
-        bld.add_cost(vsxs[idx], np.tile(s.cost.w_x, T))
-        bld.add_cost(vsus[idx], np.tile(s.cost.w_u, T))
+    blocks = [
+        _agent_rows(bld, s, np.asarray(states0[idx], dtype=float).ravel())
+        for idx, s in enumerate(specs)
+    ]
 
     coupling = specs[0].coupling
     if coupling is not None:
@@ -621,27 +583,18 @@ def centralized_bootstrap(specs: list[OcpSpec], x_now=None) -> list[Plan]:
         for t in range(T):
             for row, rhs in zip(H, h):
                 coeffs = {}
-                for idx, s in enumerate(specs):
-                    n, m = s.model.n, s.model.m
-                    rx = np.zeros((T + 1) * n)
-                    rx[t * n : (t + 1) * n] = row @ s.model.C
-                    ru = np.zeros(T * m)
-                    ru[t * m : (t + 1) * m] = row @ s.model.D
-                    coeffs[vxs[idx]] = rx
-                    coeffs[vus[idx]] = ru
+                for s, (vx, vu) in zip(specs, blocks):
+                    coeffs.update(_output_terms(s, t, row, vx, vu))
                 bld.add_le(coeffs, float(rhs))
 
     lp, extract = bld.build()
     sol = solve_lp(lp)
     if sol.status != OPTIMAL:
         raise FeasibilityError("no jointly feasible initial plan exists (%s)" % sol.status)
-    plans = []
-    for idx, s in enumerate(specs):
-        n, m = s.model.n, s.model.m
-        xs = extract.value(sol.x, vxs[idx]).reshape(T + 1, n)
-        us = extract.value(sol.x, vus[idx]).reshape(T, m)
-        plans.append(Plan.from_states_inputs(s.model, xs, us))
-    return plans
+    return [
+        LocalOcp(s, lp, extract, vx, vu).extract_plan(sol.x)
+        for s, (vx, vu) in zip(specs, blocks)
+    ]
 
 
 def receding_horizon_oracle(spec: OcpSpec, steps: int,

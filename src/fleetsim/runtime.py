@@ -14,9 +14,10 @@ construction.
 
 Two driving modes:
 
-* lockstep, for deterministic simulation and tests: the caller runs the
+* lockstep, for deterministic simulation: the caller runs the
   ``tick_publish(r)`` / ``tick_compute(r)`` halves across all agents with
-  an explicit round index;
+  an explicit round index (the kinematic scenario engines in
+  :mod:`fleetsim.simrunner` drive every robot this way);
 * free-running, via :meth:`Agent.start`: a thread loops at the configured
   period, sampling the newest neighbor poses asynchronously (rounds are
   not aligned across free-running agents, so pose exchange degrades to
@@ -142,7 +143,12 @@ def _validate_spec(spec: AgentSpec) -> None:
 
 
 class Agent:
-    """A running robot: guidance loop plus the optimization-job slot."""
+    """A running robot: guidance loop plus the optimization-job slot.
+
+    ``last_input`` is the input the last cycle handed to the dynamics:
+    the velocity ``u`` for a single integrator, ``(v, omega)`` for a
+    unicycle.
+    """
 
     def __init__(self, spec: AgentSpec, comm):
         _validate_spec(spec)
@@ -150,7 +156,7 @@ class Agent:
         self.comm = comm
         self.state = spec.initial_state
         self.last_neighbors: dict[int, np.ndarray] = {}
-        self.last_command: np.ndarray | None = None
+        self.last_input: np.ndarray | tuple[float, float] | None = None
         self._cfg = IntegratorConfig(dt=spec.period, saturation=spec.saturation)
         self._round = 0
         self._stop = threading.Event()
@@ -210,11 +216,12 @@ class Agent:
         neighbors = {j: np.asarray(v, dtype=float) for j, v in raw.items()}
         self.last_neighbors = neighbors
         u = np.asarray(self.spec.law(self.pose, neighbors), dtype=float)
-        self.last_command = u
         if self.spec.model == "unicycle":
             inp = si_to_unicycle(u, self.state.theta, self.spec.si_params)
+            self.last_input = (inp.v, inp.omega)
         else:
             inp = VelocityInput(u)
+            self.last_input = u
         self.state = step(self.state, inp, self._cfg)
 
     # -- free-running mode -----------------------------------------------------

@@ -2,9 +2,11 @@
 
 Every engine drives real communicators over the message bus, one exchange
 round per simulated tick: first a send sweep across all agents, then a
-gather-and-step sweep. With a lockstep clock and seeded randomness the
-whole run is a pure function of (config, seed), which is what makes trace
-bytes reproducible.
+gather-and-step sweep. The kinematic scenarios (rendezvous, containment,
+formation) share one loop that runs :class:`fleetsim.runtime.Agent` in
+lockstep, so the simulated robot is the library's robot. With a lockstep
+clock and seeded randomness the whole run is a pure function of (config,
+seed), which is what makes trace bytes reproducible.
 
 The assignment engine layers three concerns per tick: cloud inbox
 processing (task reveals and completions, which restart the optimization
@@ -25,15 +27,17 @@ import numpy as np
 from ..assignment import (
     CloudState,
     DistributedSimplexAgent,
+    agreed_result,
     cloud_complete,
     costs_from_positions,
     default_margin,
+    lockstep_round,
 )
 from ..communicator import Communicator
-from ..control import SiToUniParams, si_to_unicycle
-from ..dynamics import IntegratorConfig, UnicycleInput, UnicycleState, step
-from ..errors import NonConvergenceError, ScenarioError
-from ..guidance import containment_velocity, formation_velocity, rendezvous_velocity
+from ..control import SiToUniParams
+from ..dynamics import SingleIntegratorState, UnicycleState
+from ..errors import NonConvergenceError
+from ..guidance import containment_law, formation_law
 from ..lp import AssignmentProblem, hungarian
 from ..mpc import (
     Box,
@@ -47,9 +51,16 @@ from ..mpc import (
     shift_plan,
 )
 from ..netgraph import CommGraph, EdgeSchedule, graph_from_edges
+from ..runtime import Agent, AgentSpec, spawn_agent
 from ..transport import MessageBus, TransportConfig
 from .config import ScenarioConfig
 from .trace import TraceWriter
+
+# unused here (runtime.Agent and guidance.formation_law call them), kept
+# only because perfbench/spans.py looks these names up on this module
+from ..control import si_to_unicycle  # noqa: F401
+from ..dynamics import step  # noqa: F401
+from ..guidance import formation_velocity  # noqa: F401
 
 __all__ = ["run_scenario"]
 
@@ -65,6 +76,37 @@ def _log_poses(writer: TraceWriter, t: float, positions) -> None:
 
 
 # -- consensus-style kinematic scenarios ----------------------------------------
+
+
+def _agents(cfg: ScenarioConfig, bus: MessageBus, graph, profile: str, states, laws,
+            **spec) -> list[Agent]:
+    """One runtime agent per robot, each on its own communicator, left
+    unstarted so the engine can drive it in lockstep."""
+    return [
+        spawn_agent(AgentSpec(i, states[i], laws[i], period=cfg.dt, **spec), bus, graph,
+                    profile=profile, start=False)
+        for i in range(cfg.n)
+    ]
+
+
+def _run_guidance(cfg: ScenarioConfig, writer: TraceWriter, bus: MessageBus,
+                  agents: list[Agent]) -> int:
+    """The lockstep tick shared by every kinematic scenario: all agents
+    publish, then all gather, evaluate their law and step. Returns the
+    number of ticks run."""
+    steps = int(round(cfg.duration / cfg.dt))
+    _log_poses(writer, 0.0, [a.pose for a in agents])
+    for k in range(steps):
+        for a in agents:
+            a.tick_publish(k)
+        for a in agents:
+            a.tick_compute(k)
+        for a in agents:
+            writer.write({"kind": "input", "t": k * cfg.dt, "agent": a.agent_id,
+                          "u": [float(v) for v in a.last_input]})
+        bus.clock.advance(cfg.dt)
+        _log_poses(writer, (k + 1) * cfg.dt, [a.pose for a in agents])
+    return steps
 
 
 def _run_containment(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
@@ -88,23 +130,10 @@ def _run_containment(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
 
     bus = MessageBus()
     schedule = EdgeSchedule(cfg.graph, activation_prob=p["activation"], rng_seed=cfg.seed)
-    comms = [Communicator(bus, i, schedule, profile="time_varying") for i in range(n)]
-
-    steps = int(round(cfg.duration / cfg.dt))
-    gain = p["gain"]
-    _log_poses(writer, 0.0, pos)
-    for k in range(steps):
-        for i in range(n):
-            comms[i].exchange_send(pos[i], round=k)
-        new_pos = pos.copy()
-        for i in range(n):
-            got = comms[i].exchange_collect(round=k)
-            u = containment_velocity(pos[i], got, i in leaders, gain=gain)
-            writer.write({"kind": "input", "t": k * cfg.dt, "agent": i, "u": list(map(float, u))})
-            new_pos[i] = pos[i] + cfg.dt * u
-        pos = new_pos
-        bus.clock.advance(cfg.dt)
-        _log_poses(writer, (k + 1) * cfg.dt, pos)
+    agents = _agents(cfg, bus, schedule, "time_varying",
+                     [SingleIntegratorState(x) for x in pos],
+                     [containment_law(i in leaders, p["gain"]) for i in range(n)])
+    steps = _run_guidance(cfg, writer, bus, agents)
     return {"n": n, "leaders": sorted(leaders), "steps": steps}
 
 
@@ -129,79 +158,37 @@ def _formation_initials(p: dict, n: int, rng: np.random.Generator) -> np.ndarray
 def _run_formation(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
     p = cfg.params
     n = cfg.n
-    spec = p["spec"]
     rng = np.random.default_rng([cfg.seed, 12])
     pos = _formation_initials(p, n, rng)
+    laws = [formation_law(p["spec"], i) for i in range(n)]
 
     bus = MessageBus()
-    comms = [Communicator(bus, i, cfg.graph, profile="static") for i in range(n)]
-    steps = int(round(cfg.duration / cfg.dt))
-
     if p["model"] == "unicycle":
         thetas = rng.uniform(-math.pi, math.pi, size=n)
         states = [UnicycleState(pos[i][0], pos[i][1], thetas[i]) for i in range(n)]
         params = SiToUniParams(
             lookahead=p["lookahead"], v_max=p["v_max"], omega_max=p["omega_max"]
         )
-        icfg = IntegratorConfig(dt=cfg.dt)
-        _log_poses(writer, 0.0, [s.pos for s in states])
-        for k in range(steps):
-            for i in range(n):
-                comms[i].exchange_send(np.asarray(states[i].pos), round=k)
-            new_states = list(states)
-            for i in range(n):
-                got = comms[i].exchange_collect(round=k)
-                u = formation_velocity(np.asarray(states[i].pos), got, spec, i)
-                cmd = si_to_unicycle(u, states[i].theta, params)
-                writer.write(
-                    {"kind": "input", "t": k * cfg.dt, "agent": i,
-                     "u": [float(cmd.v), float(cmd.omega)]}
-                )
-                new_states[i] = step(states[i], cmd, icfg)
-            states = new_states
-            bus.clock.advance(cfg.dt)
-            _log_poses(writer, (k + 1) * cfg.dt, [s.pos for s in states])
-        return {"n": n, "model": "unicycle", "steps": steps}
-
-    _log_poses(writer, 0.0, pos)
-    for k in range(steps):
-        for i in range(n):
-            comms[i].exchange_send(pos[i], round=k)
-        new_pos = pos.copy()
-        for i in range(n):
-            got = comms[i].exchange_collect(round=k)
-            u = formation_velocity(pos[i], got, spec, i)
-            writer.write({"kind": "input", "t": k * cfg.dt, "agent": i, "u": list(map(float, u))})
-            new_pos[i] = pos[i] + cfg.dt * u
-        pos = new_pos
-        bus.clock.advance(cfg.dt)
-        _log_poses(writer, (k + 1) * cfg.dt, pos)
-    return {"n": n, "model": "single_integrator", "steps": steps}
+        agents = _agents(cfg, bus, cfg.graph, "static", states, laws,
+                         model="unicycle", si_params=params)
+    else:
+        agents = _agents(cfg, bus, cfg.graph, "static",
+                         [SingleIntegratorState(x) for x in pos], laws)
+    steps = _run_guidance(cfg, writer, bus, agents)
+    return {"n": n, "model": p["model"], "steps": steps}
 
 
 def _run_rendezvous(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
     p = cfg.params
-    n = cfg.n
     rng = np.random.default_rng([cfg.seed, 13])
-    pos = _uniform_points(rng, p["init_box"], n)
+    pos = _uniform_points(rng, p["init_box"], cfg.n)
     bus = MessageBus()
-    comms = [Communicator(bus, i, cfg.graph, profile="static") for i in range(n)]
-    steps = int(round(cfg.duration / cfg.dt))
-    gain = p["gain"]
-    _log_poses(writer, 0.0, pos)
-    for k in range(steps):
-        for i in range(n):
-            comms[i].exchange_send(pos[i], round=k)
-        new_pos = pos.copy()
-        for i in range(n):
-            got = comms[i].exchange_collect(round=k)
-            u = gain * rendezvous_velocity(pos[i], got)
-            writer.write({"kind": "input", "t": k * cfg.dt, "agent": i, "u": list(map(float, u))})
-            new_pos[i] = pos[i] + cfg.dt * u
-        pos = new_pos
-        bus.clock.advance(cfg.dt)
-        _log_poses(writer, (k + 1) * cfg.dt, pos)
-    return {"n": n, "steps": steps}
+    # the consensus law scaled by the gain is the containment follower law
+    agents = _agents(cfg, bus, cfg.graph, "static",
+                     [SingleIntegratorState(x) for x in pos],
+                     [containment_law(False, p["gain"])] * cfg.n)
+    steps = _run_guidance(cfg, writer, bus, agents)
+    return {"n": cfg.n, "steps": steps}
 
 
 # -- dynamic task assignment -----------------------------------------------------
@@ -210,20 +197,14 @@ def _run_rendezvous(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
 class _AssignmentEpoch:
     """One distributed optimization over the current live task window."""
 
-    def __init__(self, number: int, live_ids: list[int], costs: np.ndarray,
-                 margin: int, budget: int):
+    def __init__(self, number: int, live_ids: list[int], costs: np.ndarray, margin: int):
         self.number = number
         self.live_ids = live_ids
         self.costs = costs
-        self.budget = budget
         n = costs.shape[0]
         self.agents = [
             DistributedSimplexAgent(i, costs, n, margin=margin) for i in range(n)
         ]
-        self.rounds = 0
-
-    def finished(self) -> bool:
-        return all(a.halted for a in self.agents)
 
 
 def _run_assignment(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
@@ -296,35 +277,18 @@ def _run_assignment(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
             task_pts = [live[j] for j in live_ids]
             costs = np.zeros((n, n))
             costs[:, : len(task_pts)] = costs_from_positions(pos, task_pts)
-            epoch = _AssignmentEpoch(epoch_count, live_ids, costs, margin, budget)
+            epoch = _AssignmentEpoch(epoch_count, live_ids, costs, margin)
             epoch_count += 1
         if epoch is not None:
-            for i in range(n):
-                peer_comms[i].send(
-                    epoch.agents[i].payload(), peer_comms[i].out_neighbors, round=k
-                )
-            for i in range(n):
-                received = []
-                for j in peer_comms[i].in_neighbors:
-                    for _, payload in peer_comms[i].drain(j):
-                        parsed, _ = epoch.agents[i].parse(payload)
-                        received.extend(parsed)
-                epoch.agents[i].absorb(received)
-            epoch.rounds += 1
-            if epoch.finished():
-                results = [a.result() for a in epoch.agents]
-                perms = {r[1] for r in results}
-                if len(perms) != 1:
-                    raise ScenarioError(
-                        "assignment epoch %d ended without consensus" % epoch.number
-                    )
-                perm = results[0][1]
-                objective = results[0][2]
+            lockstep_round(epoch.agents, peer_comms, k)
+            rounds = epoch.agents[0].rounds
+            if all(a.halted for a in epoch.agents):
+                _, perm, objective = agreed_result(epoch.agents)
                 reference = hungarian(AssignmentProblem(n, epoch.costs))[1]
                 writer.write({
                     "kind": "assignment", "t": t, "epoch": epoch.number,
                     "perm": list(perm), "objective": float(objective),
-                    "reference": float(reference), "rounds": epoch.rounds,
+                    "reference": float(reference), "rounds": rounds,
                 })
                 for i in range(n):
                     task_idx = perm[i]
@@ -341,7 +305,7 @@ def _run_assignment(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
                     else:
                         targets[i] = None
                 epoch = None
-            elif epoch.rounds >= budget:
+            elif rounds >= budget:
                 raise NonConvergenceError(
                     "assignment epoch %d exceeded %d rounds" % (epoch.number, budget),
                     diagnostics={"epoch": epoch.number},
@@ -473,11 +437,7 @@ def _run_mpc(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
     steps = p["steps"]
     closed_loop_cost = 0.0
     max_residual = 0.0
-    for i in range(n):
-        writer.write({
-            "kind": "pose", "t": 0.0, "agent": i,
-            "pos": [float(v) for v in plans[i].states[0]],
-        })
+    _log_poses(writer, 0.0, [pl.states[0] for pl in plans])
     for k in range(steps):
         turn = k % n
         others = None

@@ -6,6 +6,7 @@ plus the task-cloud bookkeeping.
 """
 
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from fleetsim.assignment import (
     DistributedSimplexAgent,
     SimplexColumn,
     Task,
+    agreed_result,
     artificial_columns,
     basis_support,
     cloud_complete,
@@ -24,6 +26,7 @@ from fleetsim.assignment import (
     default_margin,
     initial_basis,
     local_columns,
+    lockstep_round,
     perturbed_rhs,
     run_distributed_simplex,
     simplex_round,
@@ -261,6 +264,33 @@ def test_network_solver_budget_exhaustion():
     costs = np.random.default_rng(0).random((3, 3))
     with pytest.raises(NonConvergenceError):
         solve_assignment_network(costs, complete_graph(3), round_budget=1)
+
+
+def test_lockstep_round_skips_malformed_payloads():
+    costs = np.array([[1.0, 2.0], [2.0, 1.0]])
+    graph = complete_graph(3)  # node 2 is a rogue sender, not an agent
+    bus = MessageBus()
+    comms = [Communicator(bus, i, graph) for i in range(3)]
+    comms[2].send({"bogus": 1}, [0, 1], round=0)
+    agents = [DistributedSimplexAgent(i, costs, 2) for i in range(2)]
+    lockstep_round(agents, comms[:2], 0)
+    assert [a.rounds for a in agents] == [1, 1]
+
+
+def test_agreed_result_returns_the_shared_result():
+    triple = (0, (0, 2, 1), 3.5)
+    agents = [SimpleNamespace(result=lambda: triple) for _ in range(3)]
+    assert agreed_result(agents) == triple
+
+
+def test_agreed_result_lists_both_permutations_on_mismatch():
+    agents = [
+        SimpleNamespace(result=lambda: (0, (0, 1), 1.0)),
+        SimpleNamespace(result=lambda: (0, (1, 0), 1.0)),
+    ]
+    with pytest.raises(NonConvergenceError) as info:
+        agreed_result(agents)
+    assert info.value.diagnostics["perms"] == [(0, 1), (1, 0)]
 
 
 def test_network_solver_with_drops():

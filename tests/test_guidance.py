@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from fleetsim.communicator import Communicator
 from fleetsim.errors import FormationError
 from fleetsim.guidance import (
     FormationSpec,
@@ -13,13 +12,9 @@ from fleetsim.guidance import (
     containment_velocity,
     formation_law,
     formation_velocity,
-    guidance_step,
     hexagon_formation,
-    rendezvous_law,
     rendezvous_velocity,
 )
-from fleetsim.netgraph import graph_from_edges
-from fleetsim.transport import MessageBus, TransportConfig
 
 
 def test_rendezvous_velocity_hand_value():
@@ -196,31 +191,6 @@ def test_law_factories():
     assert law(np.zeros(2), {1: np.array([2.0, 0.0])}) == pytest.approx(
         np.array([6.0, 0.0])
     )
-
-
-def test_guidance_step_two_agent_rendezvous():
-    g = graph_from_edges(2, [(0, 1)])
-    bus = MessageBus()
-    a = Communicator(bus, 0, g)
-    b = Communicator(bus, 1, g)
-    pose_a = np.array([2.0, 0.0])
-    pose_b = np.array([-2.0, 0.0])
-    law = rendezvous_law()
-    b.exchange_send(pose_b, round=0)
-    ua = guidance_step(a, pose_a, law, round=0, timeout=1.0)
-    ub = guidance_step(b, pose_b, law, round=0, timeout=1.0)
-    assert ua == pytest.approx(np.array([-4.0, 0.0]))
-    assert ub == pytest.approx(np.array([4.0, 0.0]))
-
-
-def test_guidance_step_all_dropped_gives_zero():
-    g = graph_from_edges(2, [(0, 1)])
-    bus = MessageBus()
-    cfg = TransportConfig(drop_prob=1.0)
-    a = Communicator(bus, 0, g, profile="best_effort", config=cfg)
-    Communicator(bus, 1, g, profile="best_effort", config=cfg)
-    u = guidance_step(a, np.array([3.0, 3.0]), rendezvous_law(), round=0)
-    assert np.array_equal(u, np.zeros(2))
 
 
 def test_rendezvous_two_agents_converge():

@@ -126,6 +126,13 @@ def test_zero_law_holds_position():
     assert agents[0].round == 20
 
 
+def test_lockstep_tick_two_agent_hand_value():
+    agents = lockstep_pair(rendezvous_law())
+    run_lockstep(agents, 1)
+    assert agents[0].last_input == pytest.approx(np.array([-4.0, 0.0]))
+    assert agents[1].last_input == pytest.approx(np.array([4.0, 0.0]))
+
+
 def test_lockstep_rendezvous_converges():
     agents = lockstep_pair(rendezvous_law(), period=0.05)
     run_lockstep(agents, 200)

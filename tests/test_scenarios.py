@@ -1,6 +1,7 @@
 """Scenario configs, engines, traces, summaries and the CLI."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -354,6 +355,38 @@ def test_mpc_engine_keeps_coupling_residual_tiny(tmp_path):
     assert stats["max_coupling_residual"] <= 1e-8
     assert stats["closed_loop_cost"] == pytest.approx(summary["closed_loop_cost"])
     assert stats["steps"] == 30
+
+
+def _golden_config(name):
+    scenario, _, variant = name.partition("_")
+    n = {"rendezvous": 4, "containment": 5, "formation": 6, "assignment": 4, "mpc": 3}
+    cfg = default_config(scenario, n[scenario], seed=1, duration=0.5)
+    raw = dict(cfg.raw)
+    if variant == "unicycle":
+        raw["formation"] = dict(raw["formation"], model="unicycle")
+    if scenario == "mpc":
+        raw["mpc"] = dict(raw["mpc"], steps=10)
+    return parse_config(raw)
+
+
+# sha256 of short runs' traces: a refactor of the engines must keep these
+# bytes. They were recorded with numpy 2.4 and OpenBLAS on x86-64; a BLAS
+# that rounds the MPC solves differently needs them re-recorded.
+GOLDEN_TRACES = {
+    "rendezvous": "a1432cf882e48b383fa8de06c8ac24cbafa192aa400da10225b77d99f922668c",
+    "containment": "d66d53ad5d361f843825e92dcf90d82ac2c39554f5162423d15b804e10a029e1",
+    "formation": "e4785fa88325a28f4c9c20938a557ce341c49d56e3741a2f8c143480d904d407",
+    "formation_unicycle": "dd6d3ccf15029bde9181a3b384d7f2f33a8bd9d8147b3cb356445451978bb0a9",
+    "assignment": "e6ef5406f0e14d8f3e0f4eec6828ba6ace259f3224ea305ecdbaa4064124f90a",
+    "mpc": "f63e43f34885a71ea36d12a403821e3a73f2a5d94717fbe7144698affbd22049",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
+def test_trace_bytes_match_golden_digest(tmp_path, name):
+    path = tmp_path / (name + ".jsonl")
+    run_scenario(_golden_config(name), str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_TRACES[name]
 
 
 # ---------------------------------------------------------------- traces
