@@ -4,22 +4,27 @@ Each robot owns the cost column of every (robot, task) pair in its row and
 initially nothing else. Agents repeatedly broadcast their current basis
 columns to neighbors, merge whatever arrives into a column pool, re-solve
 the restricted assignment LP over that pool, and keep the optimal basis.
-Objectives never increase, and on a connected graph all agents settle on
-the same optimal permutation; the scheme tolerates asynchrony, time-varying
+Columns travel and pool as (k, 3) float arrays of [robot, task, cost] rows.
+Objectives never increase. The scheme tolerates asynchrony, time-varying
 edges and packet loss, so it runs over reliable or best-effort
 communicators alike.
 
-Two perturbations, both identical across agents, make that convergence
-sound. Costs get the shared geometric schedule from the lp module so no
-two assignments tie. The right-hand side gets a tiny geometric bump
+Two perturbations, both identical across agents, are meant to make every
+optimal basis unique, so that agents which agree on a vertex agree on its
+dual prices. Costs get the shared geometric schedule from the lp module so
+that no two assignments tie. The right-hand side gets a tiny geometric bump
 (``perturbed_rhs``) so every feasible basis has strictly positive basic
 values: without it the assignment polytope is degenerate (a matching pins
 only n of the 2n-1 basic variables away from zero), dual prices depend on
 which zero-level columns pad the basis, and agents can each certify
 "no improving column in my pool" against different prices while the union
-of their pools still holds an improvement. With the bump a vertex has
-exactly one basis, so agreeing on the vertex means agreeing on the prices,
-and a network-wide fixed point is globally optimal.
+of their pools still holds an improvement. Neither perturbation is sound
+at every size: the cost offsets fall below the simplex's 1e-9 pricing
+tolerance from the eighth flattened column on, and the bump clears it only
+up to n of about 7. So when costs tie, as the zero-padded columns of a
+drained task window do, agents on a connected graph can halt on different
+permutations, which ``agreed_result`` reports as NonConvergenceError
+(ROADMAP.md, item 2: a lexicographic pricing and ratio rule).
 
 Halting is a heuristic: an agent flags itself done after its basis survives
 ``margin`` consecutive rounds unchanged (default twice the graph diameter
@@ -39,7 +44,7 @@ import numpy as np
 
 from .communicator import Communicator
 from .errors import CloudError, NonConvergenceError, ProtocolError
-from .lp import assignment_column, perturbation_vector, simplex_from_basis
+from .lp import perturbation_vector, simplex_from_basis
 from .netgraph import CommGraph, EdgeSchedule, diameter_bound
 from .transport import MessageBus, TransportConfig
 
@@ -49,9 +54,9 @@ __all__ = [
     "COMPLETED",
     "Task",
     "CloudState",
-    "SimplexColumn",
     "SimplexBasis",
     "costs_from_positions",
+    "column_matrix",
     "local_columns",
     "artificial_columns",
     "initial_basis",
@@ -75,6 +80,10 @@ COMPLETED = "completed"
 DEFAULT_BIG_M = 1.0e6
 _SUPPORT_TOL = 0.5
 _RHS_EPS = 1e-5
+# geometric cost offsets eps * ratio**j over the flattened column index
+_COST_EPS = 1e-7
+_COST_RATIO = 0.5
+_NO_COLUMNS = np.empty((0, 3))
 
 
 # -- task cloud ---------------------------------------------------------------
@@ -148,67 +157,61 @@ def costs_from_positions(robot_positions, task_positions) -> np.ndarray:
 
 
 # -- columns and bases ---------------------------------------------------------
+#
+# A set of LP columns is a float array of rows [robot, task, cost], the same
+# (k, 3) matrix a payload carries. Robot -1 marks an artificial column on
+# constraint row ``task``; artificials cost ``big_m`` and exist so any agent
+# can always complete a feasible basis.
 
 
-@dataclass(frozen=True, order=True)
-class SimplexColumn:
-    """One LP column: robot-task pair with its (perturbed) cost.
-
-    Artificial columns use robot=-1 and task=row index; they cost ``big_m``
-    and exist so any agent can always complete a feasible basis. Ordering
-    puts real columns first, by (robot, task), then artificials by row.
-    """
-
-    sort_key: tuple = field(init=False, repr=False)
-    robot: int
-    task: int
-    cost: float
-
-    def __post_init__(self):
-        key = (1, self.task, 0) if self.robot < 0 else (0, self.robot, self.task)
-        object.__setattr__(self, "sort_key", key)
-
-    @property
-    def artificial(self) -> bool:
-        return self.robot < 0
-
-    def vector(self, n: int) -> np.ndarray:
-        if self.artificial:
-            a = np.zeros(2 * n - 1)
-            a[self.task] = 1.0
-            return a
-        return assignment_column(self.robot, self.task, n)
+def _column_keys(cols: np.ndarray, n: int) -> np.ndarray:
+    """Integer identity and sort key of each column: robot*n + task for a
+    real column, n*n + row for an artificial one, so real columns sort
+    first by (robot, task), then artificials by row."""
+    robot = cols[:, 0].astype(np.int64)
+    task = cols[:, 1].astype(np.int64)
+    return np.where(robot < 0, n * n + task, robot * n + task)
 
 
-@dataclass(frozen=True)
+def column_matrix(cols: np.ndarray, n: int) -> np.ndarray:
+    """Constraint columns, one per row of ``cols``: a real column is the lp
+    module's ``assignment_column`` (ones on the robot's row and, for all
+    but the last task, on row n + task), an artificial the unit vector of
+    its row."""
+    robot = cols[:, 0].astype(np.int64)
+    task = cols[:, 1].astype(np.int64)
+    j = np.arange(len(cols))
+    art = robot < 0
+    A = np.zeros((2 * n - 1, len(cols)))
+    A[np.where(art, task, robot), j] = 1.0
+    tasked = ~art & (task < n - 1)
+    A[n + task[tasked], j[tasked]] = 1.0
+    return A
+
+
+@dataclass(frozen=True, eq=False)
 class SimplexBasis:
     """A feasible basis of the (perturbed) assignment LP.
 
-    ``columns`` is the sorted tuple of 2n-1 columns and ``objective`` the
-    value of its basic solution under the perturbed costs and right-hand
-    side; the latter is the quantity that decreases monotonically as
-    rounds progress.
+    ``columns`` holds the 2n-1 basic columns sorted by ``_column_keys`` and
+    ``objective`` the value of its basic solution under the perturbed costs
+    and right-hand side; the latter is the quantity that decreases
+    monotonically as rounds progress.
     """
 
-    columns: tuple[SimplexColumn, ...]
+    columns: np.ndarray
     objective: float
 
     def permutation(self, n: int) -> tuple[int, ...] | None:
         """Robot->task map encoded by the basis, or None if artificials
         still cover some row (no full matching yet)."""
         support = basis_support(self, n)
-        chosen: dict[int, int] = {}
-        for col in support:
-            if col.artificial:
-                return None
-            chosen[col.robot] = col.task
-        if len(chosen) != n:
+        if not np.array_equal(support[:, 0], np.arange(n)):
             return None
-        return tuple(chosen[i] for i in range(n))
+        return tuple(support[:, 1].astype(int).tolist())
 
 
-def local_columns(i: int, costs: np.ndarray, n: int, eps: float = 1e-7,
-                  ratio: float = 0.5) -> list[SimplexColumn]:
+def local_columns(i: int, costs: np.ndarray, n: int) -> np.ndarray:
     """Robot i's own columns with the shared lexicographic perturbation.
 
     ``costs`` may be the full matrix or just row i. The perturbation index
@@ -219,15 +222,13 @@ def local_columns(i: int, costs: np.ndarray, n: int, eps: float = 1e-7,
     row = costs[i] if costs.ndim == 2 else costs
     if row.shape != (n,):
         raise ProtocolError("cost row for robot %d has shape %s" % (i, row.shape))
-    delta = perturbation_vector(n * n, eps=eps, ratio=ratio)
-    return [
-        SimplexColumn(i, k, float(row[k]) + float(delta[i * n + k]))
-        for k in range(n)
-    ]
+    delta = perturbation_vector(n * n, _COST_EPS, _COST_RATIO)[i * n:(i + 1) * n]
+    return np.column_stack((np.full(n, float(i)), np.arange(n, dtype=float), row + delta))
 
 
-def artificial_columns(n: int, big_m: float = DEFAULT_BIG_M) -> list[SimplexColumn]:
-    return [SimplexColumn(-1, r, float(big_m)) for r in range(2 * n - 1)]
+def artificial_columns(n: int, big_m: float = DEFAULT_BIG_M) -> np.ndarray:
+    rows = np.arange(2 * n - 1, dtype=float)
+    return np.column_stack((np.full_like(rows, -1.0), rows, np.full_like(rows, float(big_m))))
 
 
 def perturbed_rhs(n: int) -> np.ndarray:
@@ -246,65 +247,59 @@ def perturbed_rhs(n: int) -> np.ndarray:
 
 def initial_basis(n: int, big_m: float = DEFAULT_BIG_M) -> SimplexBasis:
     """The all-artificial starting basis (identity columns, trivially feasible)."""
-    cols = tuple(artificial_columns(n, big_m))
-    return SimplexBasis(columns=cols, objective=float(big_m) * float(perturbed_rhs(n).sum()))
+    return SimplexBasis(columns=artificial_columns(n, big_m),
+                        objective=float(big_m) * float(perturbed_rhs(n).sum()))
 
 
-def basis_support(basis: SimplexBasis, n: int) -> list[SimplexColumn]:
+def basis_support(basis: SimplexBasis, n: int) -> np.ndarray:
     """Columns whose basic value is 1 (the rest of the basis sits at 0).
 
     Evaluated at the unperturbed right-hand side of ones, where a feasible
     basis takes exact 0/1 values, so the threshold is safe by a wide margin.
     """
     cols = basis.columns
-    B = np.column_stack([c.vector(n) for c in cols])
-    x = np.linalg.solve(B, np.ones(2 * n - 1))
-    return [c for c, v in zip(cols, x) if v > _SUPPORT_TOL]
+    x = np.linalg.solve(column_matrix(cols, n), np.ones(2 * n - 1))
+    return cols[x > _SUPPORT_TOL]
 
 
-def _validate_column(col: SimplexColumn, n: int) -> None:
-    if not np.isfinite(col.cost):
-        raise ProtocolError("column (%d, %d) has non-finite cost" % (col.robot, col.task))
-    if col.artificial:
-        if not 0 <= col.task < 2 * n - 1:
-            raise ProtocolError("artificial column row %d out of range" % col.task)
-    elif not (0 <= col.robot < n and 0 <= col.task < n):
-        raise ProtocolError("column (%d, %d) out of range for n=%d" % (col.robot, col.task, n))
+def _validate_columns(cols: np.ndarray, n: int) -> None:
+    """Raise ProtocolError naming the first column that is not finite or
+    out of range: a real one needs robot and task in [0, n), an
+    artificial one a row in [0, 2n-1)."""
+    robot, task = cols[:, 0], cols[:, 1]
+    art = robot < 0
+    bad = ~np.isfinite(cols).all(axis=1) | (task < 0) | np.where(
+        art, task >= 2 * n - 1, (robot >= n) | (task >= n))
+    if bad.any():
+        raise ProtocolError("column %s is non-finite or out of range for n=%d"
+                            % (cols[np.argmax(bad)].tolist(), n))
 
 
-def simplex_round(state: SimplexBasis, own: list[SimplexColumn],
-                  received: list[SimplexColumn], n: int,
-                  big_m: float = DEFAULT_BIG_M) -> SimplexBasis:
+def simplex_round(state: SimplexBasis, own: np.ndarray, received: np.ndarray,
+                  n: int, big_m: float = DEFAULT_BIG_M) -> SimplexBasis:
     """One merge-and-reoptimize step.
 
-    Pool = current basis + own columns + received columns + artificials;
-    the restricted LP over the pool (with the shared perturbed right-hand
-    side) is solved warm-started from the current basis. The warm start is
-    always feasible because feasibility of a basis depends only on the
-    basis and the right-hand side, both of which persist across rounds.
-    The returned objective is the perturbed LP value, which never
-    increases. Malformed received columns raise ProtocolError before any
-    state changes.
+    Pool = current basis + own columns + received columns + artificials,
+    deduplicated by column (the first occurrence in that order wins) and
+    sorted by ``_column_keys``; the restricted LP over the pool (with the
+    shared perturbed right-hand side) is solved warm-started from the
+    current basis. The warm start is always feasible because feasibility
+    of a basis depends only on the basis and the right-hand side, both of
+    which persist across rounds. The returned objective is the perturbed
+    LP value, which never increases. Malformed received columns raise
+    ProtocolError before any state changes.
     """
-    for col in received:
-        _validate_column(col, n)
-
-    merged: dict[tuple, SimplexColumn] = {}
-    for col in list(state.columns) + list(own) + list(received) + artificial_columns(n, big_m):
-        merged.setdefault(col.sort_key, col)
-    pool = sorted(merged.values())
-
-    index = {c.sort_key: j for j, c in enumerate(pool)}
-    A = np.column_stack([c.vector(n) for c in pool])
-    c_vec = np.array([c.cost for c in pool])
-    b = perturbed_rhs(n)
-    start = [index[c.sort_key] for c in state.columns]
-    final, _, objective, status = simplex_from_basis(A, b, c_vec, start)
+    _validate_columns(received, n)
+    cols = np.concatenate((state.columns, own, received, artificial_columns(n, big_m)))
+    keys, first = np.unique(_column_keys(cols, n), return_index=True)
+    pool = cols[first]
+    start = np.searchsorted(keys, _column_keys(state.columns, n))
+    final, _, objective, status = simplex_from_basis(
+        column_matrix(pool, n), perturbed_rhs(n), np.ascontiguousarray(pool[:, 2]),
+        start.tolist())
     if status != "optimal":
         raise ProtocolError("restricted assignment LP ended %s" % status)
-
-    columns = tuple(sorted(pool[j] for j in final))
-    return SimplexBasis(columns=columns, objective=float(objective))
+    return SimplexBasis(columns=pool[np.sort(final)], objective=float(objective))
 
 
 # -- protocol agent ------------------------------------------------------------
@@ -313,26 +308,24 @@ def simplex_round(state: SimplexBasis, own: list[SimplexColumn],
 class DistributedSimplexAgent:
     """Per-robot protocol state machine, transport-agnostic.
 
-    Drive it with :meth:`outgoing` / :meth:`absorb`; the lockstep driver
-    and the threaded entry point below both build on these.
+    Drive it with :meth:`payload` / :meth:`parse` / :meth:`absorb`; the
+    lockstep driver and the threaded entry point below both build on these.
     """
 
-    def __init__(self, i: int, costs, n: int, *, eps: float = 1e-7,
-                 ratio: float = 0.5, big_m: float = DEFAULT_BIG_M,
+    def __init__(self, i: int, costs, n: int, *, big_m: float = DEFAULT_BIG_M,
                  margin: int = 4):
         self.i = int(i)
         self.n = int(n)
         self.big_m = float(big_m)
-        self.own = local_columns(self.i, np.asarray(costs, dtype=float), self.n,
-                                 eps=eps, ratio=ratio)
-        self._delta = perturbation_vector(n * n, eps=eps, ratio=ratio)
-        worst = max(abs(c.cost) for c in self.own)
+        self.own = local_columns(self.i, np.asarray(costs, dtype=float), self.n)
+        self._delta = perturbation_vector(self.n * self.n, _COST_EPS, _COST_RATIO)
+        worst = float(np.abs(self.own[:, 2]).max())
         if self.big_m <= 10.0 * self.n * max(worst, 1.0):
             raise ProtocolError(
                 "big_m %.3g too small for costs around %.3g" % (self.big_m, worst)
             )
-        self.basis = simplex_round(initial_basis(self.n, self.big_m), self.own, [],
-                                   self.n, self.big_m)
+        self.basis = simplex_round(initial_basis(self.n, self.big_m), self.own,
+                                   _NO_COLUMNS, self.n, self.big_m)
         self.margin = int(margin)
         self.unchanged = 0
         self.rounds = 0
@@ -343,34 +336,31 @@ class DistributedSimplexAgent:
 
     def payload(self) -> dict:
         """Wire form of the current basis plus the halt flag."""
-        cols = np.array(
-            [[float(c.robot), float(c.task), c.cost] for c in self.basis.columns]
-        )
-        return {"cols": cols, "halted": self.halted}
+        return {"cols": self.basis.columns, "halted": self.halted}
 
-    def parse(self, payload) -> tuple[list[SimplexColumn], bool]:
-        """Decode a neighbor payload; malformed data raises ProtocolError."""
+    def parse(self, payload) -> tuple[np.ndarray, bool]:
+        """Decode a neighbor payload; malformed data raises ProtocolError.
+
+        Robot and task indices round half to even; any negative robot
+        reads as an artificial column (robot -1) costing ``big_m``, so only
+        real columns need a finite cost.
+        """
         if not isinstance(payload, dict) or "cols" not in payload:
             raise ProtocolError("assignment payload missing columns")
         cols = np.asarray(payload["cols"], dtype=float)
         if cols.ndim != 2 or cols.shape[1] != 3 or not np.all(np.isfinite(cols[:, :2])):
             raise ProtocolError("assignment payload malformed")
-        out = []
-        for robot_f, task_f, cost in cols:
-            robot, task = int(round(robot_f)), int(round(task_f))
-            col = (
-                SimplexColumn(-1, task, self.big_m)
-                if robot < 0
-                else SimplexColumn(robot, task, float(cost))
-            )
-            _validate_column(col, self.n)
-            out.append(col)
-        return out, bool(payload.get("halted", False))
+        robot = np.rint(cols[:, 0]) + 0.0  # + 0.0 turns -0.0 into 0.0
+        art = robot < 0
+        cols = np.column_stack((np.where(art, -1.0, robot), np.rint(cols[:, 1]) + 0.0,
+                                np.where(art, self.big_m, cols[:, 2])))
+        _validate_columns(cols, self.n)
+        return cols, bool(payload.get("halted", False))
 
-    def absorb(self, received: list[SimplexColumn]) -> bool:
+    def absorb(self, received: np.ndarray) -> bool:
         """Run one simplex round; returns True if the basis changed."""
         new = simplex_round(self.basis, self.own, received, self.n, self.big_m)
-        changed = new.columns != self.basis.columns
+        changed = not np.array_equal(new.columns, self.basis.columns)
         self.basis = new
         self.unchanged = 0 if changed else self.unchanged + 1
         self.rounds += 1
@@ -384,10 +374,12 @@ class DistributedSimplexAgent:
                 "agent %d basis still contains artificial columns" % self.i,
                 diagnostics={"objective": self.basis.objective},
             )
+        flat = np.arange(self.n) * self.n + np.asarray(perm)
+        keys = _column_keys(self.basis.columns, self.n)
+        costs = self.basis.columns[np.searchsorted(keys, flat), 2]
         objective = 0.0
-        for i, k in enumerate(perm):
-            col = next(c for c in self.basis.columns if (c.robot, c.task) == (i, k))
-            objective += col.cost - float(self._delta[i * self.n + k])
+        for term in (costs - self._delta[flat]).tolist():  # in robot order
+            objective += term
         return perm[self.i], perm, objective
 
 
@@ -402,11 +394,11 @@ def default_margin(graph: CommGraph, drop_prob: float = 0.0) -> int:
 
 
 def _gather(agent: DistributedSimplexAgent,
-            comm: Communicator) -> tuple[list[SimplexColumn], dict[int, bool]]:
+            comm: Communicator) -> tuple[np.ndarray, dict[int, bool]]:
     """Drain every in-neighbor's mailbox: the columns received plus each
     sender's latest halt flag. A payload that fails to parse is skipped,
     as a lost message would be."""
-    received: list[SimplexColumn] = []
+    received = [_NO_COLUMNS]
     flags: dict[int, bool] = {}
     for j in comm.in_neighbors:
         for _, payload in comm.drain(j):
@@ -414,8 +406,8 @@ def _gather(agent: DistributedSimplexAgent,
                 cols, flags[j] = agent.parse(payload)
             except ProtocolError:
                 continue
-            received.extend(cols)
-    return received, flags
+            received.append(cols)
+    return np.concatenate(received), flags
 
 
 def lockstep_round(agents: list[DistributedSimplexAgent], comms: list[Communicator],
@@ -445,7 +437,6 @@ def agreed_result(agents) -> tuple[int, tuple[int, ...], float]:
 
 def run_distributed_simplex(comm: Communicator, i: int, costs, n: int,
                             graph: CommGraph | None = None, *,
-                            eps: float = 1e-7, ratio: float = 0.5,
                             big_m: float = DEFAULT_BIG_M,
                             margin: int | None = None,
                             round_budget: int | None = None,
@@ -460,7 +451,7 @@ def run_distributed_simplex(comm: Communicator, i: int, costs, n: int,
     """
     base = graph if graph is not None else comm.graph
     agent = DistributedSimplexAgent(
-        i, costs, n, eps=eps, ratio=ratio, big_m=big_m,
+        i, costs, n, big_m=big_m,
         margin=margin if margin is not None
         else default_margin(base, comm.config.drop_prob),
     )
@@ -485,7 +476,6 @@ def run_distributed_simplex(comm: Communicator, i: int, costs, n: int,
 def solve_assignment_network(costs, graph, *, profile: str = "static",
                              transport: TransportConfig | None = None,
                              bus: MessageBus | None = None,
-                             eps: float = 1e-7, ratio: float = 0.5,
                              big_m: float = DEFAULT_BIG_M,
                              margin: int | None = None,
                              round_budget: int | None = None):
@@ -509,8 +499,7 @@ def solve_assignment_network(costs, graph, *, profile: str = "static",
     ]
     use_margin = margin if margin is not None else default_margin(base, tc.drop_prob)
     agents = [
-        DistributedSimplexAgent(i, costs, n, eps=eps, ratio=ratio, big_m=big_m,
-                                margin=use_margin)
+        DistributedSimplexAgent(i, costs, n, big_m=big_m, margin=use_margin)
         for i in range(n)
     ]
     budget = round_budget if round_budget is not None else 50 * n

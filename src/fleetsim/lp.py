@@ -19,7 +19,8 @@ tie-breaking must be provable rather than numerical.
 
 Also here: the assignment-problem encoding (one redundant constraint row
 dropped so the system has full row rank 2n-1), a Hungarian oracle, and the
-lexicographic cost perturbation used to make optimal assignments unique.
+geometric cost offsets (``perturbation_vector``) the distributed assignment
+adds to break ties between assignments.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "hungarian",
     "brute_force_assignment",
     "assignment_cost",
-    "lex_perturb",
     "perturbation_vector",
     "OPTIMAL",
     "INFEASIBLE",
@@ -451,17 +451,6 @@ def perturbation_vector(n_cols: int, eps: float = 1e-7, ratio: float = 0.5) -> n
     if eps == 0.0:
         return np.zeros(n_cols)
     return eps * np.power(float(ratio), np.arange(n_cols))
-
-
-def lex_perturb(lp: StandardLP, eps: float = 1e-7, ratio: float = 0.5) -> StandardLP:
-    """Return a copy of ``lp`` with the geometric perturbation added to c.
-
-    eps=0 returns an identical problem. The argmin of the perturbed
-    problem is an argmin of the original whenever eps is below the
-    smallest nonzero objective gap between vertices.
-    """
-    delta = perturbation_vector(lp.n, eps=eps, ratio=ratio)
-    return StandardLP(A=lp.A.copy(), b=lp.b.copy(), c=lp.c + delta)
 
 
 # -- small builder for structured LPs ---------------------------------------

@@ -16,12 +16,12 @@ from fleetsim.assignment import (
     DEFAULT_BIG_M,
     CloudState,
     DistributedSimplexAgent,
-    SimplexColumn,
     Task,
     agreed_result,
     artificial_columns,
     basis_support,
     cloud_complete,
+    column_matrix,
     costs_from_positions,
     default_margin,
     initial_basis,
@@ -49,12 +49,12 @@ def lockstep_rounds(agents, graph, rounds):
     for _ in range(rounds):
         payloads = [a.payload() for a in agents]
         for i, agent in enumerate(agents):
-            received = []
+            received = [np.empty((0, 3))]
             for j in range(n):
                 if graph.adjacency[j, i]:
                     cols, _ = agent.parse(payloads[j])
-                    received.extend(cols)
-            agent.absorb(received)
+                    received.append(cols)
+            agent.absorb(np.concatenate(received))
 
 
 # -- costs ---------------------------------------------------------------------
@@ -84,32 +84,35 @@ def test_local_columns_structure():
     costs = rng.random((n, n))
     for i in range(n):
         cols = local_columns(i, costs, n)
-        assert len(cols) == n
-        for k, col in enumerate(cols):
-            assert col.robot == i and col.task == k
-            assert not col.artificial
+        assert cols.shape == (n, 3)
+        for k, (robot, task, cost) in enumerate(cols):
+            assert robot == i and task == k
+            assert robot >= 0  # not artificial
             # cost carries the lexicographic tie-break bump for column i*n+k
             delta = 1e-7 * 0.5 ** (i * n + k)
-            assert col.cost == pytest.approx(costs[i, k] + delta, abs=1e-18)
+            assert cost == pytest.approx(costs[i, k] + delta, abs=1e-18)
 
 
 def test_column_vectors_match_lp_columns():
     n = 3
-    col = SimplexColumn(1, 2, 0.5)
-    assert np.array_equal(col.vector(n), assignment_column(1, 2, n))
-    art = SimplexColumn(-1, 3, DEFAULT_BIG_M)
-    assert art.artificial
+    A = column_matrix(np.array([[1.0, 2.0, 0.5], [-1.0, 3.0, DEFAULT_BIG_M]]), n)
+    assert A.shape == (2 * n - 1, 2)
+    assert np.array_equal(A[:, 0], assignment_column(1, 2, n))
     want = np.zeros(2 * n - 1)
     want[3] = 1.0
-    assert np.array_equal(art.vector(n), want)
+    assert np.array_equal(A[:, 1], want)
+    # every real column, including the last task's (its row is dropped)
+    real = np.array([[i, k, 0.0] for i in range(n) for k in range(n)])
+    for col, vec in zip(real, column_matrix(real, n).T):
+        assert np.array_equal(vec, assignment_column(int(col[0]), int(col[1]), n))
 
 
 def test_artificial_columns():
     n = 3
     arts = artificial_columns(n)
-    assert len(arts) == 2 * n - 1
-    for r, col in enumerate(arts):
-        assert col.artificial and col.task == r and col.cost == DEFAULT_BIG_M
+    assert arts.shape == (2 * n - 1, 3)
+    for r, (robot, task, cost) in enumerate(arts):
+        assert robot == -1 and task == r and cost == DEFAULT_BIG_M
 
 
 def test_initial_basis():
@@ -139,10 +142,10 @@ def test_simplex_round_converges_then_fixed_point():
     costs = rng.random((n, n))
     state = initial_basis(n)
     own = local_columns(0, costs, n)
-    all_cols = [c for i in range(n) for c in local_columns(i, costs, n)]
+    all_cols = np.concatenate([local_columns(i, costs, n) for i in range(n)])
     state = simplex_round(state, own, all_cols, n)
     settled = simplex_round(state, own, all_cols, n)
-    assert settled.columns == state.columns
+    assert np.array_equal(settled.columns, state.columns)
     assert settled.objective == pytest.approx(state.objective)
 
 
@@ -156,12 +159,12 @@ def test_simplex_round_objective_monotone():
         payloads = [a.payload() for a in agents]
         before = [a.basis.objective for a in agents]
         for i, agent in enumerate(agents):
-            received = []
+            received = [np.empty((0, 3))]
             for j in range(n):
                 if graph.adjacency[j, i]:
                     cols, _ = agent.parse(payloads[j])
-                    received.extend(cols)
-            agent.absorb(received)
+                    received.append(cols)
+            agent.absorb(np.concatenate(received))
             assert agent.basis.objective <= before[i] + 1e-9
 
 
@@ -181,10 +184,38 @@ def test_malformed_column_rejected_without_state_change():
     assert agent.basis is before
 
 
+def test_parse_replaces_artificial_cost_with_big_m():
+    agent = DistributedSimplexAgent(0, np.ones((2, 2)), 2)
+    cols, _ = agent.parse({"cols": np.array([[-1.0, 2.0, np.nan]])})
+    assert np.array_equal(cols, [[-1.0, 2.0, DEFAULT_BIG_M]])
+
+
+def test_parse_rejects_non_finite_real_cost():
+    agent = DistributedSimplexAgent(0, np.ones((2, 2)), 2)
+    for cost in (np.nan, np.inf):
+        with pytest.raises(ProtocolError):
+            agent.parse({"cols": np.array([[0.0, 1.0, 3.0], [1.0, 0.0, cost]])})
+
+
+def test_parse_reads_any_negative_robot_as_artificial():
+    agent = DistributedSimplexAgent(0, np.ones((2, 2)), 2)
+    cols, _ = agent.parse({"cols": np.array([[-3.0, 1.0, 5.0]])})
+    assert np.array_equal(cols, [[-1.0, 1.0, DEFAULT_BIG_M]])
+
+
+def test_parse_rounds_indices_half_to_even():
+    agent = DistributedSimplexAgent(0, np.ones((3, 3)), 3)
+    cols, _ = agent.parse({"cols": np.array([[0.5, 1.5, 2.0], [1.5, 2.5, 3.0],
+                                             [-0.5, 0.4, 4.0]])})
+    # 0.5 -> 0, 1.5 -> 2, 2.5 -> 2; -0.5 rounds to 0, a real robot
+    assert np.array_equal(cols, [[0.0, 2.0, 2.0], [2.0, 2.0, 3.0], [0.0, 0.0, 4.0]])
+    assert not np.signbit(cols[:, :2]).any()
+
+
 def test_received_bad_column_blocks_round():
     n = 2
     state = initial_basis(n)
-    bad = [SimplexColumn(0, 7, 1.0)]
+    bad = np.array([[0.0, 7.0, 1.0]])
     with pytest.raises(ProtocolError):
         simplex_round(state, local_columns(0, np.ones((2, 2)), n), bad, n)
 
@@ -194,7 +225,7 @@ def test_payload_round_trips_through_codec():
     wire = codec.decode(codec.encode(agent.payload()))
     cols, halted = agent.parse(wire)
     assert halted is False
-    assert tuple(cols) == agent.basis.columns
+    assert np.array_equal(cols, agent.basis.columns)
 
 
 def test_big_m_guard():
@@ -218,7 +249,7 @@ def test_basis_support_is_the_assignment():
     _, perm, _ = agents[0].result()
     support = basis_support(agents[0].basis, n)
     assert len(support) == n
-    assert sorted((c.robot, c.task) for c in support) == [
+    assert sorted((int(r), int(k)) for r, k, _ in support) == [
         (i, perm[i]) for i in range(n)
     ]
 

@@ -28,7 +28,6 @@ from fleetsim.lp import (
     brute_force_assignment,
     build_assignment_lp,
     hungarian,
-    lex_perturb,
     perturbation_vector,
     simplex_from_basis,
     solve_lp,
@@ -346,38 +345,6 @@ def test_perturbation_vector_values():
     v = perturbation_vector(4, eps=1e-7, ratio=0.5)
     assert v == pytest.approx(1e-7 * np.array([1.0, 0.5, 0.25, 0.125]))
     assert np.array_equal(perturbation_vector(3, eps=0.0), np.zeros(3))
-
-
-def test_lex_perturb_zero_eps_is_identity():
-    lp = build_assignment_lp(AssignmentProblem(2, np.ones((2, 2))))
-    same = lex_perturb(lp, eps=0.0)
-    assert np.array_equal(same.c, lp.c)
-    assert np.array_equal(same.A, lp.A)
-
-
-def test_lex_perturb_breaks_full_tie():
-    """All-ones costs: every permutation is optimal, the perturbation picks
-    the one whose later columns carry the weight."""
-    lp = lex_perturb(build_assignment_lp(AssignmentProblem(2, np.ones((2, 2)))))
-    sol = solve_lp(lp)
-    # anti-diagonal: delta sum 7.5e-8 beats the identity's 1.125e-7
-    assert solution_perm(sol, 2) == (1, 0)
-    exact = solve_lp(lp, exact=True)
-    assert solution_perm(exact, 2) == (1, 0)
-
-
-def test_lex_perturb_preserves_argmin():
-    """The perturbed optimum is still an optimum of the original costs."""
-    rng = np.random.default_rng(44)
-    for _ in range(100):
-        n = int(rng.integers(2, 6))
-        cost = rng.random((n, n))
-        p = AssignmentProblem(n, cost)
-        sol = solve_lp(lex_perturb(build_assignment_lp(p)))
-        assert sol.status == OPTIMAL
-        perm = solution_perm(sol, n)
-        _, ref = hungarian(p)
-        assert assignment_cost(perm, cost) == ref
 
 
 def test_exact_mode_matches_float():
