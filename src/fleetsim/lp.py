@@ -8,6 +8,13 @@ and a leaving-variable rule that always picks the smallest basis column
 among tied ratios. Identical inputs give identical bases on every call,
 which distributed protocols rely on for consensus.
 
+Phase 1 starts from a slack crash basis (Bixby, "Implementing the simplex
+method: the initial basis", ORSA J. Computing 1992): every row that holds
+a positive singleton column, such as an inequality's slack, starts with
+its lowest-index such column basic, and only the remaining rows get an
+artificial. The start basis depends on the LP alone, so the determinism
+above holds.
+
 The solver keeps the basis inverse B^-1 explicitly (the product form of
 Dantzig and Orchard-Hays): each pivot applies a rank-1 eta update in
 O(m^2), and the inverse is recomputed from scratch every
@@ -15,7 +22,9 @@ O(m^2), and the inverse is recomputed from scratch every
 
 An exact mode re-runs the same pivot rules over ``fractions.Fraction``
 arithmetic (floats convert losslessly), useful in tests where perturbation
-tie-breaking must be provable rather than numerical.
+tie-breaking must be provable rather than numerical. It keeps the
+all-artificial phase-1 start, so it checks the float path's optimum, not
+its pivot sequence.
 
 Also here: the assignment-problem encoding (one redundant constraint row
 dropped so the system has full row rank 2n-1), a Hungarian oracle, and the
@@ -192,9 +201,11 @@ def simplex_from_basis(A, b, c, basis, **kw):
 def solve_lp(problem: StandardLP, *, exact: bool = False) -> LpSolution:
     """Two-phase revised simplex.
 
-    Phase 1 minimizes artificial infeasibility from the all-artificial
-    basis; redundant rows discovered there are dropped before phase 2.
-    ``exact=True`` reruns the identical pivot rules in rational arithmetic.
+    Phase 1 minimizes artificial infeasibility from the crash basis: the
+    lowest-index positive singleton column of each row that has one, an
+    artificial on every other row. Redundant rows discovered there are
+    dropped before phase 2. ``exact=True`` reruns the identical pivot rules
+    in rational arithmetic, from the all-artificial basis.
     """
     if exact:
         return _solve_lp_exact(problem)
@@ -207,10 +218,19 @@ def solve_lp(problem: StandardLP, *, exact: bool = False) -> LpSolution:
     A[flip] *= -1.0
     b[flip] *= -1.0
 
-    A1 = np.hstack([A, np.eye(m)])
-    c1 = np.concatenate([np.zeros(n), np.ones(m)])
-    basis = list(range(n, n + m))
-    basis, xB, _, Binv, status, it1 = _simplex(A1, b, c1, basis)
+    # Crash basis. ``single`` is sorted, so np.unique's first occurrence is
+    # each row's lowest-index positive singleton; after the flip its basic
+    # value b_r / a is >= 0.
+    single = np.flatnonzero((np.count_nonzero(A, axis=0) == 1) & (A.max(axis=0) > 0.0))
+    rows, first = np.unique(A[:, single].argmax(axis=0), return_index=True)
+    crash = np.full(m, -1)
+    crash[rows] = single[first]
+    art_rows = np.flatnonzero(crash < 0)
+    k = art_rows.size
+    A1 = np.hstack([A, np.eye(m)[:, art_rows]])
+    c1 = np.concatenate([np.zeros(n), np.ones(k)])
+    crash[art_rows] = np.arange(n, n + k)
+    basis, xB, _, Binv, status, it1 = _simplex(A1, b, c1, crash.tolist())
     if status != OPTIMAL:
         raise LpError("phase 1 ended %s, which should be impossible" % status)
     if float(c1[basis] @ xB) > _PHASE1_TOL:

@@ -1,7 +1,7 @@
 """Simplex solver and assignment LP tests.
 
-Covers the two-phase solver, warm starts, cost perturbation, and the
-assignment formulation with the dropped redundant row.
+Covers the two-phase solver and its phase-1 crash basis, warm starts, cost
+perturbation, and the assignment formulation with the dropped redundant row.
 """
 
 import itertools
@@ -32,7 +32,7 @@ from fleetsim.lp import (
     simplex_from_basis,
     solve_lp,
 )
-from fleetsim.simrunner import default_config
+from fleetsim.simrunner import default_config, run_scenario
 from fleetsim.simrunner.scenarios import _build_ocp_specs
 
 
@@ -127,9 +127,16 @@ def test_random_lps_satisfy_kkt():
         assert_kkt(lp, solve_lp(lp))
 
 
-def mpc_bootstrap_lp():
-    """The stacked LP that ``centralized_bootstrap`` solves for the default
-    four-agent MPC config."""
+def assert_matches_highs(lp, sol):
+    """KKT holds and the objective equals the HiGHS optimum."""
+    assert_kkt(lp, sol)
+    ref = linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
+    assert ref.status == 0
+    assert sol.objective == pytest.approx(ref.fun, rel=1e-7)
+
+
+def captured_mpc_lps(run):
+    """The LPs that ``mpc`` hands to ``solve_lp`` while ``run()`` executes."""
     captured = []
     real = mpc.solve_lp
 
@@ -139,29 +146,34 @@ def mpc_bootstrap_lp():
 
     mpc.solve_lp = capture
     try:
-        mpc.centralized_bootstrap(_build_ocp_specs(default_config("mpc", 4).params))
+        run()
     finally:
         mpc.solve_lp = real
-    return captured[0]
+    return captured
 
 
-@pytest.mark.parametrize("m", [40, 120, 240, "mpc bootstrap"])
+def mpc_bootstrap_lp(n=4):
+    """The stacked LP that ``centralized_bootstrap`` solves for the default
+    n-agent MPC config."""
+    specs = _build_ocp_specs(default_config("mpc", n).params)
+    return captured_mpc_lps(lambda: mpc.centralized_bootstrap(specs))[0]
+
+
+@pytest.mark.parametrize("m", [40, 120, 240, "mpc bootstrap", "mpc bootstrap n=8"])
 def test_large_lps_match_highs(m):
     """Solves long enough to cross several refactorizations of the basis
     inverse still reach the HiGHS optimum and satisfy KKT."""
     if m == "mpc bootstrap":
         lp = mpc_bootstrap_lp()
+    elif m == "mpc bootstrap n=8":
+        lp = mpc_bootstrap_lp(8)
     else:
         lp = random_feasible_lp(np.random.default_rng(m), m, 2 * m)
-    sol = solve_lp(lp)
-    assert_kkt(lp, sol)
-    ref = linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
-    assert ref.status == 0
-    assert sol.objective == pytest.approx(ref.fun, rel=1e-7)
+    assert_matches_highs(lp, solve_lp(lp))
 
 
 def test_mpc_bootstrap_lp_is_deterministic():
-    lp = mpc_bootstrap_lp()
+    lp = mpc_bootstrap_lp(8)
     first = solve_lp(lp)
     second = solve_lp(lp)
     assert first.iterations > 200
@@ -383,6 +395,100 @@ def test_lp_builder_round_trip():
     lp2, ex2 = builder2.build()
     sol2 = solve_lp(lp2)
     assert ex2.value(sol2.x, z)[0] == pytest.approx(-2.0)
+
+
+# -- phase-1 crash basis ---------------------------------------------------------
+
+
+def _builder_lp(rows, cost, free=None):
+    """LP over two nonnegative variables, plus a free scalar ``z`` when
+    ``free`` gives its coefficient in each row. ``rows`` holds
+    (kind, coeffs, rhs) triples for ``add_eq`` / ``add_le``."""
+    bld = LpBuilder()
+    x = bld.add_var(2, free=False)
+    z = bld.add_var(1) if free is not None else None
+    for r, (kind, coeffs, rhs) in enumerate(rows):
+        terms = {x: np.array(coeffs, dtype=float)}
+        if free is not None and free[r]:
+            terms[z] = np.array([free[r]], dtype=float)
+        (bld.add_eq if kind == "eq" else bld.add_le)(terms, rhs)
+    bld.add_cost(x, np.array(cost, dtype=float))
+    if free is not None:
+        bld.add_cost(z, np.array([0.5]))
+    return bld.build()[0]
+
+
+# x0 and x1 sit in both rows, so only the columns the comments name can
+# crash.
+CRASH_CASES = {
+    # x0 + x1 >= 1 is stored as -x0 - x1 + s = -1; the row flip turns its
+    # slack to -1, so that row cannot crash and takes an artificial
+    "negative-rhs le row": StandardLP(
+        [[-1.0, -1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 1.0]], [-1.0, 2.0], [1.0, 2.0, 0.0, 0.0]
+    ),
+    # column 2 is a singleton with a -1 (a surplus), which cannot crash
+    "negative singleton": StandardLP(
+        [[1.0, 1.0, -1.0, 0.0], [1.0, 2.0, 0.0, 1.0]], [1.0, 3.0], [1.0, 2.0, 0.5, 0.0]
+    ),
+    # column 2 crashes at 3 / 2 = 1.5; row 1 takes an artificial
+    "non-unit singleton": StandardLP(
+        [[1.0, 1.0, 2.0], [1.0, -1.0, 0.0]], [3.0, 0.5], [-1.0, -1.0, 0.0]
+    ),
+    # z's positive half is a singleton in row 0 and crashes there, and the
+    # slack crashes row 1: no artificial at all
+    "free variable in one row": _builder_lp(
+        [("eq", [1.0, 1.0], 2.0), ("le", [1.0, 1.0], 1.5)], [1.0, 1.0], free=[1.0, 0.0]
+    ),
+    # after the flip of row 0 it is z's negative half that crashes
+    "free variable in one flipped row": _builder_lp(
+        [("eq", [1.0, 1.0], -2.0), ("le", [1.0, 1.0], 1.5)], [1.0, 1.0], free=[1.0, 0.0]
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CRASH_CASES))
+def test_crash_basis_cases_match_highs(case):
+    lp = CRASH_CASES[case]
+    sol = solve_lp(lp)
+    assert_matches_highs(lp, sol)
+    assert sol.kept_rows is None
+
+
+def test_crash_basis_redundant_rows_are_dropped():
+    """Two copies of one equality row sit next to two slack rows: the slack
+    rows crash, and one copy's artificial cannot leave and is dropped."""
+    lp = _builder_lp(
+        [("eq", [1.0, 1.0], 1.0), ("eq", [1.0, 1.0], 1.0),
+         ("le", [1.0, 0.0], 0.7), ("le", [0.0, 1.0], 0.9)],
+        [-1.0, 0.0],
+    )
+    sol = solve_lp(lp)
+    assert_matches_highs(lp, sol)
+    assert sol.kept_rows is not None and len(sol.kept_rows) == 3
+    assert {2, 3} <= set(sol.kept_rows)
+    assert sol.objective == pytest.approx(-0.7)
+
+
+def test_crash_basis_infeasible_with_one_artificial():
+    """Every row but the equality crashes on its slack; phase 1 still
+    reports the LP infeasible, as HiGHS does."""
+    lp = _builder_lp(
+        [("le", [1.0, 1.0], 1.0), ("le", [1.0, 0.0], 0.5), ("eq", [1.0, 1.0], 3.0)],
+        [1.0, 1.0],
+    )
+    sol = solve_lp(lp)
+    assert sol.status == INFEASIBLE and sol.x is None
+    ref = linprog(lp.c, A_eq=lp.A, b_eq=lp.b, bounds=(0, None), method="highs")
+    assert ref.status == 2
+
+
+def test_crash_basis_pivot_counts(tmp_path):
+    """The default four-agent MPC run's bootstrap LP and first local OCP LP
+    took 969 and 131 pivots from the all-artificial start; the crash basis
+    walks no slack row's artificial out."""
+    lps = captured_mpc_lps(lambda: run_scenario(default_config("mpc", 4), str(tmp_path)))
+    assert solve_lp(lps[0]).iterations <= 200
+    assert solve_lp(lps[1]).iterations <= 60
 
 
 def test_lp_builder_infeasible_detected():
