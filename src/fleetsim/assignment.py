@@ -9,6 +9,16 @@ Objectives never increase. The scheme tolerates asynchrony, time-varying
 edges and packet loss, so it runs over reliable or best-effort
 communicators alike.
 
+A round prices before it solves (Burger, Notarstefano, Bullo & Allgower,
+Automatica 2012). Each agent caches the dual prices of its current basis,
+computed from a fresh inverse exactly as the simplex computes them at its
+first iteration. Own and artificial columns are priced once per basis,
+received columns every round, each reduced cost bit for bit the one the
+warm solve would compute. Only if some column prices below the simplex's
+tolerance does the round build the pool and re-solve; otherwise the solve
+would stop at its start basis, so the round keeps the basis, objective
+included, and only advances the halt counter.
+
 Two perturbations, both identical across agents, are meant to make every
 optimal basis unique, so that agents which agree on a vertex agree on its
 dual prices. Costs get the shared geometric schedule from the lp module so
@@ -24,7 +34,7 @@ tolerance from the eighth flattened column on, and the bump clears it only
 up to n of about 7. So when costs tie, as the zero-padded columns of a
 drained task window do, agents on a connected graph can halt on different
 permutations, which ``agreed_result`` reports as NonConvergenceError
-(ROADMAP.md, item 2: a lexicographic pricing and ratio rule).
+(ROADMAP.md, item 1: a lexicographic pricing and ratio rule).
 
 Halting is a heuristic: an agent flags itself done after its basis survives
 ``margin`` consecutive rounds unchanged (default twice the graph diameter
@@ -44,7 +54,7 @@ import numpy as np
 
 from .communicator import Communicator
 from .errors import CloudError, NonConvergenceError, ProtocolError
-from .lp import perturbation_vector, simplex_from_basis
+from .lp import _TOL, perturbation_vector, simplex_from_basis
 from .netgraph import CommGraph, EdgeSchedule, diameter_bound
 from .transport import MessageBus, TransportConfig
 
@@ -265,11 +275,12 @@ def basis_support(basis: SimplexBasis, n: int) -> np.ndarray:
 def _validate_columns(cols: np.ndarray, n: int) -> None:
     """Raise ProtocolError naming the first column that is not finite or
     out of range: a real one needs robot and task in [0, n), an
-    artificial one a row in [0, 2n-1)."""
+    artificial one (robot -1 or below, the columns ``_column_keys`` reads
+    as artificial) a row in [0, 2n-1)."""
     robot, task = cols[:, 0], cols[:, 1]
-    art = robot < 0
+    art = robot <= -1
     bad = ~np.isfinite(cols).all(axis=1) | (task < 0) | np.where(
-        art, task >= 2 * n - 1, (robot >= n) | (task >= n))
+        art, task >= 2 * n - 1, (robot < 0) | (robot >= n) | (task >= n))
     if bad.any():
         raise ProtocolError("column %s is non-finite or out of range for n=%d"
                             % (cols[np.argmax(bad)].tolist(), n))
@@ -329,6 +340,10 @@ class DistributedSimplexAgent:
         self.margin = int(margin)
         self.unchanged = 0
         self.rounds = 0
+        # duals of the current basis with a zero appended, and whether an
+        # own or artificial column prices in against them; None when stale
+        self._y: np.ndarray | None = None
+        self._local_enters = False
 
     @property
     def halted(self) -> bool:
@@ -350,18 +365,49 @@ class DistributedSimplexAgent:
         cols = np.asarray(payload["cols"], dtype=float)
         if cols.ndim != 2 or cols.shape[1] != 3 or not np.all(np.isfinite(cols[:, :2])):
             raise ProtocolError("assignment payload malformed")
-        robot = np.rint(cols[:, 0]) + 0.0  # + 0.0 turns -0.0 into 0.0
+        out = np.rint(cols)  # a copy: the caller's array stays as it was
+        out += 0.0  # turns -0.0 into 0.0
+        art = out[:, 0] < 0
+        out[art, 0] = -1.0
+        out[:, 2] = np.where(art, self.big_m, cols[:, 2])
+        _validate_columns(out, self.n)
+        return out, bool(payload.get("halted", False))
+
+    def _reduced_costs(self, cols: np.ndarray) -> np.ndarray:
+        """Reduced costs of ``cols`` against the cached duals, bit for bit
+        the simplex's ``c - y @ A``: a column holds at most two unit
+        entries, so y @ A is the sum of their duals (a missing second entry
+        reads the zero appended after y)."""
+        n = self.n
+        robot = cols[:, 0].astype(np.int64)
+        task = cols[:, 1].astype(np.int64)
         art = robot < 0
-        cols = np.column_stack((np.where(art, -1.0, robot), np.rint(cols[:, 1]) + 0.0,
-                                np.where(art, self.big_m, cols[:, 2])))
-        _validate_columns(cols, self.n)
-        return cols, bool(payload.get("halted", False))
+        first = np.where(art, task, robot)
+        second = np.where(art | (task == n - 1), 2 * n - 1, n + task)
+        return cols[:, 2] - (self._y[first] + self._y[second])
 
     def absorb(self, received: np.ndarray) -> bool:
-        """Run one simplex round; returns True if the basis changed."""
-        new = simplex_round(self.basis, self.own, received, self.n, self.big_m)
-        changed = not np.array_equal(new.columns, self.basis.columns)
-        self.basis = new
+        """Run one simplex round; returns True if the basis changed.
+
+        The round first prices the candidate columns against the duals of
+        the current basis. If none has a reduced cost below the simplex's
+        pricing tolerance, the warm solve would stop at its start basis, so
+        the round keeps the basis (and its objective) without solving.
+        """
+        _validate_columns(received, self.n)
+        if self._y is None:
+            cols = self.basis.columns
+            y = np.ascontiguousarray(cols[:, 2]) @ np.linalg.inv(column_matrix(cols, self.n))
+            self._y = np.append(y, 0.0)
+            local = np.concatenate((self.own, artificial_columns(self.n, self.big_m)))
+            self._local_enters = bool((self._reduced_costs(local) < -_TOL).any())
+        changed = False
+        if self._local_enters or (self._reduced_costs(received) < -_TOL).any():
+            new = simplex_round(self.basis, self.own, received, self.n, self.big_m)
+            changed = not np.array_equal(new.columns, self.basis.columns)
+            self.basis = new
+            if changed:
+                self._y = None
         self.unchanged = 0 if changed else self.unchanged + 1
         self.rounds += 1
         return changed

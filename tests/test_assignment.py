@@ -212,12 +212,30 @@ def test_parse_rounds_indices_half_to_even():
     assert not np.signbit(cols[:, :2]).any()
 
 
+def test_parse_leaves_payload_unmodified():
+    agent = DistributedSimplexAgent(0, np.ones((3, 3)), 3)
+    raw = np.array([[-0.0, -0.0, 2.0], [1.4, 2.4, 3.0], [-2.0, 1.0, np.nan]])
+    wire = raw.copy()
+    cols, _ = agent.parse({"cols": wire})
+    assert np.array_equal(wire, raw, equal_nan=True)
+    assert np.array_equal(np.signbit(wire), np.signbit(raw))
+    assert np.array_equal(cols, [[0.0, 0.0, 2.0], [1.0, 2.0, 3.0], [-1.0, 1.0, DEFAULT_BIG_M]])
+    assert not np.signbit(cols[:, 1]).any() and not np.signbit(cols[:2, 0]).any()
+
+
 def test_received_bad_column_blocks_round():
     n = 2
     state = initial_basis(n)
-    bad = np.array([[0.0, 7.0, 1.0]])
-    with pytest.raises(ProtocolError):
-        simplex_round(state, local_columns(0, np.ones((2, 2)), n), bad, n)
+    # task out of range; a robot in (-1, 0) is neither artificial nor real
+    for row in ([0.0, 7.0, 1.0], [-0.5, 2.0, 1.0]):
+        bad = np.array([row])
+        with pytest.raises(ProtocolError):
+            simplex_round(state, local_columns(0, np.ones((2, 2)), n), bad, n)
+        agent = DistributedSimplexAgent(0, np.ones((2, 2)), n)
+        before = agent.basis
+        with pytest.raises(ProtocolError):
+            agent.absorb(bad)
+        assert agent.basis is before and agent.rounds == 0
 
 
 def test_payload_round_trips_through_codec():
@@ -368,6 +386,82 @@ def test_threaded_protocol_run():
     assert assignment_cost(perm, costs) == ref
     for i in range(n):
         assert results[i][0] == perm[i]
+
+
+# -- price before solving ---------------------------------------------------------
+
+
+def _price_costs(kind, n, rng):
+    if kind == "continuous":
+        return rng.random((n, n))
+    if kind == "tied":
+        return rng.integers(0, 3, size=(n, n)).astype(float)
+    costs = np.zeros((n, n))  # drain-shaped: only the first tasks are live
+    live = n // 2
+    costs[:, :live] = rng.random((n, live))
+    return costs
+
+
+@pytest.mark.parametrize("profile", ["static", "best_effort"])
+@pytest.mark.parametrize("n", [4, 8, 12])
+@pytest.mark.parametrize("kind", ["continuous", "tied", "zero_padded"])
+def test_absorb_matches_simplex_round(kind, n, profile, monkeypatch):
+    """Every absorb, skipped or solved, ends on the basis a full
+    simplex_round from the same state reaches."""
+    rng = np.random.default_rng([n, len(kind), len(profile)])
+    costs = _price_costs(kind, n, rng)
+    graph = erdos_renyi(n, 0.4, 40 * n + len(kind), require_connected=True)
+    tc = TransportConfig(drop_prob=0.3 if profile == "best_effort" else 0.0, rng_seed=n)
+    bus = MessageBus()
+    comms = [Communicator(bus, i, graph, profile=profile, config=tc) for i in range(n)]
+    agents = [DistributedSimplexAgent(i, costs, n, margin=default_margin(graph, tc.drop_prob))
+              for i in range(n)]
+    absorb = DistributedSimplexAgent.absorb
+    seen = {"absorbs": 0, "solves": 0}
+
+    def checked(agent, received):
+        want = simplex_round(agent.basis, agent.own, received, n, agent.big_m)
+        changed = absorb(agent, received)
+        seen["absorbs"] += 1
+        assert np.array_equal(agent.basis.columns, want.columns)
+        return changed
+
+    def counted(*args, **kwargs):
+        seen["solves"] += 1
+        return simplex_round(*args, **kwargs)
+
+    monkeypatch.setattr(DistributedSimplexAgent, "absorb", checked)
+    monkeypatch.setattr("fleetsim.assignment.simplex_round", counted)
+    for rnd in range(50 * n):
+        lockstep_round(agents, comms, rnd)
+        if all(a.halted for a in agents):
+            break
+    assert 0 < seen["solves"] < seen["absorbs"]
+
+
+def test_price_before_solve_counts(monkeypatch):
+    """On a fixed n = 12 instance fewer than half the rounds solve, and
+    absorb still runs once per agent per round."""
+    n = 12
+    costs = np.random.default_rng(5).random((n, n))
+    graph = erdos_renyi(n, 0.4, 1205, require_connected=True)
+    calls = {"absorb": 0, "simplex_round": 0}
+    absorb = DistributedSimplexAgent.absorb
+
+    def counted_absorb(agent, received):
+        calls["absorb"] += 1
+        return absorb(agent, received)
+
+    def counted_round(*args, **kwargs):
+        calls["simplex_round"] += 1
+        return simplex_round(*args, **kwargs)
+
+    monkeypatch.setattr(DistributedSimplexAgent, "absorb", counted_absorb)
+    monkeypatch.setattr("fleetsim.assignment.simplex_round", counted_round)
+    _, _, rounds = solve_assignment_network(costs, graph)
+    assert calls["absorb"] == rounds * n
+    # solving every round would take one call per absorb plus one per agent init
+    assert calls["simplex_round"] < calls["absorb"] / 2 + n
 
 
 # -- halting margin ----------------------------------------------------------------

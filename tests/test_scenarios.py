@@ -348,7 +348,7 @@ def test_assignment_run_completes_all_tasks(tmp_path):
 
 @pytest.mark.xfail(strict=True, raises=NonConvergenceError,
                    reason="tied costs: agents halt on different permutations "
-                          "(ROADMAP.md, item 2)")
+                          "(ROADMAP.md, item 1)")
 def test_assignment_agents_agree_on_tied_costs(tmp_path):
     # once the backlog drains, the zero-padded cost columns tie exactly
     summary = run_scenario(default_config("assignment", 4, seed=1), str(tmp_path))
