@@ -23,7 +23,6 @@ __all__ = [
     "rendezvous_velocity",
     "containment_velocity",
     "formation_velocity",
-    "rendezvous_law",
     "containment_law",
     "formation_law",
 ]
@@ -127,10 +126,6 @@ def formation_velocity(own, neigh: Mapping[int, np.ndarray], spec: FormationSpec
         err = float(diff @ diff) - d * d
         u += err * diff
     return u
-
-
-def rendezvous_law() -> Law:
-    return rendezvous_velocity
 
 
 def containment_law(is_leader: bool, gain: float = 1.0) -> Law:

@@ -29,7 +29,6 @@ __all__ = [
     "diameter_bound",
     "graph_from_edges",
     "graph_from_matrix",
-    "graph_to_edges",
 ]
 
 
@@ -230,13 +229,3 @@ def graph_from_matrix(rows: Sequence[Sequence[int]]) -> CommGraph:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise GraphError("adjacency matrix must be square, got shape %s" % (mat.shape,))
     return CommGraph(mat.shape[0], mat)
-
-
-def graph_to_edges(graph: CommGraph) -> list[tuple[int, int]]:
-    """Sorted arc list; for symmetric graphs each edge appears once (i < j)."""
-    adj = graph.adjacency
-    if graph.symmetric:
-        ii, jj = np.nonzero(np.triu(adj, k=1))
-    else:
-        ii, jj = np.nonzero(adj)
-    return [(int(i), int(j)) for i, j in zip(ii, jj)]

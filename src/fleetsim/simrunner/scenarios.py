@@ -72,7 +72,7 @@ def _uniform_points(rng: np.random.Generator, box, count: int) -> np.ndarray:
 
 def _log_poses(writer: TraceWriter, t: float, positions) -> None:
     for i, pos in enumerate(positions):
-        writer.write({"kind": "pose", "t": t, "agent": i, "pos": [float(v) for v in np.ravel(pos)]})
+        writer.pose(t, i, pos)
 
 
 # -- consensus-style kinematic scenarios ----------------------------------------
@@ -102,8 +102,7 @@ def _run_guidance(cfg: ScenarioConfig, writer: TraceWriter, bus: MessageBus,
         for a in agents:
             a.tick_compute(k)
         for a in agents:
-            writer.write({"kind": "input", "t": k * cfg.dt, "agent": a.agent_id,
-                          "u": [float(v) for v in a.last_input]})
+            writer.input(k * cfg.dt, a.agent_id, a.last_input)
         bus.clock.advance(cfg.dt)
         _log_poses(writer, (k + 1) * cfg.dt, [a.pose for a in agents])
     return steps
@@ -316,7 +315,7 @@ def _run_assignment(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
         for i in range(n):
             tgt = targets[i]
             if tgt is None or tgt not in live:
-                writer.write({"kind": "input", "t": t, "agent": i, "u": [0.0, 0.0]})
+                writer.input(t, i, (0.0, 0.0))
                 continue
             goal = live[tgt]
             delta = goal - pos[i]
@@ -326,7 +325,7 @@ def _run_assignment(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
             else:
                 new = pos[i] + (speed * cfg.dt / dist) * delta
             u = (new - pos[i]) / cfg.dt
-            writer.write({"kind": "input", "t": t, "agent": i, "u": list(map(float, u))})
+            writer.input(t, i, u)
             pos[i] = new
             if float(np.linalg.norm(goal - pos[i])) <= arrive:
                 arrivals.append((i, tgt))
@@ -469,14 +468,8 @@ def _run_mpc(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
             "costs": [plan_cost(pl, spec) for pl, spec in zip(plans, specs)],
         })
         for i in range(n):
-            writer.write({
-                "kind": "input", "t": float(k), "agent": i,
-                "u": [float(v) for v in plans[i].inputs[0]],
-            })
-            writer.write({
-                "kind": "pose", "t": float(k + 1), "agent": i,
-                "pos": [float(v) for v in plans[i].states[1]],
-            })
+            writer.input(k, i, plans[i].inputs[0])
+            writer.pose(k + 1, i, plans[i].states[1])
         plans = [shift_plan(pl, spec) for pl, spec in zip(plans, specs)]
         bus.clock.advance(cfg.dt)
 

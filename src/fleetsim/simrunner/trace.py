@@ -2,19 +2,19 @@
 
 Traces are line-delimited JSON. The first line is a header carrying the
 schema version and the full normalized config; every following line is
-one record with a ``kind`` field:
+one record with a ``kind`` field, written with sorted keys and no spaces
+(values shortened here):
 
-    {"kind": "pose", "t": 0.01, "agent": 2, "pos": [x, y]}
-    {"kind": "input", "t": 0.01, "agent": 2, "u": [ux, uy]}
-    {"kind": "task_event", "t": 1.2, "event": "reveal|assign|complete",
-     "task": 3, "agent": 1, "pos": [x, y]}
-    {"kind": "assignment", "t": 1.2, "epoch": 0, "perm": [...],
-     "objective": 1.23, "reference": 1.23, "rounds": 9}
-    {"kind": "mpc_residual", "t": 3, "residual": 0.0, "costs": [...]}
-    {"kind": "summary", ...}
+    {"agent":2,"kind":"pose","pos":[0.5,-1.25],"t":0.01}
+    {"agent":2,"kind":"input","t":0.01,"u":[0.25,0.0]}
+    {"agent":1,"event":"assign","kind":"task_event","t":1.2,"task":3}
+    {"epoch":0,"kind":"assignment","objective":1.3,"perm":[1,2,0],"reference":1.3,"rounds":6,"t":1.2}
+    {"costs":[0.3,0.02],"kind":"mpc_residual","replanned":true,"residual":0.0,"stage_cost":0.32,"t":3.0,"turn":0}
+    {"kind":"summary",...}
 
-Records are serialized with sorted keys and no wall-clock timestamps, so
-a run is byte-reproducible from (config, seed). Readers reject traces
+Non-finite floats are written as ``NaN``/``Infinity``/``-Infinity``, which
+:func:`read_trace` reads back. No record carries a wall-clock timestamp,
+so a run is byte-reproducible from (config, seed). Readers reject traces
 whose schema version does not match.
 """
 
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 
 import numpy as np
@@ -41,22 +42,24 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+def _numpy_default(value):
+    """``json.dumps`` hook for the numpy values engines put in records."""
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+        return value.tolist()
     if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, (np.floating, float)):
+    if isinstance(value, np.floating):
         return float(value)
-    return value
+    raise TypeError("%s is not JSON serializable" % type(value).__name__)
 
 
 class TraceWriter:
     """Appends schema-versioned JSONL records to a file.
+
+    :meth:`pose` and :meth:`input` are the per-tick writers. They format
+    the line :meth:`write` gives, with ``%r`` for floats. When the sum of
+    a record's floats is not finite (``%r`` writes ``nan`` where json
+    writes ``NaN``), the record goes to :meth:`write` instead.
 
     Records are flushed on close and on :meth:`flush`; engines call flush
     in error paths so a failed run still leaves a readable partial trace.
@@ -68,17 +71,34 @@ class TraceWriter:
         os.makedirs(parent, exist_ok=True)
         self._fh = open(path, "w", encoding="utf-8")
         self._count = 0
-        self._write({"kind": "header", "schema": SCHEMA_VERSION, "config": _jsonable(config)})
-
-    def _write(self, record: dict) -> None:
-        self._fh.write(json.dumps(_jsonable(record), sort_keys=True, separators=(",", ":")))
-        self._fh.write("\n")
-        self._count += 1
+        self.write({"kind": "header", "schema": SCHEMA_VERSION, "config": config})
 
     def write(self, record: dict) -> None:
         if "kind" not in record:
             raise TraceError("record without a kind: %r" % (record,))
-        self._write(record)
+        line = json.dumps(record, sort_keys=True, separators=(",", ":"), default=_numpy_default)
+        self._fh.write(line + "\n")
+        self._count += 1
+
+    def pose(self, t: float, agent: int, pos) -> None:
+        """Write ``{"kind": "pose", "t": t, "agent": agent, "pos": pos}``."""
+        t, pos = float(t), np.asarray(pos, dtype=float).tolist()
+        if not math.isfinite(sum(pos, t)):
+            self.write({"kind": "pose", "t": t, "agent": agent, "pos": pos})
+            return
+        self._fh.write('{"agent":%d,"kind":"pose","pos":[%s],"t":%r}\n'
+                       % (agent, ",".join(map(repr, pos)), t))
+        self._count += 1
+
+    def input(self, t: float, agent: int, u) -> None:
+        """Write ``{"kind": "input", "t": t, "agent": agent, "u": u}``."""
+        t, u = float(t), np.asarray(u, dtype=float).tolist()
+        if not math.isfinite(sum(u, t)):
+            self.write({"kind": "input", "t": t, "agent": agent, "u": u})
+            return
+        self._fh.write('{"agent":%d,"kind":"input","t":%r,"u":[%s]}\n'
+                       % (agent, t, ",".join(map(repr, u))))
+        self._count += 1
 
     @property
     def count(self) -> int:
@@ -251,9 +271,10 @@ def _write_csv(path: str, headers: list[str], rows) -> str:
 def export_csv(path: str, out_dir: str) -> list[str]:
     """Write plot-ready CSV tables for a trace; returns written paths.
 
-    Every scenario gets ``positions.csv`` when pose records exist; each
-    scenario adds its metric time series, and assignment runs add
-    ``gantt.csv`` with one row per completed task.
+    Every scenario gets ``positions.csv`` when pose records exist, with
+    columns ``t,agent,x,y[,z]``, or ``x0...x{k-1}`` past three states,
+    sized by the widest pose; each scenario adds its metric time series,
+    and assignment runs add ``gantt.csv`` with one row per completed task.
     """
     header, records = read_trace(path)
     config = header["config"]
@@ -267,8 +288,9 @@ def export_csv(path: str, out_dir: str) -> list[str]:
         if r.get("kind") == "pose"
     ]
     if poses:
-        cols = len(poses[0]) - 2
-        headers = ["t", "agent"] + ["xyz"[k] for k in range(cols)]
+        cols = max(len(p) for p in poses) - 2
+        names = "xyz" if cols <= 3 else ["x%d" % k for k in range(cols)]
+        headers = ["t", "agent", *names[:cols]]
         written.append(_write_csv(os.path.join(out_dir, "positions.csv"), headers, poses))
 
     if scenario == "containment":

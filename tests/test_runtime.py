@@ -19,7 +19,7 @@ from fleetsim.errors import (
     RegistrationError,
     StaleJobError,
 )
-from fleetsim.guidance import rendezvous_law
+from fleetsim.guidance import rendezvous_velocity
 from fleetsim.netgraph import graph_from_edges
 from fleetsim.runtime import (
     JOB_CANCELLED,
@@ -127,14 +127,14 @@ def test_zero_law_holds_position():
 
 
 def test_lockstep_tick_two_agent_hand_value():
-    agents = lockstep_pair(rendezvous_law())
+    agents = lockstep_pair(rendezvous_velocity)
     run_lockstep(agents, 1)
     assert agents[0].last_input == pytest.approx(np.array([-4.0, 0.0]))
     assert agents[1].last_input == pytest.approx(np.array([4.0, 0.0]))
 
 
 def test_lockstep_rendezvous_converges():
-    agents = lockstep_pair(rendezvous_law(), period=0.05)
+    agents = lockstep_pair(rendezvous_velocity, period=0.05)
     run_lockstep(agents, 200)
     gap = np.linalg.norm(agents[0].pose - agents[1].pose)
     assert gap < 1e-3
@@ -178,7 +178,7 @@ def test_best_effort_all_dropped_keeps_no_neighbors():
     agents = []
     for i, pos in enumerate(((1.0, 1.0), (-1.0, -1.0))):
         comm = Communicator(bus, i, g, profile="best_effort", config=cfg)
-        agents.append(Agent(si_spec(i, pos, rendezvous_law()), comm))
+        agents.append(Agent(si_spec(i, pos, rendezvous_velocity), comm))
     start = [a.pose.copy() for a in agents]
     run_lockstep(agents, 10)
     for a, p0 in zip(agents, start):
@@ -188,7 +188,7 @@ def test_best_effort_all_dropped_keeps_no_neighbors():
 
 def test_agents_share_nothing_but_the_bus():
     """Neighbor data arrives as plain arrays, never as live objects."""
-    agents = lockstep_pair(rendezvous_law())
+    agents = lockstep_pair(rendezvous_velocity)
     run_lockstep(agents, 3)
     got = agents[0].last_neighbors[1]
     assert isinstance(got, np.ndarray)
@@ -204,7 +204,7 @@ def test_agents_share_nothing_but_the_bus():
 def test_free_running_agents_converge():
     g = graph_from_edges(2, [(0, 1)])
     bus = MessageBus()
-    base_law = rendezvous_law()
+    base_law = rendezvous_velocity
 
     def eager_law(own, neigh):
         return 5.0 * base_law(own, neigh)

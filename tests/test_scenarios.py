@@ -372,6 +372,9 @@ def _golden_config(name):
         # a full default run: the backlog drains, so zero-padded tied
         # columns pass through the simplex pool's dedupe and sort
         return default_config(scenario, 6, seed=0)
+    if variant == "n12":
+        # two-digit agent ids
+        return default_config(scenario, 12, seed=1, duration=0.5)
     n = {"rendezvous": 4, "containment": 5, "formation": 6, "assignment": 4, "mpc": 3}
     cfg = default_config(scenario, n[scenario], seed=1, duration=0.5)
     raw = dict(cfg.raw)
@@ -387,6 +390,7 @@ def _golden_config(name):
 # that rounds the MPC solves differently needs them re-recorded.
 GOLDEN_TRACES = {
     "rendezvous": "a1432cf882e48b383fa8de06c8ac24cbafa192aa400da10225b77d99f922668c",
+    "rendezvous_n12": "e349dde3a1872cbea87b439a74e54b1fbc728b3a018937743cae74c205fb1930",
     "containment": "d66d53ad5d361f843825e92dcf90d82ac2c39554f5162423d15b804e10a029e1",
     "formation": "e4785fa88325a28f4c9c20938a557ce341c49d56e3741a2f8c143480d904d407",
     "formation_unicycle": "dd6d3ccf15029bde9181a3b384d7f2f33a8bd9d8147b3cb356445451978bb0a9",
@@ -417,6 +421,32 @@ def test_trace_writer_counts_and_rejects_kindless_records(tmp_path):
     header, records = read_trace(str(path))
     assert header["config"]["n"] == 1
     assert len(records) == 1
+
+
+_EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1 + 0.2]
+
+
+@pytest.mark.parametrize("t", [0.01, 3, math.nan, math.inf, -math.inf, np.float64(0.25)])
+def test_pose_and_input_lines_match_the_generic_path(tmp_path, t):
+    vectors = [[v] for v in _EDGE_FLOATS] + [
+        _EDGE_FLOATS[k:k + width] for width in (2, 3, 4) for k in range(len(_EDGE_FLOATS) - width + 1)
+    ]
+    vectors += [np.array([0.1, -2.5, 1e-7, 7.0])[:w] for w in (1, 2, 3, 4)]
+    vectors += [np.array([0.1, 1e16, -0.0], dtype=np.float32), [np.float64(0.1), np.float32(0.2)]]
+    agents = [0, 7, 12, np.int64(10)]
+    fast, slow = tmp_path / "fast.jsonl", tmp_path / "slow.jsonl"
+    with TraceWriter(str(fast), {}) as wf, TraceWriter(str(slow), {}) as ws:
+        for agent in agents:
+            for vec in vectors:
+                wf.pose(t, agent, vec)
+                wf.input(t, agent, vec)
+                floats = [float(v) for v in vec]
+                ws.write({"kind": "pose", "t": float(t), "agent": agent, "pos": floats})
+                ws.write({"kind": "input", "t": float(t), "agent": agent, "u": floats})
+        assert wf.count == ws.count == 1 + 2 * len(agents) * len(vectors)
+    assert fast.read_bytes() == slow.read_bytes()
+    _, records = read_trace(str(fast))
+    assert math.isnan(records[0]["pos"][0]) and records[2]["pos"] == [math.inf]
 
 
 def test_header_only_trace_summarizes_to_zero_rows(tmp_path):
@@ -465,6 +495,37 @@ def test_export_csv_positions_and_metric_tables(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["t", "agent", "x", "y"]
     assert len(rows) > 1
+
+
+def _mpc_pose_trace(path, states):
+    with TraceWriter(str(path), {"scenario": "mpc", "n": len(states)}) as w:
+        for agent, x in enumerate(states):
+            w.pose(0.0, agent, x)
+
+
+def test_export_csv_names_columns_beyond_three_states(tmp_path):
+    trace = tmp_path / "four.jsonl"
+    _mpc_pose_trace(trace, [[0.0, 0.1, 0.2, 0.3], [1.0, 1.1, 1.2, 1.3]])
+    out = tmp_path / "csv"
+    assert main(["export-csv", str(trace), "--out", str(out)]) == 0
+    with open(out / "positions.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "agent", "x0", "x1", "x2", "x3"]
+    assert rows[2] == ["0.0", "1", "1.0", "1.1", "1.2", "1.3"]
+
+
+@pytest.mark.parametrize("states, names", [
+    ([[0.5], [0.0, 1.0, 2.0]], ["x", "y", "z"]),
+    ([[0.5, 1.5], [0.0, 1.0, 2.0, 3.0, 4.0]], ["x0", "x1", "x2", "x3", "x4"]),
+])
+def test_export_csv_header_fits_the_widest_pose(tmp_path, states, names):
+    trace = tmp_path / "mixed.jsonl"
+    _mpc_pose_trace(trace, states)
+    export_csv(str(trace), str(tmp_path / "csv"))
+    with open(tmp_path / "csv" / "positions.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "agent", *names]
+    assert [len(row) for row in rows[1:]] == [2 + len(x) for x in states]
 
 
 def test_export_csv_gantt_rows_match_completions(tmp_path):
