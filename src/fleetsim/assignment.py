@@ -5,9 +5,11 @@ initially nothing else. Agents repeatedly broadcast their current basis
 columns to neighbors, merge whatever arrives into a column pool, re-solve
 the restricted assignment LP over that pool, and keep the optimal basis.
 Columns travel and pool as (k, 3) float arrays of [robot, task, cost] rows.
-Objectives never increase. The scheme tolerates asynchrony, time-varying
-edges and packet loss, so it runs over reliable or best-effort
-communicators alike.
+A lockstep round decodes and parses each distinct payload once and shares
+the result among its receivers; a payload that fails to decode or parse
+is skipped like a lost message. Objectives never increase. The scheme
+tolerates asynchrony, time-varying edges and packet loss, so it runs over
+reliable or best-effort communicators alike.
 
 A round prices before it solves (Burger, Notarstefano, Bullo & Allgower,
 Automatica 2012). Each agent caches the dual prices of its current basis,
@@ -52,8 +54,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import codec
 from .communicator import Communicator
-from .errors import CloudError, NonConvergenceError, ProtocolError
+from .errors import CloudError, DecodeError, NonConvergenceError, ProtocolError
 from .lp import _TOL, perturbation_vector, simplex_from_basis
 from .netgraph import CommGraph, EdgeSchedule, diameter_bound
 from .transport import MessageBus, TransportConfig
@@ -94,6 +97,8 @@ _RHS_EPS = 1e-5
 _COST_EPS = 1e-7
 _COST_RATIO = 0.5
 _NO_COLUMNS = np.empty((0, 3))
+# what ``_gather`` records for a payload that failed to decode or parse
+_SKIP = object()
 
 
 # -- task cloud ---------------------------------------------------------------
@@ -439,19 +444,33 @@ def default_margin(graph: CommGraph, drop_prob: float = 0.0) -> int:
     return base
 
 
-def _gather(agent: DistributedSimplexAgent,
-            comm: Communicator) -> tuple[np.ndarray, dict[int, bool]]:
+def _gather(agent: DistributedSimplexAgent, comm: Communicator,
+            parsed: dict) -> tuple[np.ndarray, dict[int, bool]]:
     """Drain every in-neighbor's mailbox: the columns received plus each
-    sender's latest halt flag. A payload that fails to parse is skipped,
-    as a lost message would be."""
+    sender's latest halt flag. A payload that fails to decode or parse is
+    skipped, as a lost message would be.
+
+    ``parsed`` maps (payload bytes, n, big_m) to the parse of that payload,
+    or to ``_SKIP``. A sender encodes once, so all its recipients hold the
+    same bytes; sharing one map across the agents of a round decodes and
+    parses each distinct payload once. ``parse`` depends only on those
+    three, so a shared entry is exactly what each receiver would compute.
+    """
     received = [_NO_COLUMNS]
     flags: dict[int, bool] = {}
     for j in comm.in_neighbors:
-        for _, payload in comm.drain(j):
-            try:
-                cols, flags[j] = agent.parse(payload)
-            except ProtocolError:
+        for env in comm.bus.drain(comm.agent_id, j):
+            key = (env.payload, agent.n, agent.big_m)
+            hit = parsed.get(key)
+            if hit is None:
+                try:
+                    hit = agent.parse(codec.decode(env.payload))
+                except (DecodeError, ProtocolError):
+                    hit = _SKIP
+                parsed[key] = hit
+            if hit is _SKIP:
                 continue
+            cols, flags[j] = hit
             received.append(cols)
     return np.concatenate(received), flags
 
@@ -460,11 +479,13 @@ def lockstep_round(agents: list[DistributedSimplexAgent], comms: list[Communicat
                    rnd: int) -> None:
     """One synchronous protocol round over real communicators: every agent
     broadcasts its basis to its out-neighbors, then every agent gathers
-    what arrived and re-optimizes."""
+    what arrived and re-optimizes. The round decodes and parses each
+    distinct payload once, however many agents receive it."""
     for agent, comm in zip(agents, comms):
         comm.send(agent.payload(), comm.out_neighbors, round=rnd)
+    parsed: dict = {}
     for agent, comm in zip(agents, comms):
-        agent.absorb(_gather(agent, comm)[0])
+        agent.absorb(_gather(agent, comm, parsed)[0])
 
 
 def agreed_result(agents) -> tuple[int, tuple[int, ...], float]:
@@ -507,7 +528,7 @@ def run_distributed_simplex(comm: Communicator, i: int, costs, n: int,
         comm.send(agent.payload(), comm.out_neighbors, round=rnd)
         if pace:
             time.sleep(pace)
-        received, flags = _gather(agent, comm)
+        received, flags = _gather(agent, comm, {})
         neighbor_halted.update(flags)
         agent.absorb(received)
         if agent.halted and all(neighbor_halted.values()):
@@ -532,7 +553,24 @@ def solve_assignment_network(costs, graph, *, profile: str = "static",
     semantics all apply). Stops when every agent has flagged halted;
     returns (perm, objective, rounds). Raises NonConvergenceError on
     budget exhaustion or a consensus mismatch.
+
+    The raised error's traceback keeps its file and line entries, but the
+    locals of the driver's finished frames are cleared: otherwise a held
+    error would keep the whole simulated network (agents, communicators,
+    bus) alive.
     """
+    try:
+        return _solve_network(costs, graph, profile, transport, bus, big_m, margin,
+                              round_budget)
+    except NonConvergenceError as exc:
+        tb = exc.__traceback__.tb_next  # this frame is still running
+        while tb is not None:
+            tb.tb_frame.clear()
+            tb = tb.tb_next
+        raise
+
+
+def _solve_network(costs, graph, profile, transport, bus, big_m, margin, round_budget):
     costs = np.asarray(costs, dtype=float)
     n = costs.shape[0]
     base = graph.base if isinstance(graph, EdgeSchedule) else graph

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
 
 import numpy as np
 
@@ -50,7 +49,6 @@ __all__ = [
     "simplex_from_basis",
     "build_assignment_lp",
     "hungarian",
-    "brute_force_assignment",
     "assignment_cost",
     "perturbation_vector",
     "OPTIMAL",
@@ -236,29 +234,33 @@ def solve_lp(problem: StandardLP, *, exact: bool = False) -> LpSolution:
     if float(c1[basis] @ xB) > _PHASE1_TOL:
         return LpSolution(status=INFEASIBLE, iterations=it1)
 
-    # Drive leftover artificials out of the basis; a row where that is
-    # impossible is linearly dependent and gets dropped. Row ``row`` of the
-    # tableau B^-1 A is row ``row`` of B^-1 times A.
+    # Drive leftover artificials out of the basis. Where that is impossible
+    # the artificial's own constraint, art_rows[col - n], is linearly
+    # dependent: drop that row and the artificial's basis position, which
+    # after phase-1 pivots need not share its index. Row ``pos`` of the
+    # tableau B^-1 A is row ``pos`` of B^-1 times A.
     kept = list(range(m))
     drop_rows = []
-    for row, col in enumerate(basis):
+    drop_pos = []
+    for pos, col in enumerate(basis):
         if col < n:
             continue
-        coeffs = Binv[row] @ A
+        coeffs = Binv[pos] @ A
         cands = np.flatnonzero((np.abs(coeffs) > 1e-7) & ~np.isin(np.arange(n), basis))
         if cands.size:
             enter = int(cands[0])
-            basis[row] = enter
-            _pivot_inverse(Binv, Binv @ A[:, enter], row)
+            basis[pos] = enter
+            _pivot_inverse(Binv, Binv @ A[:, enter], pos)
         else:
-            drop_rows.append(row)
+            drop_rows.append(art_rows[col - n])
+            drop_pos.append(pos)
     if drop_rows:
         keep_mask = np.ones(m, dtype=bool)
         keep_mask[drop_rows] = False
         A = A[keep_mask]
         b = b[keep_mask]
         kept = [r for r in kept if keep_mask[r]]
-        basis = [basis[r] for r in range(m) if keep_mask[r]]
+        basis = [col for pos, col in enumerate(basis) if pos not in drop_pos]
         m = A.shape[0]
 
     basis, xB, y, _, status, it2 = _simplex(A, b, c, basis)
@@ -444,19 +446,6 @@ def hungarian(p: AssignmentProblem) -> tuple[tuple[int, ...], float]:
     rows, cols = linear_sum_assignment(p.cost)
     perm = tuple(int(c) for c in cols[np.argsort(rows)])
     return perm, assignment_cost(perm, p.cost)
-
-
-def brute_force_assignment(cost: np.ndarray) -> tuple[tuple[int, ...], float]:
-    """Exhaustive n! search; test oracle for the oracle."""
-    n = cost.shape[0]
-    best_perm = None
-    best = np.inf
-    for perm in permutations(range(n)):
-        v = assignment_cost(perm, cost)
-        if v < best:
-            best = v
-            best_perm = perm
-    return best_perm, best
 
 
 def perturbation_vector(n_cols: int, eps: float = 1e-7, ratio: float = 0.5) -> np.ndarray:

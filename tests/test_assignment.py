@@ -5,7 +5,9 @@ Exercises the column-exchange simplex agents both as pure state machines
 plus the task-cloud bookkeeping.
 """
 
+import gc
 import threading
+import traceback
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,7 +38,7 @@ from fleetsim.communicator import Communicator
 from fleetsim.errors import CloudError, NonConvergenceError, ProtocolError
 from fleetsim.lp import AssignmentProblem, assignment_column, assignment_cost, hungarian
 from fleetsim.netgraph import erdos_renyi, graph_from_edges, graph_from_matrix
-from fleetsim.transport import MessageBus, TransportConfig
+from fleetsim.transport import Envelope, MessageBus, TransportConfig
 
 
 def complete_graph(n):
@@ -324,6 +326,111 @@ def test_lockstep_round_skips_malformed_payloads():
     agents = [DistributedSimplexAgent(i, costs, 2) for i in range(2)]
     lockstep_round(agents, comms[:2], 0)
     assert [a.rounds for a in agents] == [1, 1]
+
+
+def test_lockstep_round_skips_undecodable_payloads(monkeypatch):
+    """Bytes that fail to decode are dropped like a lost message, while
+    a good payload from the same rogue sender on another link is absorbed."""
+    costs = np.array([[1.0, 2.0], [2.0, 1.0]])
+    graph = complete_graph(3)  # node 2 is a rogue sender, not an agent
+    bus = MessageBus()
+    comms = [Communicator(bus, i, graph) for i in range(3)]
+    bus.deliver(2, 0, Envelope(2, 0, b"\xff\x00"))
+    good = np.array([[0.0, 1.0, 0.5]])
+    comms[2].send({"cols": good, "halted": False}, [1], round=0)
+    agents = [DistributedSimplexAgent(i, costs, 2) for i in range(2)]
+    absorbed = {}
+    absorb = DistributedSimplexAgent.absorb
+
+    def recorded(agent, received):
+        absorbed[agent.i] = received
+        return absorb(agent, received)
+
+    monkeypatch.setattr(DistributedSimplexAgent, "absorb", recorded)
+    lockstep_round(agents, comms[:2], 0)
+    assert [a.rounds for a in agents] == [1, 1]
+    # agent 0 got only agent 1's basis, agent 1 agent 0's basis plus the good column
+    assert len(absorbed[0]) == len(absorbed[1]) - 1 == 3
+    assert np.array_equal(absorbed[1][-1], good[0])
+
+
+def test_round_decodes_and_parses_each_payload_once(monkeypatch):
+    """Within a lockstep round, each distinct payload is decoded and parsed
+    at most once, however many neighbors receive it."""
+    n = 12
+    costs = np.random.default_rng(5).random((n, n))
+    graph = erdos_renyi(n, 0.4, 1205, require_connected=True)
+    rounds = []
+    decode, parse = codec.decode, DistributedSimplexAgent.parse
+    deliver, step = MessageBus.deliver, lockstep_round
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            rounds[-1][name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def delivered(bus, src, dst, env, deliver_at=None):
+        rounds[-1]["payloads"].add(env.payload)
+        rounds[-1]["deliveries"] += 1
+        return deliver(bus, src, dst, env, deliver_at)
+
+    def round_(*args):
+        rounds.append({"decode": 0, "parse": 0, "deliveries": 0, "payloads": set()})
+        return step(*args)
+
+    monkeypatch.setattr("fleetsim.codec.decode", counted("decode", decode))
+    monkeypatch.setattr(DistributedSimplexAgent, "parse", counted("parse", parse))
+    monkeypatch.setattr(MessageBus, "deliver", delivered)
+    monkeypatch.setattr("fleetsim.assignment.lockstep_round", round_)
+    solve_assignment_network(costs, graph)
+    assert rounds
+    for r in rounds:
+        assert r["decode"] <= len(r["payloads"])
+        assert r["parse"] <= len(r["payloads"])
+    assert sum(r["decode"] for r in rounds) < sum(r["deliveries"] for r in rounds) / 2
+
+
+def _drain_problem():
+    """The first drain-shaped problem of the assign_solve benchmark: G(12,
+    0.4) with only the first ``live`` task columns real, the rest zero."""
+    rng = np.random.default_rng([297, 0])
+    live = int(rng.integers(1, 12))
+    graph = erdos_renyi(12, 0.4, int(rng.integers(0, 2**31 - 1)), require_connected=True)
+    robots = rng.uniform(0.0, 2.0, size=(12, 2))
+    tasks = rng.uniform(0.0, 2.0, size=(live, 2))
+    costs = np.zeros((12, 12))
+    costs[:, :live] = costs_from_positions(robots, tasks)
+    return costs, graph
+
+
+def _network_objects():
+    return [o for o in gc.get_objects() if isinstance(o, (DistributedSimplexAgent, MessageBus))]
+
+
+@pytest.mark.parametrize("path", ["mismatch", "budget"])
+def test_held_non_convergence_error_keeps_no_network_alive(path):
+    """A held NonConvergenceError keeps no agent and no bus alive, while
+    its traceback still names the raise site."""
+    costs, graph = _drain_problem()
+    kwargs = {"round_budget": 2} if path == "budget" else {}
+    gc.collect()
+    before = _network_objects()  # held, so no id of theirs is reused
+    with pytest.raises(NonConvergenceError) as info:
+        solve_assignment_network(costs, graph, **kwargs)
+    err = info.value
+    gc.collect()
+    assert not [o for o in _network_objects() if not any(o is b for b in before)]
+    text = "".join(traceback.format_exception(err))
+    assert "assignment.py" in text and "raise NonConvergenceError(" in text
+    if path == "mismatch":
+        assert "in agreed_result" in text
+        perms = err.diagnostics["perms"]
+        assert len(perms) > 1
+        assert all(sorted(p) == list(range(12)) for p in perms)
+    else:
+        assert "no convergence in 2 rounds" in text
+        assert len(err.diagnostics["objectives"]) == 12
 
 
 def test_agreed_result_returns_the_shared_result():

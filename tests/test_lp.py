@@ -25,14 +25,13 @@ from fleetsim.lp import (
     StandardLP,
     assignment_column,
     assignment_cost,
-    brute_force_assignment,
     build_assignment_lp,
     hungarian,
     perturbation_vector,
     simplex_from_basis,
     solve_lp,
 )
-from fleetsim.simrunner import default_config, run_scenario
+from fleetsim.simrunner import default_config, parse_config, run_scenario
 from fleetsim.simrunner.scenarios import _build_ocp_specs
 
 
@@ -329,20 +328,17 @@ def test_hungarian_prefers_any_optimum():
     assert obj == pytest.approx(2.0)
 
 
-def test_hungarian_against_brute_force():
+def test_hungarian_against_solve_lp():
+    """The Hungarian oracle and the simplex on the assignment LP, two
+    independent routes, reach the same optimum."""
     rng = np.random.default_rng(33)
     for _ in range(50):
         cost = rng.random((6, 6))
-        perm_h, obj_h = hungarian(AssignmentProblem(6, cost))
-        perm_b, obj_b = brute_force_assignment(cost)
+        p = AssignmentProblem(6, cost)
+        perm_h, obj_h = hungarian(p)
+        perm_lp = solution_perm(solve_lp(build_assignment_lp(p)), 6)
         assert sorted(perm_h) == list(range(6))
-        assert obj_h == pytest.approx(obj_b, abs=1e-12)
-
-
-def test_brute_force_small():
-    cost = np.array([[1.0, 2.0], [2.0, 1.0]])
-    perm, obj = brute_force_assignment(cost)
-    assert perm == (0, 1) and obj == pytest.approx(2.0)
+        assert obj_h == pytest.approx(assignment_cost(perm_lp, cost), abs=1e-12)
 
 
 def test_assignment_cost_row_order():
@@ -467,6 +463,48 @@ def test_crash_basis_redundant_rows_are_dropped():
     assert sol.kept_rows is not None and len(sol.kept_rows) == 3
     assert {2, 3} <= set(sol.kept_rows)
     assert sol.objective == pytest.approx(-0.7)
+
+
+def test_dependent_row_dropped_is_the_artificials_own():
+    """Row 0 equals half of row 3 plus row 1. Phase 1 leaves row 0's
+    artificial basic at position 2, where no structural column can replace
+    it: row 0 is the one to drop, not row 2, whose removal would leave a
+    singular basis."""
+    lp = StandardLP(
+        [[1.0, -1.0, 0.0], [0.0, -1.0, 0.0], [-1.0, -1.0, 1.0], [2.0, 0.0, 0.0]],
+        [-1.0, -1.0, -1.0, 0.0], [1.0, 2.0, 3.0],
+    )
+    sol = solve_lp(lp)
+    assert_matches_highs(lp, sol)
+    assert sol.kept_rows == [1, 2, 3]
+    assert np.allclose(lp.A @ sol.x, lp.b)
+
+
+def dependent_terminal_mpc(n):
+    """MPC agents whose input moves states 0 and 2 (and 1 and 3) together,
+    so the terminal equalities that pin all four states are dependent."""
+    eye4 = np.eye(4).tolist()
+    raw = dict(default_config("mpc", n).raw)
+    raw["mpc"] = {"horizon": 4, "steps": 5, "agents": [
+        {"A": eye4, "B": [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]],
+         "C": eye4, "D": np.zeros((4, 2)).tolist(),
+         "x0": [0.1 * k, -0.2, 0.1 * k, -0.2], "terminal_state": [0.25] * 4,
+         "terminal_input": [0.0, 0.0], "w_x": [1.0] * 4, "w_u": [0.1, 0.1],
+         "u_min": [-1.0, -1.0], "u_max": [1.0, 1.0]}
+        for k in range(n)]}
+    return parse_config(raw)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mpc_with_dependent_terminal_rows_solves(n, tmp_path):
+    """Each agent block carries two dependent terminal rows; the bootstrap
+    and every local OCP drop them and solve."""
+    cfg = dependent_terminal_mpc(n)
+    lps = captured_mpc_lps(lambda: run_scenario(cfg, str(tmp_path)))
+    assert len(lps) > 1
+    sol = solve_lp(lps[0])
+    assert_matches_highs(lps[0], sol)
+    assert sol.kept_rows is not None and len(sol.kept_rows) == lps[0].m - 2 * n
 
 
 def test_crash_basis_infeasible_with_one_artificial():
