@@ -367,7 +367,11 @@ class DistributedSimplexAgent:
         """
         if not isinstance(payload, dict) or "cols" not in payload:
             raise ProtocolError("assignment payload missing columns")
-        cols = np.asarray(payload["cols"], dtype=float)
+        try:
+            cols = np.asarray(payload["cols"], dtype=float)
+            halted = bool(payload.get("halted", False))
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError("assignment payload malformed: %s" % exc) from exc
         if cols.ndim != 2 or cols.shape[1] != 3 or not np.all(np.isfinite(cols[:, :2])):
             raise ProtocolError("assignment payload malformed")
         out = np.rint(cols)  # a copy: the caller's array stays as it was
@@ -376,7 +380,7 @@ class DistributedSimplexAgent:
         out[art, 0] = -1.0
         out[:, 2] = np.where(art, self.big_m, cols[:, 2])
         _validate_columns(out, self.n)
-        return out, bool(payload.get("halted", False))
+        return out, halted
 
     def _reduced_costs(self, cols: np.ndarray) -> np.ndarray:
         """Reduced costs of ``cols`` against the cached duals, bit for bit

@@ -42,11 +42,15 @@ def _graph_option(value: str) -> dict:
     except OSError as exc:
         raise ConfigError("graph: cannot read %s (%s)" % (value, exc)) from exc
     rows = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        rows.append([int(tok) for tok in line.replace(",", " ").split()])
+        try:
+            rows.append([int(tok) for tok in line.replace(",", " ").split()])
+        except ValueError:
+            raise ConfigError("graph: %s line %d is not a row of integers: %r"
+                              % (value, lineno, line)) from None
     if not rows:
         raise ConfigError("graph: file %s holds no adjacency rows" % value)
     return {"matrix": rows}

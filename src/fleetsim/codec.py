@@ -24,6 +24,9 @@ Supported python values: bool, int (within i64), float, str, bytes,
 1-d/2-d float64 numpy arrays, lists of supported values, and dicts with
 str keys. ``decode(encode(v))`` reproduces ``v`` (arrays compare with
 ``np.array_equal``, including dtype and shape).
+
+Lists and maps nest at most ``MAX_DEPTH`` levels deep: ``encode`` refuses
+deeper values, and ``decode`` rejects deeper bytes instead of recursing.
 """
 
 from __future__ import annotations
@@ -34,7 +37,9 @@ import numpy as np
 
 from .errors import CodecError, DecodeError
 
-__all__ = ["encode", "decode"]
+__all__ = ["MAX_DEPTH", "encode", "decode"]
+
+MAX_DEPTH = 64
 
 _BOOL, _INT, _FLOAT, _STR, _BYTES, _VEC, _MAT, _LIST, _MAP = range(1, 10)
 
@@ -60,7 +65,8 @@ def _item(out: bytearray, tag: int, body: bytes) -> None:
     out += body
 
 
-def _encode_into(value, out: bytearray) -> None:
+def _encode_into(value, out: bytearray, depth: int = 0) -> None:
+    # ``depth`` counts the lists and maps enclosing ``value``
     # bool first: it is a subclass of int
     if isinstance(value, (bool, np.bool_)):
         _item(out, _BOOL, b"\x01" if value else b"\x00")
@@ -77,19 +83,21 @@ def _encode_into(value, out: bytearray) -> None:
         _item(out, _BYTES, bytes(value))
     elif isinstance(value, np.ndarray):
         _encode_array(value, out)
-    elif isinstance(value, list):
+    elif isinstance(value, (list, dict)):
+        if depth == MAX_DEPTH:
+            raise CodecError("lists and maps nest deeper than %d levels" % MAX_DEPTH)
         body = bytearray()
-        for v in value:
-            _encode_into(v, body)
-        _item(out, _LIST, bytes(body))
-    elif isinstance(value, dict):
-        body = bytearray()
-        for k, v in value.items():
-            if not isinstance(k, str):
-                raise CodecError("map keys must be str, got %r" % type(k).__name__)
-            _encode_into(k, body)
-            _encode_into(v, body)
-        _item(out, _MAP, bytes(body))
+        if isinstance(value, list):
+            for v in value:
+                _encode_into(v, body, depth + 1)
+            _item(out, _LIST, bytes(body))
+        else:
+            for k, v in value.items():
+                if not isinstance(k, str):
+                    raise CodecError("map keys must be str, got %r" % type(k).__name__)
+                _encode_into(k, body)
+                _encode_into(v, body, depth + 1)
+            _item(out, _MAP, bytes(body))
     else:
         raise CodecError("unsupported value type %r" % type(value).__name__)
 
@@ -120,7 +128,8 @@ def decode(data: bytes):
     return value
 
 
-def _decode_one(buf: memoryview):
+def _decode_one(buf: memoryview, depth: int = 0):
+    # ``depth`` counts the lists and maps enclosing the item
     if len(buf) < _HEAD.size:
         raise DecodeError("truncated item header")
     tag, length = _HEAD.unpack_from(buf, 0)
@@ -161,26 +170,28 @@ def _decode_one(buf: memoryview):
             raise DecodeError("matrix body length mismatch")
         flat = np.frombuffer(body[8:], dtype="<f8").astype(np.float64)
         return flat.reshape(r, c), end
+    if tag != _LIST and tag != _MAP:
+        raise DecodeError("unknown tag 0x%02x" % tag)
+    if depth == MAX_DEPTH:
+        raise DecodeError("lists and maps nest deeper than %d levels" % MAX_DEPTH)
+    depth += 1
+    pos = 0
     if tag == _LIST:
         items = []
-        pos = 0
         while pos < length:
-            v, used = _decode_one(body[pos:])
+            v, used = _decode_one(body[pos:], depth)
             items.append(v)
             pos += used
         return items, end
-    if tag == _MAP:
-        out = {}
-        pos = 0
-        while pos < length:
-            k, used = _decode_one(body[pos:])
-            pos += used
-            if not isinstance(k, str):
-                raise DecodeError("map key is not a string")
-            if pos >= length:
-                raise DecodeError("map key without value")
-            v, used = _decode_one(body[pos:])
-            pos += used
-            out[k] = v
-        return out, end
-    raise DecodeError("unknown tag 0x%02x" % tag)
+    out = {}
+    while pos < length:
+        k, used = _decode_one(body[pos:], depth)
+        pos += used
+        if not isinstance(k, str):
+            raise DecodeError("map key is not a string")
+        if pos >= length:
+            raise DecodeError("map key without value")
+        v, used = _decode_one(body[pos:], depth)
+        pos += used
+        out[k] = v
+    return out, end

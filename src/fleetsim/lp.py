@@ -20,12 +20,6 @@ Dantzig and Orchard-Hays): each pivot applies a rank-1 eta update in
 O(m^2), and the inverse is recomputed from scratch every
 ``_REFACTOR_EVERY`` pivots to bound the rounding the updates accumulate.
 
-An exact mode re-runs the same pivot rules over ``fractions.Fraction``
-arithmetic (floats convert losslessly), useful in tests where perturbation
-tie-breaking must be provable rather than numerical. It keeps the
-all-artificial phase-1 start, so it checks the float path's optimum, not
-its pivot sequence.
-
 Also here: the assignment-problem encoding (one redundant constraint row
 dropped so the system has full row rank 2n-1), a Hungarian oracle, and the
 geometric cost offsets (``perturbation_vector``) the distributed assignment
@@ -35,7 +29,6 @@ adds to break ties between assignments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -196,18 +189,14 @@ def simplex_from_basis(A, b, c, basis, **kw):
     return final, x, float(c @ x), status
 
 
-def solve_lp(problem: StandardLP, *, exact: bool = False) -> LpSolution:
+def solve_lp(problem: StandardLP) -> LpSolution:
     """Two-phase revised simplex.
 
     Phase 1 minimizes artificial infeasibility from the crash basis: the
     lowest-index positive singleton column of each row that has one, an
     artificial on every other row. Redundant rows discovered there are
-    dropped before phase 2. ``exact=True`` reruns the identical pivot rules
-    in rational arithmetic, from the all-artificial basis.
+    dropped before phase 2.
     """
-    if exact:
-        return _solve_lp_exact(problem)
-
     A = problem.A.copy()
     b = problem.b.copy()
     c = problem.c.copy()
@@ -280,104 +269,6 @@ def solve_lp(problem: StandardLP, *, exact: bool = False) -> LpSolution:
         y=y,
         kept_rows=kept if drop_rows else None,
         iterations=iters,
-    )
-
-
-# -- exact-arithmetic twin ---------------------------------------------------
-
-
-def _frac_solve(B, rhs):
-    """Gaussian elimination over Fractions; B is a list-of-rows square matrix."""
-    m = len(B)
-    M = [row[:] + [rhs[i]] for i, row in enumerate(B)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if M[r][col] != 0), None)
-        if piv is None:
-            raise LpError("singular basis in exact simplex")
-        M[col], M[piv] = M[piv], M[col]
-        inv = Fraction(1, 1) / M[col][col]
-        M[col] = [v * inv for v in M[col]]
-        for r in range(m):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * bb for a, bb in zip(M[r], M[col])]
-    return [M[r][m] for r in range(m)]
-
-
-def _simplex_exact(A, b, c, basis, *, bland_after=_BLAND_AFTER, max_iter=_MAX_ITER):
-    m = len(A)
-    n = len(A[0])
-    basis = list(basis)
-    zero = Fraction(0)
-    stall = 0
-    cols = [[A[r][j] for r in range(m)] for j in range(n)]
-    for it in range(max_iter):
-        Bmat = [[A[r][j] for j in basis] for r in range(m)]
-        xB = _frac_solve(Bmat, b)
-        Bt = [[Bmat[r][k] for r in range(m)] for k in range(m)]
-        y = _frac_solve(Bt, [c[j] for j in basis])
-        in_basis = set(basis)
-        enter = -1
-        if stall >= bland_after:
-            for j in range(n):
-                if j in in_basis:
-                    continue
-                if c[j] - sum(y[r] * cols[j][r] for r in range(m)) < zero:
-                    enter = j
-                    break
-        else:
-            best = zero
-            for j in range(n):
-                if j in in_basis:
-                    continue
-                rc = c[j] - sum(y[r] * cols[j][r] for r in range(m))
-                if rc < best:
-                    best = rc
-                    enter = j
-        if enter < 0:
-            return basis, xB, OPTIMAL, it
-        d = _frac_solve(Bmat, cols[enter])
-        ratios = [(xB[r] / d[r], r) for r in range(m) if d[r] > zero]
-        if not ratios:
-            return basis, xB, UNBOUNDED, it
-        rmin = min(q for q, _ in ratios)
-        leave_row = min((r for q, r in ratios if q == rmin), key=lambda r: basis[r])
-        stall = stall + 1 if rmin == zero else 0
-        basis[leave_row] = enter
-    raise LpError("exact simplex exceeded %d iterations" % max_iter)
-
-
-def _solve_lp_exact(problem: StandardLP) -> LpSolution:
-    m, n = problem.m, problem.n
-    A = [[Fraction(x) for x in row] for row in problem.A]
-    b = [Fraction(x) for x in problem.b]
-    c = [Fraction(x) for x in problem.c]
-    for r in range(m):
-        if b[r] < 0:
-            A[r] = [-v for v in A[r]]
-            b[r] = -b[r]
-    A1 = [row + [Fraction(1 if i == r else 0) for i in range(m)] for r, row in enumerate(A)]
-    c1 = [Fraction(0)] * n + [Fraction(1)] * m
-    basis, xB, status, it1 = _simplex_exact(A1, b, c1, list(range(n, n + m)))
-    if sum(c1[j] * xB[r] for r, j in enumerate(basis)) > 0:
-        return LpSolution(status=INFEASIBLE, iterations=it1)
-    if any(j >= n for j in basis):
-        # Fall back to the numeric path's row handling only when needed; the
-        # exact mode serves small test problems with full row rank.
-        raise LpError("exact mode requires full row rank after phase 1")
-    basis, xB, status, it2 = _simplex_exact(A, b, c, basis)
-    if status == UNBOUNDED:
-        return LpSolution(status=UNBOUNDED, basis=basis, iterations=it1 + it2)
-    x = np.zeros(n)
-    for r, j in enumerate(basis):
-        x[j] = float(xB[r])
-    obj = sum(c[j] * xB[r] for r, j in enumerate(basis))
-    return LpSolution(
-        status=OPTIMAL,
-        x=x,
-        objective=float(obj),
-        basis=basis,
-        iterations=it1 + it2,
     )
 
 

@@ -20,6 +20,7 @@ whose schema version does not match.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -133,21 +134,26 @@ def read_trace(path: str) -> tuple[dict, list[dict]]:
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise TraceError("trace header is not valid JSON: %s" % exc) from exc
-    if header.get("kind") != "header":
+    if not isinstance(header, dict) or header.get("kind") != "header":
         raise TraceError("first trace line must be the header record")
     if header.get("schema") != SCHEMA_VERSION:
         raise TraceError(
             "trace schema %r does not match reader schema %d"
             % (header.get("schema"), SCHEMA_VERSION)
         )
+    if not isinstance(header.get("config"), dict):
+        raise TraceError("trace header config is not a JSON object")
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceError("line %d is not valid JSON: %s" % (lineno, exc)) from exc
+        if not isinstance(record, dict):
+            raise TraceError("line %d is not a JSON object" % lineno)
+        records.append(record)
     return header, records
 
 
@@ -217,45 +223,68 @@ def _gantt_rows(records) -> list[tuple[int, float, float, int]]:
     return rows
 
 
+def _metric_table(config: dict, records) -> tuple[str, list[str], list[tuple]]:
+    """The scenario's metric table as (csv name, headers, rows): the table
+    :func:`export_csv` writes and :func:`summarize` derives its figures
+    from."""
+    scenario = config["scenario"]
+    if scenario == "containment":
+        return ("hull_distance.csv", ["t", "max_hull_distance"],
+                _containment_series(config, records))
+    if scenario == "formation":
+        return "formation_error.csv", ["t", "error"], _formation_series(config, records)
+    if scenario == "rendezvous":
+        return "spread.csv", ["t", "max_distance"], _spread_series(records)
+    if scenario == "assignment":
+        return "gantt.csv", ["task", "start", "end", "robot"], _gantt_rows(records)
+    rows = [(r["t"], r["residual"], r.get("stage_cost", ""))
+            for r in records if r.get("kind") == "mpc_residual"]
+    return "coupling_residual.csv", ["t", "residual", "stage_cost"], rows
+
+
+@contextlib.contextmanager
+def _record_fields(path: str):
+    """Turn a record that lacks a field a reader needs, or holds one of the
+    wrong type, into a TraceError."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise TraceError("trace %s has a malformed record: %s: %s"
+                         % (path, type(exc).__name__, exc)) from exc
+
+
 def summarize(path: str) -> dict:
     """Scenario-appropriate summary metrics computed from a trace file."""
     header, records = read_trace(path)
-    config = header["config"]
-    scenario = config["scenario"]
-    summary: dict = {"scenario": scenario, "records": len(records)}
-    if scenario == "containment":
-        series = _containment_series(config, records)
-        summary["final_hull_distance"] = series[-1][1] if series else None
-        t_end = series[-1][0] if series else 0.0
-        last = [d for t, d in series if t >= t_end - 1.0]
-        summary["max_hull_distance_final_second"] = max(last) if last else None
-    elif scenario == "formation":
-        series = _formation_series(config, records)
-        summary["final_formation_error"] = series[-1][1] if series else None
-    elif scenario == "rendezvous":
-        series = _spread_series(records)
-        summary["final_spread"] = series[-1][1] if series else None
-    elif scenario == "assignment":
-        solves = [r for r in records if r.get("kind") == "assignment"]
-        completes = [r for r in records if r.get("kind") == "task_event" and r["event"] == "complete"]
-        reveals = [r for r in records if r.get("kind") == "task_event" and r["event"] == "reveal"]
-        summary["total_cost"] = sum(r["objective"] for r in solves) if solves else 0.0
-        summary["optimality_gap"] = (
-            sum(r["objective"] - r["reference"] for r in solves) if solves else 0.0
-        )
-        summary["solves"] = len(solves)
-        summary["completed_tasks"] = len(completes)
-        summary["reveals"] = len(reveals)
-        summary["gantt_rows"] = len(_gantt_rows(records))
-    else:
-        residuals = [r for r in records if r.get("kind") == "mpc_residual"]
-        summary["max_coupling_residual"] = (
-            max(r["residual"] for r in residuals) if residuals else None
-        )
-        summary["closed_loop_cost"] = (
-            sum(r["stage_cost"] for r in residuals if "stage_cost" in r) if residuals else None
-        )
-        summary["steps"] = len(residuals)
+    with _record_fields(path):
+        config = header["config"]
+        scenario = config["scenario"]
+        _, _, rows = _metric_table(config, records)
+        summary: dict = {"scenario": scenario, "records": len(records)}
+        last = rows[-1][1] if rows else None
+        if scenario == "containment":
+            summary["final_hull_distance"] = last
+            tail = [d for t, d in rows if t >= rows[-1][0] - 1.0]
+            summary["max_hull_distance_final_second"] = max(tail) if tail else None
+        elif scenario == "formation":
+            summary["final_formation_error"] = last
+        elif scenario == "rendezvous":
+            summary["final_spread"] = last
+        elif scenario == "assignment":
+            solves = [r for r in records if r.get("kind") == "assignment"]
+            events = [r["event"] for r in records if r.get("kind") == "task_event"]
+            summary["total_cost"] = sum(r["objective"] for r in solves) if solves else 0.0
+            summary["optimality_gap"] = (
+                sum(r["objective"] - r["reference"] for r in solves) if solves else 0.0
+            )
+            summary["solves"] = len(solves)
+            summary["completed_tasks"] = events.count("complete")
+            summary["reveals"] = events.count("reveal")
+            summary["gantt_rows"] = len(rows)
+        else:
+            summary["max_coupling_residual"] = max(r[1] for r in rows) if rows else None
+            summary["closed_loop_cost"] = sum(r[2] for r in rows if r[2] != "") if rows else None
+            summary["steps"] = len(rows)
     return summary
 
 
@@ -273,53 +302,20 @@ def export_csv(path: str, out_dir: str) -> list[str]:
 
     Every scenario gets ``positions.csv`` when pose records exist, with
     columns ``t,agent,x,y[,z]``, or ``x0...x{k-1}`` past three states,
-    sized by the widest pose; each scenario adds its metric time series,
-    and assignment runs add ``gantt.csv`` with one row per completed task.
+    sized by the widest pose; each scenario adds its metric table:
+    a time series, or for assignment runs ``gantt.csv`` with one row per
+    completed task.
     """
     header, records = read_trace(path)
-    config = header["config"]
-    scenario = config["scenario"]
+    with _record_fields(path):
+        poses = [(r["t"], r["agent"], *r["pos"]) for r in records if r.get("kind") == "pose"]
+        name, headers, rows = _metric_table(header["config"], records)
     os.makedirs(out_dir, exist_ok=True)
     written = []
-
-    poses = [
-        (r["t"], r["agent"], *r["pos"])
-        for r in records
-        if r.get("kind") == "pose"
-    ]
     if poses:
         cols = max(len(p) for p in poses) - 2
         names = "xyz" if cols <= 3 else ["x%d" % k for k in range(cols)]
-        headers = ["t", "agent", *names[:cols]]
-        written.append(_write_csv(os.path.join(out_dir, "positions.csv"), headers, poses))
-
-    if scenario == "containment":
-        series = _containment_series(config, records)
-        written.append(
-            _write_csv(os.path.join(out_dir, "hull_distance.csv"), ["t", "max_hull_distance"], series)
-        )
-    elif scenario == "formation":
-        series = _formation_series(config, records)
-        written.append(
-            _write_csv(os.path.join(out_dir, "formation_error.csv"), ["t", "error"], series)
-        )
-    elif scenario == "rendezvous":
-        series = _spread_series(records)
-        written.append(_write_csv(os.path.join(out_dir, "spread.csv"), ["t", "max_distance"], series))
-    elif scenario == "assignment":
-        rows = _gantt_rows(records)
-        written.append(
-            _write_csv(os.path.join(out_dir, "gantt.csv"), ["task", "start", "end", "robot"], rows)
-        )
-    else:
-        rows = [
-            (r["t"], r["residual"], r.get("stage_cost", ""))
-            for r in records
-            if r.get("kind") == "mpc_residual"
-        ]
-        written.append(
-            _write_csv(
-                os.path.join(out_dir, "coupling_residual.csv"), ["t", "residual", "stage_cost"], rows
-            )
-        )
+        pose_headers = ["t", "agent", *names[:cols]]
+        written.append(_write_csv(os.path.join(out_dir, "positions.csv"), pose_headers, poses))
+    written.append(_write_csv(os.path.join(out_dir, name), headers, rows))
     return written

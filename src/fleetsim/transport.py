@@ -5,9 +5,9 @@ receives suspend only the calling agent. Scenario engines usually drive it
 single-threaded in lockstep (send sweep, then receive sweep), where the
 blocking paths are never exercised.
 
-Envelope header wire format, prepended to the payload bytes:
-
-    sender:u32  round:u64  sent_at:f64   (little-endian, 20 bytes)
+The bus passes :class:`Envelope` objects, never packed bytes: an envelope
+carries the sender id, round tag and send time beside the codec-encoded
+payload.
 
 Delivery discipline per link is strict FIFO: a message becomes visible only
 once it is at the queue head and its delivery time has passed, so randomized
@@ -19,17 +19,14 @@ depth-1 "latest wins" behavior.
 
 from __future__ import annotations
 
-import struct
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import DecodeError, RegistrationError
+from .errors import RegistrationError
 
 __all__ = ["Envelope", "TransportConfig", "LockstepClock", "WallClock", "MessageBus"]
-
-_HEADER = struct.Struct("<IQd")
 
 
 @dataclass(frozen=True)
@@ -40,16 +37,6 @@ class Envelope:
     round: int
     payload: bytes
     sent_at: float = 0.0
-
-    def pack(self) -> bytes:
-        return _HEADER.pack(self.sender, self.round, self.sent_at) + self.payload
-
-    @classmethod
-    def unpack(cls, data: bytes) -> "Envelope":
-        if len(data) < _HEADER.size:
-            raise DecodeError("envelope shorter than its header")
-        sender, rnd, sent_at = _HEADER.unpack_from(data, 0)
-        return cls(sender, rnd, bytes(data[_HEADER.size :]), sent_at)
 
 
 @dataclass(frozen=True)

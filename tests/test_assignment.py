@@ -6,6 +6,7 @@ plus the task-cloud bookkeeping.
 """
 
 import gc
+import struct
 import threading
 import traceback
 from types import SimpleNamespace
@@ -183,6 +184,11 @@ def test_malformed_column_rejected_without_state_change():
         agent.parse({"cols": np.ones((2, 2))})  # wrong width
     with pytest.raises(ProtocolError):
         agent.parse({"cols": np.array([[-1.0, 99.0, 1.0]])})  # bad artificial row
+    for cols in ("x", [[0.0, 1.0, 1.0], [1.0]], b"\x00\x01", {"a": 1.0}):
+        with pytest.raises(ProtocolError):
+            agent.parse({"cols": cols})  # not convertible to a float array
+    with pytest.raises(ProtocolError):
+        agent.parse({"cols": np.array([[0.0, 1.0, 1.0]]), "halted": np.ones(2)})
     assert agent.basis is before
 
 
@@ -323,6 +329,23 @@ def test_lockstep_round_skips_malformed_payloads():
     bus = MessageBus()
     comms = [Communicator(bus, i, graph) for i in range(3)]
     comms[2].send({"bogus": 1}, [0, 1], round=0)
+    agents = [DistributedSimplexAgent(i, costs, 2) for i in range(2)]
+    lockstep_round(agents, comms[:2], 0)
+    assert [a.rounds for a in agents] == [1, 1]
+
+
+def test_lockstep_round_survives_deeply_nested_payload():
+    """A well-formed blob nesting 5000 lists is skipped like a lost
+    message; it does not abort the round."""
+    costs = np.array([[1.0, 2.0], [2.0, 1.0]])
+    graph = complete_graph(3)  # node 2 is a rogue sender, not an agent
+    bus = MessageBus()
+    comms = [Communicator(bus, i, graph) for i in range(3)]
+    blob = b""
+    for _ in range(5000):
+        blob = struct.pack("<BI", 8, len(blob)) + blob
+    for dst in (0, 1):
+        bus.deliver(2, dst, Envelope(2, 0, blob))
     agents = [DistributedSimplexAgent(i, costs, 2) for i in range(2)]
     lockstep_round(agents, comms[:2], 0)
     assert [a.rounds for a in agents] == [1, 1]

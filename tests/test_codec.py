@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from fleetsim.codec import decode, encode
+from fleetsim.codec import MAX_DEPTH, decode, encode
 from fleetsim.errors import CodecError, DecodeError
 
 
@@ -88,6 +88,56 @@ def test_nested_structure():
     out = decode(encode(value))
     assert np.array_equal(out["layers"][0]["w"], np.eye(2))
     assert out["layers"][1]["w"].shape == (1, 3)
+
+
+def nested(depth, inner):
+    """``inner`` wrapped in ``depth`` levels, alternating maps and lists."""
+    value = inner
+    for level in range(depth):
+        value = [value] if level % 2 else {"k": value}
+    return value
+
+
+def wrapped(blob, depth):
+    """The bytes of ``nested(depth, ·)`` around an encoded ``blob``, built
+    by hand so that they can go past what ``encode`` accepts."""
+    for level in range(depth):
+        if level % 2:
+            blob = struct.pack("<BI", 8, len(blob)) + blob
+        else:
+            body = encode("k") + blob
+            blob = struct.pack("<BI", 9, len(body)) + body
+    return blob
+
+
+def test_nesting_at_the_limit_round_trips():
+    # an empty list or map is a level of its own
+    for value in (nested(MAX_DEPTH, 1.5), nested(MAX_DEPTH - 1, []),
+                  nested(MAX_DEPTH - 1, {})):
+        blob = encode(value)
+        assert decode(blob) == value
+    assert wrapped(encode(1.5), MAX_DEPTH) == encode(nested(MAX_DEPTH, 1.5))
+
+
+def test_nesting_past_the_limit_raises_on_both_sides():
+    for value in (nested(MAX_DEPTH + 1, 1.5), nested(MAX_DEPTH, []),
+                  nested(MAX_DEPTH, {})):
+        with pytest.raises(CodecError):
+            encode(value)
+    for depth in (MAX_DEPTH + 1, MAX_DEPTH + 2):  # a map, then a list, is one too deep
+        with pytest.raises(DecodeError):
+            decode(wrapped(encode(1.5), depth))
+
+
+def test_deeply_nested_blob_raises_decode_error():
+    """A well-formed 25 000-byte blob of 5000 nested lists is rejected, not
+    recursed into until the interpreter's stack runs out."""
+    blob = b""
+    for _ in range(5000):
+        blob = struct.pack("<BI", 8, len(blob)) + blob
+    assert len(blob) == 25000
+    with pytest.raises(DecodeError):
+        decode(blob)
 
 
 def test_encode_decode_byte_identity():

@@ -608,6 +608,13 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         ["run", "rendezvous", "--graph", str(tmp_path / "nope.txt"), "--out", str(tmp_path)]
     ) == 2
     capsys.readouterr()
+    # graph file with a row that is not integers
+    bad = tmp_path / "bad_adj.txt"
+    bad.write_text("0 1\n1 x\n")
+    assert main(
+        ["run", "rendezvous", "-n", "2", "--graph", str(bad), "--out", str(tmp_path)]
+    ) == 2
+    assert "bad_adj.txt line 2" in capsys.readouterr().err
 
 
 def test_cli_config_file_with_flag_overrides(tmp_path, capsys):
@@ -663,3 +670,19 @@ def test_cli_summarize_and_export(tmp_path, capsys):
     # a broken trace is a scenario failure, not a config failure
     assert main(["summarize", str(tmp_path / "missing.jsonl")]) == 3
     capsys.readouterr()
+    with open(trace, encoding="utf-8") as fh:
+        header = json.loads(fh.readline())
+    no_scenario = dict(header, config={k: v for k, v in header["config"].items()
+                                       if k != "scenario"})
+    broken = {
+        "no_scenario": [no_scenario],
+        "pose_without_pos": [header, {"kind": "pose", "t": 0.0, "agent": 0}],
+        "array_line": [header, [1, 2]],
+        "array_header": [[1, 2]],
+    }
+    for name, lines in broken.items():
+        path = tmp_path / (name + ".jsonl")
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        for argv in (["summarize", str(path)], ["export-csv", str(path), "--out", str(out)]):
+            assert main(argv) == 3, (name, argv[0])
+            assert "scenario error" in capsys.readouterr().err

@@ -1,11 +1,10 @@
 """Message bus, envelopes, and clock tests."""
 
-import struct
 import threading
 
 import pytest
 
-from fleetsim.errors import DecodeError, RegistrationError
+from fleetsim.errors import RegistrationError
 from fleetsim.transport import (
     Envelope,
     LockstepClock,
@@ -20,32 +19,6 @@ def make_bus(*ids, clock=None, depth=None):
     for i in ids:
         bus.register(i, queue_depth=depth)
     return bus
-
-
-def test_envelope_pack_layout():
-    """Header is sender:u32 round:u64 timestamp:f64, little-endian, 20 bytes."""
-    env = Envelope(3, 7, b"abc", sent_at=1.5)
-    blob = env.pack()
-    assert len(blob) == 20 + 3
-    sender, rnd, ts = struct.unpack("<IQd", blob[:20])
-    assert (sender, rnd, ts) == (3, 7, 1.5)
-    assert blob[20:] == b"abc"
-
-
-def test_envelope_round_trip():
-    env = Envelope(1, 2**40, b"\x00payload", sent_at=0.25)
-    assert Envelope.unpack(env.pack()) == env
-
-
-def test_envelope_unpack_too_short():
-    with pytest.raises(DecodeError):
-        Envelope.unpack(b"\x00" * 19)
-
-
-def test_envelope_empty_payload():
-    env = Envelope(0, 0, b"")
-    assert len(env.pack()) == 20
-    assert Envelope.unpack(env.pack()).payload == b""
 
 
 def test_transport_config_validation():
