@@ -15,6 +15,15 @@ its lowest-index such column basic, and only the remaining rows get an
 artificial. The start basis depends on the LP alone, so the determinism
 above holds.
 
+``solve_lp`` also takes a warm start: the optimal basis of an earlier
+solve of an LP with the same A and c, and optionally that solve's basis
+inverse, which saves factoring the basis again. When the basis is
+nonsingular and still primal feasible for the new b, phase 1 is skipped
+and phase 2 runs from it, which is how an MPC replan re-solves its OCP
+after only b has moved (Ferreau, Bock & Diehl, IJRNC 2008). Any other
+basis falls back to the two-phase path, so a warm start can change the
+work done but never the status.
+
 The solver keeps the basis inverse B^-1 explicitly (the product form of
 Dantzig and Orchard-Hays): each pivot applies a rank-1 eta update in
 O(m^2), and the inverse is recomputed from scratch every
@@ -58,6 +67,7 @@ _PHASE1_TOL = 1e-7
 _BLAND_AFTER = 50
 _MAX_ITER = 50000
 _REFACTOR_EVERY = 100
+_WARM_MAX_COND = 1e12
 
 
 @dataclass(frozen=True)
@@ -103,6 +113,9 @@ class LpSolution:
     ``basis`` lists the basic column indices in row order; ``y`` are the
     duals of the final basis (aligned with the rows actually used, see
     ``kept_rows`` when redundant rows were dropped in phase 1).
+    ``basis_inverse`` is B^-1 of the final basis, kept so that a warm
+    re-solve from ``basis`` need not factor it again; it is None when rows
+    were dropped.
     """
 
     status: str
@@ -112,6 +125,7 @@ class LpSolution:
     y: np.ndarray | None = None
     kept_rows: list[int] | None = None
     iterations: int = 0
+    basis_inverse: np.ndarray | None = None
 
 
 def _pivot_inverse(Binv, d, r):
@@ -123,19 +137,20 @@ def _pivot_inverse(Binv, d, r):
     Binv[r] = prow
 
 
-def _simplex(A, b, c, basis, *, bland_after=_BLAND_AFTER, max_iter=_MAX_ITER):
+def _simplex(A, b, c, basis, *, Binv=None, bland_after=_BLAND_AFTER, max_iter=_MAX_ITER):
     """Revised simplex from a feasible basis with an explicit basis inverse.
 
-    B^-1 is computed from scratch, at O(m^3), on entry and every
-    ``_REFACTOR_EVERY`` pivots; in between, each pivot updates it with a
-    rank-1 eta step, so a pivot costs O(m^2 + mn).
+    B^-1 is computed from scratch, at O(m^3), on entry (unless the caller
+    passes it as ``Binv``) and every ``_REFACTOR_EVERY`` pivots; in between,
+    each pivot updates it with a rank-1 eta step, so a pivot costs
+    O(m^2 + mn).
     Returns (basis, xB, y, Binv, status, iters), where ``y`` are the duals
     and ``Binv`` the inverse at the final basis.
     """
     m, n = A.shape
     basis = list(basis)
     stall = 0
-    since_refactor = _REFACTOR_EVERY
+    since_refactor = _REFACTOR_EVERY if Binv is None else 0
     for it in range(max_iter):
         if since_refactor >= _REFACTOR_EVERY:
             try:
@@ -189,22 +204,48 @@ def simplex_from_basis(A, b, c, basis, **kw):
     return final, x, float(c @ x), status
 
 
-def solve_lp(problem: StandardLP) -> LpSolution:
-    """Two-phase revised simplex.
+def _warm_inverse(A, b, basis, Binv=None):
+    """B^-1 of a warm-start basis, or None unless the basis names one
+    in-range column per row, is nonsingular and well conditioned, and is
+    primal feasible for ``b`` (B^-1 b >= -tol).
 
-    Phase 1 minimizes artificial infeasibility from the crash basis: the
-    lowest-index positive singleton column of each row that has one, an
-    artificial on every other row. Redundant rows discovered there are
-    dropped before phase 2.
+    ``Binv`` is an inverse carried over from the solve that returned
+    ``basis``. It is used as long as it still solves B x = b to working
+    accuracy, which bounds the drift of its eta updates; otherwise B is
+    factored afresh.
     """
-    A = problem.A.copy()
-    b = problem.b.copy()
-    c = problem.c.copy()
     m, n = A.shape
-    flip = b < 0
-    A[flip] *= -1.0
-    b[flip] *= -1.0
+    if basis is None or len(basis) != m:
+        return None
+    cols = np.asarray(basis)
+    if cols.dtype.kind not in "iu" or cols.min() < 0 or cols.max() >= n:
+        return None
+    B = A[:, cols]
+    if Binv is not None:
+        resid = np.abs(B @ (Binv @ b) - b).max()
+        if not resid <= _TOL * (1.0 + np.abs(b).max()):
+            Binv = None
+    if Binv is None:
+        try:
+            Binv = np.linalg.inv(B)
+        except np.linalg.LinAlgError:
+            return None
+        # infinity-norm condition number, O(m^2) from the inverse at hand
+        cond = np.abs(B).sum(axis=1).max() * np.abs(Binv).sum(axis=1).max()
+        if not np.isfinite(cond) or cond > _WARM_MAX_COND:
+            return None
+    if (Binv @ b).min() < -_TOL:
+        return None
+    return Binv
 
+
+def _phase1(A, b):
+    """Phase 1 from the crash basis on the sign-normalized system.
+
+    Returns (basis, kept rows, pivots); basis is None when the LP is
+    infeasible.
+    """
+    m, n = A.shape
     # Crash basis. ``single`` is sorted, so np.unique's first occurrence is
     # each row's lowest-index positive singleton; after the flip its basic
     # value b_r / a is >= 0.
@@ -221,14 +262,13 @@ def solve_lp(problem: StandardLP) -> LpSolution:
     if status != OPTIMAL:
         raise LpError("phase 1 ended %s, which should be impossible" % status)
     if float(c1[basis] @ xB) > _PHASE1_TOL:
-        return LpSolution(status=INFEASIBLE, iterations=it1)
+        return None, None, it1
 
     # Drive leftover artificials out of the basis. Where that is impossible
     # the artificial's own constraint, art_rows[col - n], is linearly
     # dependent: drop that row and the artificial's basis position, which
     # after phase-1 pivots need not share its index. Row ``pos`` of the
     # tableau B^-1 A is row ``pos`` of B^-1 times A.
-    kept = list(range(m))
     drop_rows = []
     drop_pos = []
     for pos, col in enumerate(basis):
@@ -243,17 +283,57 @@ def solve_lp(problem: StandardLP) -> LpSolution:
         else:
             drop_rows.append(art_rows[col - n])
             drop_pos.append(pos)
-    if drop_rows:
-        keep_mask = np.ones(m, dtype=bool)
-        keep_mask[drop_rows] = False
-        A = A[keep_mask]
-        b = b[keep_mask]
-        kept = [r for r in kept if keep_mask[r]]
-        basis = [col for pos, col in enumerate(basis) if pos not in drop_pos]
-        m = A.shape[0]
+    kept = [r for r in range(m) if r not in drop_rows]
+    basis = [col for pos, col in enumerate(basis) if pos not in drop_pos]
+    return basis, kept, it1
 
-    basis, xB, y, _, status, it2 = _simplex(A, b, c, basis)
-    iters = it1 + it2
+
+def solve_lp(problem: StandardLP, basis=None, basis_inverse=None) -> LpSolution:
+    """Two-phase revised simplex, or phase 2 alone from a warm basis.
+
+    Phase 1 minimizes artificial infeasibility from the crash basis: the
+    lowest-index positive singleton column of each row that has one, an
+    artificial on every other row. Redundant rows discovered there are
+    dropped before phase 2.
+
+    ``basis`` is an optional warm start, typically the ``basis`` of an
+    earlier solve of an LP with the same A and c but another b. When it
+    has one column per row, is nonsingular and B^-1 b >= -tol, phase 1 is
+    skipped and phase 2 starts from it. Any other basis (infeasible for
+    this b, singular, or one entry short after a dropped row) is ignored
+    and the two-phase path runs as if none were given. ``basis_inverse``,
+    the ``basis_inverse`` of the solve that returned ``basis``, saves
+    factoring that basis again.
+    """
+    A = problem.A.copy()
+    b = problem.b.copy()
+    c = problem.c.copy()
+    m, n = A.shape
+    # Rows with b < 0 are negated; that leaves B^-1 b, and so the
+    # feasibility of a warm basis, unchanged, as (DB)^-1 Db = B^-1 b.
+    flip = b < 0
+    A[flip] *= -1.0
+    b[flip] *= -1.0
+    # the same flip D turns a caller's B^-1 into (DB)^-1 = B^-1 D, and back
+    sign = np.where(flip, -1.0, 1.0)
+
+    carried = None
+    if basis_inverse is not None and np.shape(basis_inverse) == (m, m):
+        carried = basis_inverse * sign
+    Binv = _warm_inverse(A, b, basis, carried)
+    if Binv is not None:
+        start, kept, iters = list(basis), list(range(m)), 0
+    else:
+        start, kept, iters = _phase1(A, b)
+        if start is None:
+            return LpSolution(status=INFEASIBLE, iterations=iters)
+    dropped = len(kept) < m
+    if dropped:
+        A = A[kept]
+        b = b[kept]
+
+    basis, xB, y, Binv, status, it2 = _simplex(A, b, c, start, Binv=Binv)
+    iters += it2
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED, basis=basis, iterations=iters)
     x = np.zeros(n)
@@ -267,8 +347,9 @@ def solve_lp(problem: StandardLP) -> LpSolution:
         objective=float(c @ x),
         basis=basis,
         y=y,
-        kept_rows=kept if drop_rows else None,
+        kept_rows=kept if dropped else None,
         iterations=iters,
+        basis_inverse=None if dropped else Binv * sign,
     )
 
 

@@ -17,6 +17,14 @@ Cost references default to the terminal equilibrium pair; in that
 configuration the appended shift step is free and each agent's planned
 cost is non-increasing over time.
 
+Each agent's local OCP is built once per episode (:func:`build_local_ocp`)
+and kept in a :class:`LocalOcp`. Between two replans of one agent only
+the right-hand side moves, namely the current state and the coupling
+bounds left by the others' plans, so a replan rewrites just those entries
+of b and re-solves from the agent's last optimal basis, falling back to a
+cold two-phase solve when that basis is infeasible for the new b. This is
+the online re-solve of Ferreau, Bock & Diehl (IJRNC 18(8), 2008).
+
 The closed loop is fully deterministic: the plant here is the model
 itself, so applying the first planned input lands exactly on the plan's
 second state.
@@ -30,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FeasibilityError, LpError, ModelError, PlanError
-from .lp import INFEASIBLE, OPTIMAL, LpBuilder, solve_lp
+from .lp import INFEASIBLE, OPTIMAL, LpBuilder, StandardLP, solve_lp
 
 __all__ = [
     "LinearAgentModel",
@@ -291,14 +299,53 @@ def plan_cost(plan: Plan, spec: OcpSpec) -> float:
 
 
 class LocalOcp:
-    """A built problem: the standard-form LP plus one agent's plan extraction."""
+    """A built problem: the standard-form LP plus one agent's plan extraction.
 
-    def __init__(self, spec: OcpSpec, lp, extract, var_x, var_u):
+    An OCP made by :func:`build_local_ocp` lives for a whole episode: a
+    replan rewrites only the entries of ``lp.b`` that hold ``x_now`` and
+    the coupling right-hand sides (:meth:`set_rhs`), while A and c stay
+    shared and read-only. ``basis`` and ``basis_inverse`` are the last
+    optimal basis and its inverse, the warm start of the next solve, or
+    None before the first one.
+    """
+
+    def __init__(self, spec: OcpSpec, lp, extract, var_x, var_u,
+                 x_rows=None, coupling_rows=None):
         self.spec = spec
         self.lp = lp
         self._extract = extract
         self._var_x = var_x
         self._var_u = var_u
+        self._x_rows = x_rows
+        self._coupling_rows = coupling_rows
+        self.basis: list[int] | None = None
+        self.basis_inverse: np.ndarray | None = None
+
+    def set_rhs(self, x_now=None, others_sum=None) -> None:
+        """Rewrite the initial state and the coupling right-hand sides
+        h - H others_sum(t); ``x_now`` defaults to the model's x0 and a
+        None ``others_sum`` means the other agents are at zero output."""
+        if self._x_rows is None:
+            raise ModelError("this OCP was not built by build_local_ocp")
+        spec = self.spec
+        mdl = spec.model
+        T, n, r = spec.horizon, mdl.n, mdl.r
+        x_now = mdl.x0 if x_now is None else np.asarray(x_now, dtype=float).ravel()
+        if x_now.shape != (n,):
+            raise ModelError("x_now shape %s does not match state dim %d" % (x_now.shape, n))
+        b = self.lp.b.copy()
+        b[self._x_rows] = x_now
+        if spec.coupling is not None:
+            if others_sum is None:
+                others = np.zeros((T, r))
+            else:
+                others = np.atleast_2d(np.asarray(others_sum, dtype=float))
+                if others.shape != (T, r):
+                    raise ModelError(
+                        "others_sum shape %s, expected (%d, %d)" % (others.shape, T, r))
+            H, h = spec.coupling.rows(r)
+            b[self._coupling_rows] = np.concatenate([h - H @ others[t] for t in range(T)])
+        self.lp = StandardLP(self.lp.A, b, self.lp.c)
 
     def extract_plan(self, x_solution: np.ndarray) -> Plan:
         T, n, m = self.spec.horizon, self.spec.model.n, self.spec.model.m
@@ -382,44 +429,57 @@ def _output_terms(spec: OcpSpec, t: int, row: np.ndarray, vx: int, vu: int) -> d
 
 
 def build_local_ocp(spec: OcpSpec, x_now=None, others_sum=None) -> LocalOcp:
-    """Encode one agent's T-step OCP as a standard-form LP.
+    """Encode one agent's T-step OCP as a standard-form LP, once per episode.
 
     ``x_now`` defaults to the model's x0. ``others_sum`` is the (T, r)
     summed output plan of the other agents; coupling rows become
     H z_i(t) <= h - H others_sum(t). Passing None with a coupling set
-    declared means the other agents are at zero output.
+    declared means the other agents are at zero output. The OCP records
+    which rows of b hold these values: the initial equalities, rows 2k of
+    :func:`_agent_rows`, and the coupling rows, which come last. Later
+    replans rewrite just those through :meth:`LocalOcp.set_rhs`.
     """
     mdl = spec.model
     T, n, r = spec.horizon, mdl.n, mdl.r
-    x_now = mdl.x0 if x_now is None else np.asarray(x_now, dtype=float).ravel()
-    if x_now.shape != (n,):
-        raise ModelError("x_now shape %s does not match state dim %d" % (x_now.shape, n))
-    if others_sum is None:
-        others = np.zeros((T, r))
-    else:
-        others = np.atleast_2d(np.asarray(others_sum, dtype=float))
-        if others.shape != (T, r):
-            raise ModelError("others_sum shape %s, expected (%d, %d)" % (others.shape, T, r))
-
     bld = LpBuilder()
-    vx, vu = _agent_rows(bld, spec, x_now)
+    # the right-hand sides that move are written by set_rhs below
+    vx, vu = _agent_rows(bld, spec, np.zeros(n))
 
     # coupled output rows: H (C x(t) + D u(t)) <= h - H others(t)
+    n_coupling = 0
     if spec.coupling is not None:
-        H, h = spec.coupling.rows(r)
+        H, _ = spec.coupling.rows(r)
         for t in range(T):
-            hz = H @ others[t]
-            for row, rhs, shift in zip(H, h, hz):
-                bld.add_le(_output_terms(spec, t, row, vx, vu), float(rhs - shift))
+            for row in H:
+                bld.add_le(_output_terms(spec, t, row, vx, vu), 0.0)
+        n_coupling = T * H.shape[0]
 
     lp, extract = bld.build()
-    return LocalOcp(spec, lp, extract, vx, vu)
+    ocp = LocalOcp(spec, lp, extract, vx, vu, x_rows=2 * np.arange(n),
+                   coupling_rows=np.arange(lp.m - n_coupling, lp.m))
+    ocp.set_rhs(x_now, others_sum)
+    return ocp
 
 
-def replan_local(spec: OcpSpec, x_now, others_sum=None):
-    """Solve the local OCP. Returns (plan, cost) or (None, None) if infeasible."""
-    ocp = build_local_ocp(spec, x_now=x_now, others_sum=others_sum)
-    sol = solve_lp(ocp.lp)
+def replan_local(spec: OcpSpec, x_now, others_sum=None, ocp: LocalOcp | None = None):
+    """Solve the local OCP. Returns (plan, cost) or (None, None) if infeasible.
+
+    With ``ocp``, an OCP that :func:`build_local_ocp` made for this spec,
+    only its b is rewritten and the solve warm-starts from its last
+    optimal basis and that basis's inverse; without one a fresh OCP is
+    built and solved cold.
+    """
+    if ocp is None:
+        ocp = build_local_ocp(spec, x_now=x_now, others_sum=others_sum)
+    elif ocp.spec is not spec:
+        raise ModelError("the OCP was built for another spec")
+    else:
+        ocp.set_rhs(x_now, others_sum)
+    sol = solve_lp(ocp.lp, basis=ocp.basis, basis_inverse=ocp.basis_inverse)
+    # a basis that lost a dependent row has no place in the full LP
+    keep = sol.status == OPTIMAL and sol.kept_rows is None
+    ocp.basis = sol.basis if keep else None
+    ocp.basis_inverse = sol.basis_inverse if keep else None
     if sol.status == INFEASIBLE:
         return None, None
     if sol.status != OPTIMAL:
@@ -470,11 +530,14 @@ def joint_feasible(specs, plans, tol: float = 1e-8) -> bool:
 
 
 def mpc_round(specs: list[OcpSpec], plans: list[Plan], turn: int,
-              others_outputs=None) -> tuple[list[Plan], bool]:
+              others_outputs=None, ocps: list[LocalOcp] | None = None
+              ) -> tuple[list[Plan], bool]:
     """One negotiation round: the turn agent replans, everyone else holds.
 
     ``others_outputs`` optionally injects the communicated (T, r) output
-    sum; by default it is assembled from the plan list. Returns the new
+    sum; by default it is assembled from the plan list. ``ocps`` optionally
+    holds each agent's episode-long OCP (see :func:`replan_local`); without
+    it the turn agent builds and solves a fresh one. Returns the new
     plan list and whether the turn agent adopted a new plan. An infeasible
     local solve keeps the old plan with a warning; if the old plan is
     itself broken there is nothing to fall back to and FeasibilityError
@@ -497,7 +560,8 @@ def mpc_round(specs: list[OcpSpec], plans: list[Plan], turn: int,
     except PlanError as exc:
         raise FeasibilityError("agent %d has no valid fallback plan" % turn) from exc
 
-    new_plan, new_cost = replan_local(spec, old.states[0], others_outputs)
+    ocp = None if ocps is None else ocps[turn]
+    new_plan, new_cost = replan_local(spec, old.states[0], others_outputs, ocp=ocp)
     if new_plan is None:
         warnings.warn(
             "agent %d local solve infeasible; keeping previous plan" % turn,
@@ -523,17 +587,18 @@ class StepResult:
     turn: int
 
 
-def mpc_step(specs: list[OcpSpec], plans: list[Plan], t: int) -> StepResult:
+def mpc_step(specs: list[OcpSpec], plans: list[Plan], t: int,
+             ocps: list[LocalOcp] | None = None) -> StepResult:
     """One closed-loop step: round-robin replan, apply, shift.
 
     The turn at time t is t mod N. Applied states come straight off the
     plans (the plant is the model), and the returned plans are shifted so
     they start at t+1. ``applied_residual`` is the coupling violation at
-    the applied step.
+    the applied step. ``ocps`` is passed on to :func:`mpc_round`.
     """
     n_agents = len(specs)
     turn = t % n_agents
-    plans, replanned = mpc_round(specs, plans, turn)
+    plans, replanned = mpc_round(specs, plans, turn, ocps=ocps)
     coupling = specs[0].coupling
     if coupling is not None:
         z_now = sum(p.outputs[0] for p in plans)

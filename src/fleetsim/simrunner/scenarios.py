@@ -24,6 +24,7 @@ import time
 
 import numpy as np
 
+from .. import mpc
 from ..assignment import (
     CloudState,
     DistributedSimplexAgent,
@@ -422,6 +423,10 @@ def _run_mpc(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
     specs = _build_ocp_specs(p)
     plans = centralized_bootstrap(specs)
     coupling = specs[0].coupling
+    # one OCP per agent for the episode; each replan rewrites its b and
+    # warm-starts. Looked up on the module so that a wrapper installed
+    # there, such as a perfbench span, sees the builds.
+    ocps = [mpc.build_local_ocp(spec) for spec in specs]
 
     # plans are broadcast every step over a complete graph; relaying
     # through multi-hop topologies is out of scope for this engine
@@ -447,7 +452,7 @@ def _run_mpc(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
             others = sum(
                 np.asarray(v["z"], dtype=float) for j, v in gathered[turn].items()
             ) if gathered[turn] else np.zeros_like(plans[turn].outputs)
-        plans, replanned = mpc_round(specs, plans, turn, others_outputs=others)
+        plans, replanned = mpc_round(specs, plans, turn, others_outputs=others, ocps=ocps)
 
         if coupling is not None:
             z_now = sum(pl.outputs[0] for pl in plans)

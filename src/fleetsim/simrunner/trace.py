@@ -237,9 +237,11 @@ def _metric_table(config: dict, records) -> tuple[str, list[str], list[tuple]]:
         return "spread.csv", ["t", "max_distance"], _spread_series(records)
     if scenario == "assignment":
         return "gantt.csv", ["task", "start", "end", "robot"], _gantt_rows(records)
-    rows = [(r["t"], r["residual"], r.get("stage_cost", ""))
-            for r in records if r.get("kind") == "mpc_residual"]
-    return "coupling_residual.csv", ["t", "residual", "stage_cost"], rows
+    if scenario == "mpc":
+        rows = [(r["t"], r["residual"], r.get("stage_cost", ""))
+                for r in records if r.get("kind") == "mpc_residual"]
+        return "coupling_residual.csv", ["t", "residual", "stage_cost"], rows
+    raise TraceError("trace header names unknown scenario %r" % (scenario,))
 
 
 @contextlib.contextmanager

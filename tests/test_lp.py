@@ -538,3 +538,175 @@ def test_lp_builder_infeasible_detected():
     builder.add_eq({x: np.array([1.0])}, 2.0)
     lp, _ = builder.build()
     assert solve_lp(lp).status == INFEASIBLE
+
+
+# -- warm start: solve_lp(basis=) ----------------------------------------------
+
+
+def assert_same_solve(warm, cold):
+    """A warm re-solve reaches the cold solve's status and objective."""
+    assert warm.status == cold.status
+    if cold.status == OPTIMAL:
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=1e-12)
+
+
+def assert_fell_back(lp, basis):
+    """An unusable basis is ignored: the solve is the cold one, pivot for
+    pivot, and does not raise."""
+    warm = solve_lp(lp, basis=basis)
+    cold = solve_lp(lp)
+    assert warm.status == cold.status
+    assert warm.iterations == cold.iterations
+    assert warm.basis == cold.basis
+    if cold.status == OPTIMAL:
+        assert warm.x.tobytes() == cold.x.tobytes()
+        assert warm.kept_rows == cold.kept_rows
+
+
+def test_warm_start_from_own_optimum_takes_no_pivot():
+    rng = np.random.default_rng(5)
+    lp = random_feasible_lp(rng, 5, 9)
+    cold = solve_lp(lp)
+    warm = solve_lp(lp, basis=cold.basis)
+    assert warm.iterations == 0
+    assert warm.basis == cold.basis
+    assert np.allclose(warm.x, cold.x, rtol=1e-12, atol=1e-12)
+    assert_kkt(lp, warm)
+
+
+def test_warm_start_random_lps_with_new_rhs_match_cold():
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        m = int(rng.integers(2, 7))
+        n = m + int(rng.integers(1, 7))
+        old = random_feasible_lp(rng, m, n)
+        basis = solve_lp(old).basis
+        new = StandardLP(old.A, old.A @ rng.random(n), old.c)
+        warm = solve_lp(new, basis=basis)
+        assert_same_solve(warm, solve_lp(new))
+        assert_kkt(new, warm)
+
+
+def test_warm_start_mpc_local_lps_match_cold(tmp_path):
+    """Each agent's successive local OCPs share A and c; re-solving the
+    next one from the previous optimum matches its cold solve, in fewer
+    pivots overall."""
+    lps = captured_mpc_lps(lambda: run_scenario(default_config("mpc", 4), str(tmp_path)))
+    local = lps[1:]
+    warm_pivots = cold_pivots = pairs = 0
+    for prev, new in zip(local, local[4:]):
+        assert prev.A.tobytes() == new.A.tobytes() and prev.c.tobytes() == new.c.tobytes()
+        warm = solve_lp(new, basis=solve_lp(prev).basis)
+        cold = solve_lp(new)
+        assert_same_solve(warm, cold)
+        assert_kkt(new, warm)
+        warm_pivots += warm.iterations
+        cold_pivots += cold.iterations
+        pairs += 1
+    assert pairs >= 20
+    assert warm_pivots < cold_pivots / 4
+
+
+def test_warm_basis_infeasible_for_new_rhs_falls_back():
+    rng = np.random.default_rng(8)
+    found = 0
+    for _ in range(200):
+        old = random_feasible_lp(rng, 4, 8)
+        basis = solve_lp(old).basis
+        new = StandardLP(old.A, old.A @ rng.random(8), old.c)
+        if np.min(np.linalg.solve(new.A[:, basis], new.b)) >= -1e-6:
+            continue
+        assert_fell_back(new, basis)
+        assert_kkt(new, solve_lp(new, basis=basis))
+        found += 1
+    assert found >= 10
+
+
+def test_unusable_warm_basis_falls_back():
+    rng = np.random.default_rng(2)
+    A = rng.standard_normal((3, 6))
+    A[:, 4] = 2.0 * A[:, 0]  # columns 0 and 4 are parallel
+    lp = StandardLP(A, A @ rng.random(6), rng.random(6))
+    for basis in ([0, 0, 1], [0, 4, 1], [0, 1], [0, 1, 2, 3], [0, 1, 6], [-1, 1, 2],
+                  [0.0, 1.0, 2.0], []):
+        assert_fell_back(lp, basis)
+    # columns 0 and 1 are nearly parallel: inv() succeeds and B^-1 b = (1, 1)
+    # is feasible, but the condition number is about 4e14
+    near = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0 + 1e-14, 0.0, 1.0]])
+    lp = StandardLP(near, near[:, :2] @ np.ones(2), [1.0, 2.0, 0.0, 0.0])
+    assert_fell_back(lp, [0, 1])
+
+
+def test_warm_basis_short_a_dropped_row_falls_back():
+    """A basis from a solve that dropped a dependent row has one entry
+    fewer than the LP has rows."""
+    lp = _builder_lp(
+        [("eq", [1.0, 1.0], 1.0), ("eq", [1.0, 1.0], 1.0),
+         ("le", [1.0, 0.0], 0.7), ("le", [0.0, 1.0], 0.9)],
+        [-1.0, 0.0],
+    )
+    first = solve_lp(lp)
+    assert len(first.basis) == lp.m - 1
+    assert_fell_back(lp, first.basis)
+
+
+def test_infeasible_lp_with_warm_basis_reports_infeasible():
+    rows = [("le", [1.0, 1.0], 1.0), ("le", [1.0, 0.0], 0.5), ("eq", [1.0, 1.0], 0.8)]
+    feasible = _builder_lp(rows, [1.0, 1.0])
+    basis = solve_lp(feasible).basis
+    assert len(basis) == feasible.m
+    infeasible = StandardLP(feasible.A, [1.0, 0.5, 3.0], feasible.c)
+    sol = solve_lp(infeasible, basis=basis)
+    assert sol.status == INFEASIBLE and sol.x is None
+    assert_fell_back(infeasible, basis)
+
+
+def test_basis_inverse_inverts_the_callers_basis():
+    """Rows with b < 0 are negated inside the solver; the returned inverse
+    is of the basis in the caller's orientation."""
+    for case in ("negative-rhs le row", "free variable in one flipped row"):
+        lp = CRASH_CASES[case]
+        sol = solve_lp(lp)
+        assert np.any(lp.b < 0)
+        assert np.allclose(lp.A[:, sol.basis] @ sol.basis_inverse, np.eye(lp.m), atol=1e-12)
+
+
+def test_carried_basis_inverse_matches_a_fresh_factor():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        m = int(rng.integers(2, 7))
+        n = m + int(rng.integers(1, 7))
+        old = random_feasible_lp(rng, m, n)
+        first = solve_lp(old)
+        new = StandardLP(old.A, old.A @ rng.random(n), old.c)
+        fresh = solve_lp(new, basis=first.basis)
+        for inverse in (first.basis_inverse, first.basis_inverse + 1.0,
+                        np.zeros((m, m)), np.full((m, m), np.nan), np.eye(m + 1)):
+            # a wrong inverse fails the residual check and is refactored
+            carried = solve_lp(new, basis=first.basis, basis_inverse=inverse)
+            assert carried.status == fresh.status
+            assert carried.basis == fresh.basis
+            assert carried.iterations == fresh.iterations
+            assert np.allclose(carried.x, fresh.x, rtol=1e-10, atol=1e-12)
+            assert_kkt(new, carried)
+
+
+def test_carried_basis_inverse_saves_the_factorization(monkeypatch, tmp_path):
+    """Re-solving an MPC local LP, which has rows with b < 0, from its own
+    optimum and inverse factors nothing."""
+    lp = captured_mpc_lps(lambda: run_scenario(default_config("mpc", 2), str(tmp_path)))[1]
+    assert np.any(lp.b < 0)
+    first = solve_lp(lp)
+    real_inv = np.linalg.inv
+    calls = []
+
+    def counting_inv(a):
+        calls.append(a.shape)
+        return real_inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    again = solve_lp(lp, basis=first.basis, basis_inverse=first.basis_inverse)
+    assert calls == [] and again.iterations == 0
+    assert again.basis == first.basis
+    solve_lp(lp, basis=first.basis)
+    assert len(calls) == 1

@@ -7,6 +7,7 @@ round-robin loop, recursive feasibility, and the validation surface.
 import numpy as np
 import pytest
 
+from fleetsim import mpc
 from fleetsim.errors import FeasibilityError, ModelError, PlanError
 from fleetsim.mpc import (
     Box,
@@ -367,6 +368,76 @@ def test_corrupted_plan_refused():
     with pytest.raises(FeasibilityError):
         mpc_round(specs, [broken, plans[1]], turn=0,
                   others_outputs=plans[1].outputs)
+
+
+# -- episode-long OCPs and warm replans -----------------------------------------
+
+
+def binding_budget_specs(horizon=8):
+    """Four scalar integrators whose output is their input, each steering
+    from -0.25 to 0.25 under the shared budget sum u <= 0.5. Alone each
+    would spend 0.5 at once (sum 2.0), so the budget binds."""
+    coupling = Polyhedron(np.array([[1.0]]), np.array([0.5]))
+    model = LinearAgentModel(A=np.eye(1), B=np.eye(1), C=np.zeros((1, 1)),
+                             D=np.eye(1), x0=np.array([-0.25]))
+    return [
+        OcpSpec(model=model, horizon=horizon, terminal_state=np.array([0.25]),
+                terminal_input=np.zeros(1),
+                cost=StageCost(w_x=np.array([1.0]), w_u=np.array([0.1])),
+                coupling=coupling)
+        for _ in range(4)
+    ]
+
+
+def test_warm_replans_match_cold_under_a_binding_budget(monkeypatch):
+    specs = binding_budget_specs()
+    ocps = [build_local_ocp(spec) for spec in specs]
+    stale = []  # per warm attempt: was the stored basis infeasible for the new b?
+    real = mpc.solve_lp
+
+    def spy(problem, basis=None, **kw):
+        if basis is not None:
+            x_b = np.linalg.solve(problem.A[:, basis], problem.b)
+            stale.append(bool(x_b.min() < -1e-9))
+        return real(problem, basis=basis, **kw)
+
+    monkeypatch.setattr(mpc, "solve_lp", spy)
+    cold = warm = centralized_bootstrap(specs)
+    peak = 0.0
+    for t in range(24):
+        c_step = mpc_step(specs, cold, t)
+        w_step = mpc_step(specs, warm, t, ocps=ocps)
+        assert w_step.replanned == c_step.replanned, t
+        assert w_step.costs == c_step.costs, t
+        for w_plan, c_plan in zip(w_step.plans, c_step.plans):
+            assert w_plan.states.tobytes() == c_plan.states.tobytes(), t
+            assert w_plan.inputs.tobytes() == c_plan.inputs.tobytes(), t
+        assert w_step.applied_residual == 0.0 and c_step.applied_residual == 0.0
+        assert coupling_residual(w_step.plans, specs[0].coupling) <= 1e-9
+        peak = max(peak, float(sum(u[0] for u in w_step.inputs)))
+        cold, warm = c_step.plans, w_step.plans
+    assert peak == pytest.approx(0.5)
+    # the fallback ran, and most replans did warm-start
+    assert any(stale) and stale.count(False) > stale.count(True)
+
+
+def test_build_local_ocp_rewrites_only_b():
+    specs = binding_budget_specs()
+    ocp = build_local_ocp(specs[0])
+    A, c = ocp.lp.A, ocp.lp.c
+    others = np.linspace(0.0, 0.3, 8).reshape(8, 1)
+    ocp.set_rhs(np.array([0.1]), others)
+    fresh = build_local_ocp(specs[0], x_now=np.array([0.1]), others_sum=others)
+    assert np.shares_memory(ocp.lp.A, A) and np.shares_memory(ocp.lp.c, c)
+    assert ocp.lp.b.tobytes() == fresh.lp.b.tobytes()
+    assert fresh.lp.A.tobytes() == A.tobytes()
+
+
+def test_replan_with_another_agents_ocp_raises():
+    specs = coupled_pair()
+    ocp = build_local_ocp(specs[1])
+    with pytest.raises(ModelError):
+        replan_local(specs[0], specs[0].model.x0, ocp=ocp)
 
 
 # -- bootstrap ------------------------------------------------------------------------

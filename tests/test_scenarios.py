@@ -679,6 +679,8 @@ def test_cli_summarize_and_export(tmp_path, capsys):
         "pose_without_pos": [header, {"kind": "pose", "t": 0.0, "agent": 0}],
         "array_line": [header, [1, 2]],
         "array_header": [[1, 2]],
+        "unknown_scenario": [dict(header, config=dict(header["config"], scenario="rendezvuos")),
+                             {"kind": "pose", "t": 0.0, "agent": 0, "pos": [0.0, 0.0]}],
     }
     for name, lines in broken.items():
         path = tmp_path / (name + ".jsonl")
