@@ -16,13 +16,13 @@ artificial. The start basis depends on the LP alone, so the determinism
 above holds.
 
 ``solve_lp`` also takes a warm start: the optimal basis of an earlier
-solve of an LP with the same A and c, and optionally that solve's basis
-inverse, which saves factoring the basis again. When the basis is
-nonsingular and still primal feasible for the new b, phase 1 is skipped
-and phase 2 runs from it, which is how an MPC replan re-solves its OCP
-after only b has moved (Ferreau, Bock & Diehl, IJRNC 2008). Any other
-basis falls back to the two-phase path, so a warm start can change the
-work done but never the status.
+solve of an LP with the same A and c. When the basis is nonsingular and
+still primal feasible for the new b, phase 1 is skipped and phase 2 runs
+from it, which is how an MPC replan re-solves its OCP after only b has
+moved (Ferreau, Bock & Diehl, IJRNC 2008). The basis is factored once,
+and phase 2 starts from that inverse. Any other basis falls back to the
+two-phase path, so a warm start can change the work done but never the
+status.
 
 The solver keeps the basis inverse B^-1 explicitly (the product form of
 Dantzig and Orchard-Hays): each pivot applies a rank-1 eta update in
@@ -113,9 +113,6 @@ class LpSolution:
     ``basis`` lists the basic column indices in row order; ``y`` are the
     duals of the final basis (aligned with the rows actually used, see
     ``kept_rows`` when redundant rows were dropped in phase 1).
-    ``basis_inverse`` is B^-1 of the final basis, kept so that a warm
-    re-solve from ``basis`` need not factor it again; it is None when rows
-    were dropped.
     """
 
     status: str
@@ -125,7 +122,6 @@ class LpSolution:
     y: np.ndarray | None = None
     kept_rows: list[int] | None = None
     iterations: int = 0
-    basis_inverse: np.ndarray | None = None
 
 
 def _pivot_inverse(Binv, d, r):
@@ -141,7 +137,8 @@ def _simplex(A, b, c, basis, *, Binv=None, bland_after=_BLAND_AFTER, max_iter=_M
     """Revised simplex from a feasible basis with an explicit basis inverse.
 
     B^-1 is computed from scratch, at O(m^3), on entry (unless the caller
-    passes it as ``Binv``) and every ``_REFACTOR_EVERY`` pivots; in between,
+    passes a freshly factored one as ``Binv``) and every
+    ``_REFACTOR_EVERY`` pivots; in between,
     each pivot updates it with a rank-1 eta step, so a pivot costs
     O(m^2 + mn).
     Returns (basis, xB, y, Binv, status, iters), where ``y`` are the duals
@@ -204,16 +201,10 @@ def simplex_from_basis(A, b, c, basis, **kw):
     return final, x, float(c @ x), status
 
 
-def _warm_inverse(A, b, basis, Binv=None):
-    """B^-1 of a warm-start basis, or None unless the basis names one
-    in-range column per row, is nonsingular and well conditioned, and is
-    primal feasible for ``b`` (B^-1 b >= -tol).
-
-    ``Binv`` is an inverse carried over from the solve that returned
-    ``basis``. It is used as long as it still solves B x = b to working
-    accuracy, which bounds the drift of its eta updates; otherwise B is
-    factored afresh.
-    """
+def _warm_inverse(A, b, basis):
+    """B^-1 of a warm-start basis, factored afresh, or None unless the
+    basis names one in-range column per row, is nonsingular and well
+    conditioned, and is primal feasible for ``b`` (B^-1 b >= -tol)."""
     m, n = A.shape
     if basis is None or len(basis) != m:
         return None
@@ -221,19 +212,14 @@ def _warm_inverse(A, b, basis, Binv=None):
     if cols.dtype.kind not in "iu" or cols.min() < 0 or cols.max() >= n:
         return None
     B = A[:, cols]
-    if Binv is not None:
-        resid = np.abs(B @ (Binv @ b) - b).max()
-        if not resid <= _TOL * (1.0 + np.abs(b).max()):
-            Binv = None
-    if Binv is None:
-        try:
-            Binv = np.linalg.inv(B)
-        except np.linalg.LinAlgError:
-            return None
-        # infinity-norm condition number, O(m^2) from the inverse at hand
-        cond = np.abs(B).sum(axis=1).max() * np.abs(Binv).sum(axis=1).max()
-        if not np.isfinite(cond) or cond > _WARM_MAX_COND:
-            return None
+    try:
+        Binv = np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        return None
+    # infinity-norm condition number, O(m^2) from the inverse at hand
+    cond = np.abs(B).sum(axis=1).max() * np.abs(Binv).sum(axis=1).max()
+    if not np.isfinite(cond) or cond > _WARM_MAX_COND:
+        return None
     if (Binv @ b).min() < -_TOL:
         return None
     return Binv
@@ -288,7 +274,7 @@ def _phase1(A, b):
     return basis, kept, it1
 
 
-def solve_lp(problem: StandardLP, basis=None, basis_inverse=None) -> LpSolution:
+def solve_lp(problem: StandardLP, basis=None) -> LpSolution:
     """Two-phase revised simplex, or phase 2 alone from a warm basis.
 
     Phase 1 minimizes artificial infeasibility from the crash basis: the
@@ -301,9 +287,8 @@ def solve_lp(problem: StandardLP, basis=None, basis_inverse=None) -> LpSolution:
     has one column per row, is nonsingular and B^-1 b >= -tol, phase 1 is
     skipped and phase 2 starts from it. Any other basis (infeasible for
     this b, singular, or one entry short after a dropped row) is ignored
-    and the two-phase path runs as if none were given. ``basis_inverse``,
-    the ``basis_inverse`` of the solve that returned ``basis``, saves
-    factoring that basis again.
+    and the two-phase path runs as if none were given. The warm basis is
+    factored once, for both the feasibility check and phase 2.
     """
     A = problem.A.copy()
     b = problem.b.copy()
@@ -314,13 +299,8 @@ def solve_lp(problem: StandardLP, basis=None, basis_inverse=None) -> LpSolution:
     flip = b < 0
     A[flip] *= -1.0
     b[flip] *= -1.0
-    # the same flip D turns a caller's B^-1 into (DB)^-1 = B^-1 D, and back
-    sign = np.where(flip, -1.0, 1.0)
 
-    carried = None
-    if basis_inverse is not None and np.shape(basis_inverse) == (m, m):
-        carried = basis_inverse * sign
-    Binv = _warm_inverse(A, b, basis, carried)
+    Binv = _warm_inverse(A, b, basis)
     if Binv is not None:
         start, kept, iters = list(basis), list(range(m)), 0
     else:
@@ -332,7 +312,7 @@ def solve_lp(problem: StandardLP, basis=None, basis_inverse=None) -> LpSolution:
         A = A[kept]
         b = b[kept]
 
-    basis, xB, y, Binv, status, it2 = _simplex(A, b, c, start, Binv=Binv)
+    basis, xB, y, _, status, it2 = _simplex(A, b, c, start, Binv=Binv)
     iters += it2
     if status == UNBOUNDED:
         return LpSolution(status=UNBOUNDED, basis=basis, iterations=iters)
@@ -349,7 +329,6 @@ def solve_lp(problem: StandardLP, basis=None, basis_inverse=None) -> LpSolution:
         y=y,
         kept_rows=kept if dropped else None,
         iterations=iters,
-        basis_inverse=None if dropped else Binv * sign,
     )
 
 

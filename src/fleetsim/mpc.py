@@ -304,9 +304,8 @@ class LocalOcp:
     An OCP made by :func:`build_local_ocp` lives for a whole episode: a
     replan rewrites only the entries of ``lp.b`` that hold ``x_now`` and
     the coupling right-hand sides (:meth:`set_rhs`), while A and c stay
-    shared and read-only. ``basis`` and ``basis_inverse`` are the last
-    optimal basis and its inverse, the warm start of the next solve, or
-    None before the first one.
+    shared and read-only. ``basis`` is the last optimal basis, the warm
+    start of the next solve, or None before the first one.
     """
 
     def __init__(self, spec: OcpSpec, lp, extract, var_x, var_u,
@@ -319,7 +318,6 @@ class LocalOcp:
         self._x_rows = x_rows
         self._coupling_rows = coupling_rows
         self.basis: list[int] | None = None
-        self.basis_inverse: np.ndarray | None = None
 
     def set_rhs(self, x_now=None, others_sum=None) -> None:
         """Rewrite the initial state and the coupling right-hand sides
@@ -466,8 +464,7 @@ def replan_local(spec: OcpSpec, x_now, others_sum=None, ocp: LocalOcp | None = N
 
     With ``ocp``, an OCP that :func:`build_local_ocp` made for this spec,
     only its b is rewritten and the solve warm-starts from its last
-    optimal basis and that basis's inverse; without one a fresh OCP is
-    built and solved cold.
+    optimal basis; without one a fresh OCP is built and solved cold.
     """
     if ocp is None:
         ocp = build_local_ocp(spec, x_now=x_now, others_sum=others_sum)
@@ -475,11 +472,10 @@ def replan_local(spec: OcpSpec, x_now, others_sum=None, ocp: LocalOcp | None = N
         raise ModelError("the OCP was built for another spec")
     else:
         ocp.set_rhs(x_now, others_sum)
-    sol = solve_lp(ocp.lp, basis=ocp.basis, basis_inverse=ocp.basis_inverse)
+    sol = solve_lp(ocp.lp, basis=ocp.basis)
     # a basis that lost a dependent row has no place in the full LP
     keep = sol.status == OPTIMAL and sol.kept_rows is None
     ocp.basis = sol.basis if keep else None
-    ocp.basis_inverse = sol.basis_inverse if keep else None
     if sol.status == INFEASIBLE:
         return None, None
     if sol.status != OPTIMAL:
@@ -587,18 +583,17 @@ class StepResult:
     turn: int
 
 
-def mpc_step(specs: list[OcpSpec], plans: list[Plan], t: int,
-             ocps: list[LocalOcp] | None = None) -> StepResult:
+def mpc_step(specs: list[OcpSpec], plans: list[Plan], t: int) -> StepResult:
     """One closed-loop step: round-robin replan, apply, shift.
 
     The turn at time t is t mod N. Applied states come straight off the
     plans (the plant is the model), and the returned plans are shifted so
     they start at t+1. ``applied_residual`` is the coupling violation at
-    the applied step. ``ocps`` is passed on to :func:`mpc_round`.
+    the applied step.
     """
     n_agents = len(specs)
     turn = t % n_agents
-    plans, replanned = mpc_round(specs, plans, turn, ocps=ocps)
+    plans, replanned = mpc_round(specs, plans, turn)
     coupling = specs[0].coupling
     if coupling is not None:
         z_now = sum(p.outputs[0] for p in plans)

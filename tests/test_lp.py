@@ -661,39 +661,10 @@ def test_infeasible_lp_with_warm_basis_reports_infeasible():
     assert_fell_back(infeasible, basis)
 
 
-def test_basis_inverse_inverts_the_callers_basis():
-    """Rows with b < 0 are negated inside the solver; the returned inverse
-    is of the basis in the caller's orientation."""
-    for case in ("negative-rhs le row", "free variable in one flipped row"):
-        lp = CRASH_CASES[case]
-        sol = solve_lp(lp)
-        assert np.any(lp.b < 0)
-        assert np.allclose(lp.A[:, sol.basis] @ sol.basis_inverse, np.eye(lp.m), atol=1e-12)
-
-
-def test_carried_basis_inverse_matches_a_fresh_factor():
-    rng = np.random.default_rng(31)
-    for _ in range(40):
-        m = int(rng.integers(2, 7))
-        n = m + int(rng.integers(1, 7))
-        old = random_feasible_lp(rng, m, n)
-        first = solve_lp(old)
-        new = StandardLP(old.A, old.A @ rng.random(n), old.c)
-        fresh = solve_lp(new, basis=first.basis)
-        for inverse in (first.basis_inverse, first.basis_inverse + 1.0,
-                        np.zeros((m, m)), np.full((m, m), np.nan), np.eye(m + 1)):
-            # a wrong inverse fails the residual check and is refactored
-            carried = solve_lp(new, basis=first.basis, basis_inverse=inverse)
-            assert carried.status == fresh.status
-            assert carried.basis == fresh.basis
-            assert carried.iterations == fresh.iterations
-            assert np.allclose(carried.x, fresh.x, rtol=1e-10, atol=1e-12)
-            assert_kkt(new, carried)
-
-
-def test_carried_basis_inverse_saves_the_factorization(monkeypatch, tmp_path):
+def test_warm_start_factors_its_basis_once(monkeypatch, tmp_path):
     """Re-solving an MPC local LP, which has rows with b < 0, from its own
-    optimum and inverse factors nothing."""
+    optimum factors that basis once, for the feasibility check and phase 2
+    together."""
     lp = captured_mpc_lps(lambda: run_scenario(default_config("mpc", 2), str(tmp_path)))[1]
     assert np.any(lp.b < 0)
     first = solve_lp(lp)
@@ -705,8 +676,8 @@ def test_carried_basis_inverse_saves_the_factorization(monkeypatch, tmp_path):
         return real_inv(a)
 
     monkeypatch.setattr(np.linalg, "inv", counting_inv)
-    again = solve_lp(lp, basis=first.basis, basis_inverse=first.basis_inverse)
-    assert calls == [] and again.iterations == 0
+    again = solve_lp(lp, basis=first.basis)
+    assert calls == [(lp.m, lp.m)] and again.iterations == 0
     assert again.basis == first.basis
-    solve_lp(lp, basis=first.basis)
-    assert len(calls) == 1
+    assert again.x.tobytes() == first.x.tobytes()
+    assert_kkt(lp, again)

@@ -390,35 +390,53 @@ def binding_budget_specs(horizon=8):
 
 
 def test_warm_replans_match_cold_under_a_binding_budget(monkeypatch):
+    """The closed loop the MPC engine runs, mpc_round with episode-long
+    OCPs then shift_plan, equals the cold mpc_round loop step by step."""
     specs = binding_budget_specs()
     ocps = [build_local_ocp(spec) for spec in specs]
     stale = []  # per warm attempt: was the stored basis infeasible for the new b?
     real = mpc.solve_lp
 
-    def spy(problem, basis=None, **kw):
+    def spy(problem, basis=None):
         if basis is not None:
             x_b = np.linalg.solve(problem.A[:, basis], problem.b)
             stale.append(bool(x_b.min() < -1e-9))
-        return real(problem, basis=basis, **kw)
+        return real(problem, basis=basis)
+
+    real_replan = mpc.replan_local
+    rewrites = []
+
+    def replan_spy(spec, x_now, others_sum=None, ocp=None):
+        out = real_replan(spec, x_now, others_sum, ocp=ocp)
+        if ocp is not None:
+            # the kept OCP's b is what a fresh build for this replan holds
+            fresh = build_local_ocp(spec, x_now=x_now, others_sum=others_sum)
+            assert ocp.lp.b.tobytes() == fresh.lp.b.tobytes()
+            rewrites.append(x_now)
+        return out
 
     monkeypatch.setattr(mpc, "solve_lp", spy)
+    monkeypatch.setattr(mpc, "replan_local", replan_spy)
     cold = warm = centralized_bootstrap(specs)
     peak = 0.0
     for t in range(24):
-        c_step = mpc_step(specs, cold, t)
-        w_step = mpc_step(specs, warm, t, ocps=ocps)
-        assert w_step.replanned == c_step.replanned, t
-        assert w_step.costs == c_step.costs, t
-        for w_plan, c_plan in zip(w_step.plans, c_step.plans):
+        turn = t % len(specs)
+        cold, c_replanned = mpc_round(specs, cold, turn)
+        warm, w_replanned = mpc_round(specs, warm, turn, ocps=ocps)
+        assert w_replanned == c_replanned, t
+        for w_plan, c_plan, spec in zip(warm, cold, specs):
             assert w_plan.states.tobytes() == c_plan.states.tobytes(), t
             assert w_plan.inputs.tobytes() == c_plan.inputs.tobytes(), t
-        assert w_step.applied_residual == 0.0 and c_step.applied_residual == 0.0
-        assert coupling_residual(w_step.plans, specs[0].coupling) <= 1e-9
-        peak = max(peak, float(sum(u[0] for u in w_step.inputs)))
-        cold, warm = c_step.plans, w_step.plans
+            assert plan_cost(w_plan, spec) == plan_cost(c_plan, spec), t
+        assert coupling_residual(warm, specs[0].coupling) <= 1e-9
+        assert max(float(sum(p.outputs[0][0] for p in warm)) - 0.5, 0.0) == 0.0
+        peak = max(peak, float(sum(p.inputs[0][0] for p in warm)))
+        cold = [shift_plan(p, s) for p, s in zip(cold, specs)]
+        warm = [shift_plan(p, s) for p, s in zip(warm, specs)]
     assert peak == pytest.approx(0.5)
     # the fallback ran, and most replans did warm-start
     assert any(stale) and stale.count(False) > stale.count(True)
+    assert len(rewrites) == 24
 
 
 def test_build_local_ocp_rewrites_only_b():
