@@ -175,8 +175,8 @@ def costs_from_positions(robot_positions, task_positions) -> np.ndarray:
 #
 # A set of LP columns is a float array of rows [robot, task, cost], the same
 # (k, 3) matrix a payload carries. Robot -1 marks an artificial column on
-# constraint row ``task``; artificials cost ``big_m`` and exist so any agent
-# can always complete a feasible basis.
+# constraint row ``task``; artificials cost ``DEFAULT_BIG_M`` and exist so
+# any agent can always complete a feasible basis.
 
 
 def _column_keys(cols: np.ndarray, n: int) -> np.ndarray:
@@ -241,9 +241,9 @@ def local_columns(i: int, costs: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack((np.full(n, float(i)), np.arange(n, dtype=float), row + delta))
 
 
-def artificial_columns(n: int, big_m: float = DEFAULT_BIG_M) -> np.ndarray:
+def artificial_columns(n: int) -> np.ndarray:
     rows = np.arange(2 * n - 1, dtype=float)
-    return np.column_stack((np.full_like(rows, -1.0), rows, np.full_like(rows, float(big_m))))
+    return np.column_stack((np.full_like(rows, -1.0), rows, np.full_like(rows, DEFAULT_BIG_M)))
 
 
 def perturbed_rhs(n: int) -> np.ndarray:
@@ -260,10 +260,10 @@ def perturbed_rhs(n: int) -> np.ndarray:
     return 1.0 + _RHS_EPS * np.power(0.5, np.arange(1, m + 1))
 
 
-def initial_basis(n: int, big_m: float = DEFAULT_BIG_M) -> SimplexBasis:
+def initial_basis(n: int) -> SimplexBasis:
     """The all-artificial starting basis (identity columns, trivially feasible)."""
-    return SimplexBasis(columns=artificial_columns(n, big_m),
-                        objective=float(big_m) * float(perturbed_rhs(n).sum()))
+    return SimplexBasis(columns=artificial_columns(n),
+                        objective=DEFAULT_BIG_M * float(perturbed_rhs(n).sum()))
 
 
 def basis_support(basis: SimplexBasis, n: int) -> np.ndarray:
@@ -292,7 +292,7 @@ def _validate_columns(cols: np.ndarray, n: int) -> None:
 
 
 def simplex_round(state: SimplexBasis, own: np.ndarray, received: np.ndarray,
-                  n: int, big_m: float = DEFAULT_BIG_M) -> SimplexBasis:
+                  n: int) -> SimplexBasis:
     """One merge-and-reoptimize step.
 
     Pool = current basis + own columns + received columns + artificials,
@@ -306,7 +306,7 @@ def simplex_round(state: SimplexBasis, own: np.ndarray, received: np.ndarray,
     ProtocolError before any state changes.
     """
     _validate_columns(received, n)
-    cols = np.concatenate((state.columns, own, received, artificial_columns(n, big_m)))
+    cols = np.concatenate((state.columns, own, received, artificial_columns(n)))
     keys, first = np.unique(_column_keys(cols, n), return_index=True)
     pool = cols[first]
     start = np.searchsorted(keys, _column_keys(state.columns, n))
@@ -328,20 +328,17 @@ class DistributedSimplexAgent:
     lockstep driver and the threaded entry point below both build on these.
     """
 
-    def __init__(self, i: int, costs, n: int, *, big_m: float = DEFAULT_BIG_M,
-                 margin: int = 4):
+    def __init__(self, i: int, costs, n: int, *, margin: int = 4):
         self.i = int(i)
         self.n = int(n)
-        self.big_m = float(big_m)
         self.own = local_columns(self.i, np.asarray(costs, dtype=float), self.n)
         self._delta = perturbation_vector(self.n * self.n, _COST_EPS, _COST_RATIO)
         worst = float(np.abs(self.own[:, 2]).max())
-        if self.big_m <= 10.0 * self.n * max(worst, 1.0):
+        if DEFAULT_BIG_M <= 10.0 * self.n * max(worst, 1.0):
             raise ProtocolError(
-                "big_m %.3g too small for costs around %.3g" % (self.big_m, worst)
+                "big-M %.3g too small for costs around %.3g" % (DEFAULT_BIG_M, worst)
             )
-        self.basis = simplex_round(initial_basis(self.n, self.big_m), self.own,
-                                   _NO_COLUMNS, self.n, self.big_m)
+        self.basis = simplex_round(initial_basis(self.n), self.own, _NO_COLUMNS, self.n)
         self.margin = int(margin)
         self.unchanged = 0
         self.rounds = 0
@@ -362,8 +359,8 @@ class DistributedSimplexAgent:
         """Decode a neighbor payload; malformed data raises ProtocolError.
 
         Robot and task indices round half to even; any negative robot
-        reads as an artificial column (robot -1) costing ``big_m``, so only
-        real columns need a finite cost.
+        reads as an artificial column (robot -1) costing ``DEFAULT_BIG_M``,
+        so only real columns need a finite cost.
         """
         if not isinstance(payload, dict) or "cols" not in payload:
             raise ProtocolError("assignment payload missing columns")
@@ -378,7 +375,7 @@ class DistributedSimplexAgent:
         out += 0.0  # turns -0.0 into 0.0
         art = out[:, 0] < 0
         out[art, 0] = -1.0
-        out[:, 2] = np.where(art, self.big_m, cols[:, 2])
+        out[:, 2] = np.where(art, DEFAULT_BIG_M, cols[:, 2])
         _validate_columns(out, self.n)
         return out, halted
 
@@ -408,11 +405,11 @@ class DistributedSimplexAgent:
             cols = self.basis.columns
             y = np.ascontiguousarray(cols[:, 2]) @ np.linalg.inv(column_matrix(cols, self.n))
             self._y = np.append(y, 0.0)
-            local = np.concatenate((self.own, artificial_columns(self.n, self.big_m)))
+            local = np.concatenate((self.own, artificial_columns(self.n)))
             self._local_enters = bool((self._reduced_costs(local) < -_TOL).any())
         changed = False
         if self._local_enters or (self._reduced_costs(received) < -_TOL).any():
-            new = simplex_round(self.basis, self.own, received, self.n, self.big_m)
+            new = simplex_round(self.basis, self.own, received, self.n)
             changed = not np.array_equal(new.columns, self.basis.columns)
             self.basis = new
             if changed:
@@ -441,7 +438,11 @@ class DistributedSimplexAgent:
 def default_margin(graph: CommGraph, drop_prob: float = 0.0) -> int:
     """Halt after this many unchanged rounds: twice the diameter bound,
     floored at 4, plus enough extra under packet loss that a drop streak
-    outlasting the margin has probability around 1e-9 per window."""
+    outlasting the margin has probability around 1e-9 per window. At
+    ``drop_prob`` 1 no message is ever delivered, so no margin exists."""
+    if drop_prob >= 1.0:
+        raise ValueError("drop_prob %r delivers no message; the protocol cannot halt"
+                         % (drop_prob,))
     base = max(2 * diameter_bound(graph), 4)
     if drop_prob > 0.0:
         base += int(np.ceil(np.log(1e-9) / np.log(drop_prob)))
@@ -454,17 +455,17 @@ def _gather(agent: DistributedSimplexAgent, comm: Communicator,
     sender's latest halt flag. A payload that fails to decode or parse is
     skipped, as a lost message would be.
 
-    ``parsed`` maps (payload bytes, n, big_m) to the parse of that payload,
+    ``parsed`` maps (payload bytes, n) to the parse of that payload,
     or to ``_SKIP``. A sender encodes once, so all its recipients hold the
     same bytes; sharing one map across the agents of a round decodes and
     parses each distinct payload once. ``parse`` depends only on those
-    three, so a shared entry is exactly what each receiver would compute.
+    two, so a shared entry is exactly what each receiver would compute.
     """
     received = [_NO_COLUMNS]
     flags: dict[int, bool] = {}
     for j in comm.in_neighbors:
         for env in comm.bus.drain(comm.agent_id, j):
-            key = (env.payload, agent.n, agent.big_m)
+            key = (env.payload, agent.n)
             hit = parsed.get(key)
             if hit is None:
                 try:
@@ -508,7 +509,6 @@ def agreed_result(agents) -> tuple[int, tuple[int, ...], float]:
 
 def run_distributed_simplex(comm: Communicator, i: int, costs, n: int,
                             graph: CommGraph | None = None, *,
-                            big_m: float = DEFAULT_BIG_M,
                             margin: int | None = None,
                             round_budget: int | None = None,
                             pace: float = 0.001) -> tuple[int, tuple[int, ...], float]:
@@ -522,7 +522,7 @@ def run_distributed_simplex(comm: Communicator, i: int, costs, n: int,
     """
     base = graph if graph is not None else comm.graph
     agent = DistributedSimplexAgent(
-        i, costs, n, big_m=big_m,
+        i, costs, n,
         margin=margin if margin is not None
         else default_margin(base, comm.config.drop_prob),
     )
@@ -547,7 +547,6 @@ def run_distributed_simplex(comm: Communicator, i: int, costs, n: int,
 def solve_assignment_network(costs, graph, *, profile: str = "static",
                              transport: TransportConfig | None = None,
                              bus: MessageBus | None = None,
-                             big_m: float = DEFAULT_BIG_M,
                              margin: int | None = None,
                              round_budget: int | None = None):
     """Deterministic lockstep driver running all agents in one thread.
@@ -564,8 +563,7 @@ def solve_assignment_network(costs, graph, *, profile: str = "static",
     bus) alive.
     """
     try:
-        return _solve_network(costs, graph, profile, transport, bus, big_m, margin,
-                              round_budget)
+        return _solve_network(costs, graph, profile, transport, bus, margin, round_budget)
     except NonConvergenceError as exc:
         tb = exc.__traceback__.tb_next  # this frame is still running
         while tb is not None:
@@ -574,7 +572,7 @@ def solve_assignment_network(costs, graph, *, profile: str = "static",
         raise
 
 
-def _solve_network(costs, graph, profile, transport, bus, big_m, margin, round_budget):
+def _solve_network(costs, graph, profile, transport, bus, margin, round_budget):
     costs = np.asarray(costs, dtype=float)
     n = costs.shape[0]
     base = graph.base if isinstance(graph, EdgeSchedule) else graph
@@ -587,7 +585,7 @@ def _solve_network(costs, graph, profile, transport, bus, big_m, margin, round_b
     ]
     use_margin = margin if margin is not None else default_margin(base, tc.drop_prob)
     agents = [
-        DistributedSimplexAgent(i, costs, n, big_m=big_m, margin=use_margin)
+        DistributedSimplexAgent(i, costs, n, margin=use_margin)
         for i in range(n)
     ]
     budget = round_budget if round_budget is not None else 50 * n

@@ -133,7 +133,7 @@ def _pivot_inverse(Binv, d, r):
     Binv[r] = prow
 
 
-def _simplex(A, b, c, basis, *, Binv=None, bland_after=_BLAND_AFTER, max_iter=_MAX_ITER):
+def _simplex(A, b, c, basis, *, Binv=None):
     """Revised simplex from a feasible basis with an explicit basis inverse.
 
     B^-1 is computed from scratch, at O(m^3), on entry (unless the caller
@@ -148,7 +148,7 @@ def _simplex(A, b, c, basis, *, Binv=None, bland_after=_BLAND_AFTER, max_iter=_M
     basis = list(basis)
     stall = 0
     since_refactor = _REFACTOR_EVERY if Binv is None else 0
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         if since_refactor >= _REFACTOR_EVERY:
             try:
                 Binv = np.linalg.inv(A[:, basis])
@@ -159,7 +159,7 @@ def _simplex(A, b, c, basis, *, Binv=None, bland_after=_BLAND_AFTER, max_iter=_M
         y = c[basis] @ Binv
         rc = c - y @ A
         rc[basis] = 0.0
-        if stall >= bland_after:
+        if stall >= _BLAND_AFTER:
             neg = np.flatnonzero(rc < -_TOL)
             enter = int(neg[0]) if neg.size else -1
         else:
@@ -182,10 +182,10 @@ def _simplex(A, b, c, basis, *, Binv=None, bland_after=_BLAND_AFTER, max_iter=_M
         basis[leave_row] = enter
         _pivot_inverse(Binv, d, leave_row)
         since_refactor += 1
-    raise LpError("simplex exceeded %d iterations" % max_iter)
+    raise LpError("simplex exceeded %d iterations" % _MAX_ITER)
 
 
-def simplex_from_basis(A, b, c, basis, **kw):
+def simplex_from_basis(A, b, c, basis):
     """Phase-2 entry point when a feasible starting basis is already known.
 
     Returns (basis, x, objective, status). Used by the distributed
@@ -195,7 +195,7 @@ def simplex_from_basis(A, b, c, basis, **kw):
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    final, xB, _, _, status, _ = _simplex(A, b, c, list(basis), **kw)
+    final, xB, _, _, status, _ = _simplex(A, b, c, list(basis))
     x = np.zeros(A.shape[1])
     x[final] = np.maximum(xB, 0.0)
     return final, x, float(c @ x), status

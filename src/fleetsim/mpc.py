@@ -23,7 +23,9 @@ the right-hand side moves, namely the current state and the coupling
 bounds left by the others' plans, so a replan rewrites just those entries
 of b and re-solves from the agent's last optimal basis, falling back to a
 cold two-phase solve when that basis is infeasible for the new b. This is
-the online re-solve of Ferreau, Bock & Diehl (IJRNC 18(8), 2008).
+the online re-solve of Ferreau, Bock & Diehl (IJRNC 18(8), 2008), and the
+only way this module replans: an OCP that has not solved yet has no basis,
+so its first solve is the cold one.
 
 The closed loop is fully deterministic: the plant here is the model
 itself, so applying the first planned input lands exactly on the plan's
@@ -298,18 +300,26 @@ def plan_cost(plan: Plan, spec: OcpSpec) -> float:
     return float((dx * spec.cost.w_x).sum() + (du * spec.cost.w_u).sum())
 
 
-class LocalOcp:
-    """A built problem: the standard-form LP plus one agent's plan extraction.
+def _read_plan(spec: OcpSpec, extract, vx: int, vu: int, x_solution) -> Plan:
+    """One agent's plan from an LP solution, given its state and input
+    variables as declared by :func:`_agent_rows`."""
+    T, n, m = spec.horizon, spec.model.n, spec.model.m
+    xs = extract.value(x_solution, vx).reshape(T + 1, n)
+    us = extract.value(x_solution, vu).reshape(T, m)
+    return Plan.from_states_inputs(spec.model, xs, us)
 
-    An OCP made by :func:`build_local_ocp` lives for a whole episode: a
-    replan rewrites only the entries of ``lp.b`` that hold ``x_now`` and
-    the coupling right-hand sides (:meth:`set_rhs`), while A and c stay
-    shared and read-only. ``basis`` is the last optimal basis, the warm
-    start of the next solve, or None before the first one.
+
+class LocalOcp:
+    """One agent's local OCP as a standard-form LP, kept for a whole episode.
+
+    Made by :func:`build_local_ocp`. A replan rewrites only the entries of
+    ``lp.b`` that hold ``x_now`` and the coupling right-hand sides
+    (:meth:`set_rhs`), while A and c stay shared and read-only. ``basis``
+    is the last optimal basis, the warm start of the next solve, or None
+    before the first one.
     """
 
-    def __init__(self, spec: OcpSpec, lp, extract, var_x, var_u,
-                 x_rows=None, coupling_rows=None):
+    def __init__(self, spec: OcpSpec, lp, extract, var_x, var_u, x_rows, coupling_rows):
         self.spec = spec
         self.lp = lp
         self._extract = extract
@@ -323,8 +333,6 @@ class LocalOcp:
         """Rewrite the initial state and the coupling right-hand sides
         h - H others_sum(t); ``x_now`` defaults to the model's x0 and a
         None ``others_sum`` means the other agents are at zero output."""
-        if self._x_rows is None:
-            raise ModelError("this OCP was not built by build_local_ocp")
         spec = self.spec
         mdl = spec.model
         T, n, r = spec.horizon, mdl.n, mdl.r
@@ -346,10 +354,7 @@ class LocalOcp:
         self.lp = StandardLP(self.lp.A, b, self.lp.c)
 
     def extract_plan(self, x_solution: np.ndarray) -> Plan:
-        T, n, m = self.spec.horizon, self.spec.model.n, self.spec.model.m
-        xs = self._extract.value(x_solution, self._var_x).reshape(T + 1, n)
-        us = self._extract.value(x_solution, self._var_u).reshape(T, m)
-        return Plan.from_states_inputs(self.spec.model, xs, us)
+        return _read_plan(self.spec, self._extract, self._var_x, self._var_u, x_solution)
 
 
 def _agent_rows(bld: LpBuilder, spec: OcpSpec, x_init: np.ndarray) -> tuple[int, int]:
@@ -426,16 +431,15 @@ def _output_terms(spec: OcpSpec, t: int, row: np.ndarray, vx: int, vu: int) -> d
     return {vx: rx, vu: ru}
 
 
-def build_local_ocp(spec: OcpSpec, x_now=None, others_sum=None) -> LocalOcp:
+def build_local_ocp(spec: OcpSpec) -> LocalOcp:
     """Encode one agent's T-step OCP as a standard-form LP, once per episode.
 
-    ``x_now`` defaults to the model's x0. ``others_sum`` is the (T, r)
-    summed output plan of the other agents; coupling rows become
-    H z_i(t) <= h - H others_sum(t). Passing None with a coupling set
-    declared means the other agents are at zero output. The OCP records
-    which rows of b hold these values: the initial equalities, rows 2k of
-    :func:`_agent_rows`, and the coupling rows, which come last. Later
-    replans rewrite just those through :meth:`LocalOcp.set_rhs`.
+    Coupling rows read H z_i(t) <= h - H others_sum(t), where others_sum
+    is the (T, r) summed output plan of the other agents. The OCP records
+    which rows of b hold x_now and those bounds: the initial equalities,
+    rows 2k of :func:`_agent_rows`, and the coupling rows, which come
+    last. It starts at the model's x0 with the others at zero output;
+    replans rewrite just those rows through :meth:`LocalOcp.set_rhs`.
     """
     mdl = spec.model
     T, n, r = spec.horizon, mdl.n, mdl.r
@@ -453,25 +457,20 @@ def build_local_ocp(spec: OcpSpec, x_now=None, others_sum=None) -> LocalOcp:
         n_coupling = T * H.shape[0]
 
     lp, extract = bld.build()
-    ocp = LocalOcp(spec, lp, extract, vx, vu, x_rows=2 * np.arange(n),
-                   coupling_rows=np.arange(lp.m - n_coupling, lp.m))
-    ocp.set_rhs(x_now, others_sum)
+    ocp = LocalOcp(spec, lp, extract, vx, vu, 2 * np.arange(n),
+                   np.arange(lp.m - n_coupling, lp.m))
+    ocp.set_rhs()
     return ocp
 
 
-def replan_local(spec: OcpSpec, x_now, others_sum=None, ocp: LocalOcp | None = None):
-    """Solve the local OCP. Returns (plan, cost) or (None, None) if infeasible.
+def replan_local(ocp: LocalOcp, x_now, others_sum=None):
+    """Re-solve an agent's local OCP from ``x_now`` against the others'
+    summed outputs. Returns (plan, cost) or (None, None) if infeasible.
 
-    With ``ocp``, an OCP that :func:`build_local_ocp` made for this spec,
-    only its b is rewritten and the solve warm-starts from its last
-    optimal basis; without one a fresh OCP is built and solved cold.
+    Only the OCP's b is rewritten, and the solve warm-starts from its last
+    optimal basis; an OCP with no basis yet solves cold.
     """
-    if ocp is None:
-        ocp = build_local_ocp(spec, x_now=x_now, others_sum=others_sum)
-    elif ocp.spec is not spec:
-        raise ModelError("the OCP was built for another spec")
-    else:
-        ocp.set_rhs(x_now, others_sum)
+    ocp.set_rhs(x_now, others_sum)
     sol = solve_lp(ocp.lp, basis=ocp.basis)
     # a basis that lost a dependent row has no place in the full LP
     keep = sol.status == OPTIMAL and sol.kept_rows is None
@@ -481,7 +480,7 @@ def replan_local(spec: OcpSpec, x_now, others_sum=None, ocp: LocalOcp | None = N
     if sol.status != OPTIMAL:
         raise LpError("local OCP solve ended %s" % sol.status)
     plan = ocp.extract_plan(sol.x)
-    return plan, plan_cost(plan, spec)
+    return plan, plan_cost(plan, ocp.spec)
 
 
 def shift_plan(plan: Plan, spec: OcpSpec) -> Plan:
@@ -525,23 +524,22 @@ def joint_feasible(specs, plans, tol: float = 1e-8) -> bool:
     return True
 
 
-def mpc_round(specs: list[OcpSpec], plans: list[Plan], turn: int,
-              others_outputs=None, ocps: list[LocalOcp] | None = None
-              ) -> tuple[list[Plan], bool]:
-    """One negotiation round: the turn agent replans, everyone else holds.
+def mpc_round(ocps: list[LocalOcp], plans: list[Plan], turn: int,
+              others_outputs=None) -> tuple[list[Plan], bool]:
+    """One negotiation round: the turn agent replans on its episode-long
+    OCP (see :func:`replan_local`), everyone else holds.
 
     ``others_outputs`` optionally injects the communicated (T, r) output
-    sum; by default it is assembled from the plan list. ``ocps`` optionally
-    holds each agent's episode-long OCP (see :func:`replan_local`); without
-    it the turn agent builds and solves a fresh one. Returns the new
+    sum; by default it is assembled from the plan list. Returns the new
     plan list and whether the turn agent adopted a new plan. An infeasible
     local solve keeps the old plan with a warning; if the old plan is
     itself broken there is nothing to fall back to and FeasibilityError
     is raised.
     """
-    if not 0 <= turn < len(specs):
+    if not 0 <= turn < len(ocps):
         raise ModelError("turn %d out of range" % turn)
-    spec = specs[turn]
+    ocp = ocps[turn]
+    spec = ocp.spec
     old = plans[turn]
     if others_outputs is None and spec.coupling is not None:
         # only meaningful under a coupling, where all agents share the
@@ -556,8 +554,7 @@ def mpc_round(specs: list[OcpSpec], plans: list[Plan], turn: int,
     except PlanError as exc:
         raise FeasibilityError("agent %d has no valid fallback plan" % turn) from exc
 
-    ocp = None if ocps is None else ocps[turn]
-    new_plan, new_cost = replan_local(spec, old.states[0], others_outputs, ocp=ocp)
+    new_plan, new_cost = replan_local(ocp, old.states[0], others_outputs)
     if new_plan is None:
         warnings.warn(
             "agent %d local solve infeasible; keeping previous plan" % turn,
@@ -575,44 +572,30 @@ def mpc_round(specs: list[OcpSpec], plans: list[Plan], turn: int,
 @dataclass
 class StepResult:
     plans: list[Plan]
-    inputs: list[np.ndarray]
     states: list[np.ndarray]
     applied_residual: float
-    costs: list[float]
-    replanned: bool
-    turn: int
 
 
-def mpc_step(specs: list[OcpSpec], plans: list[Plan], t: int) -> StepResult:
-    """One closed-loop step: round-robin replan, apply, shift.
+def mpc_step(ocps: list[LocalOcp], plans: list[Plan], t: int) -> StepResult:
+    """One closed-loop step over the agents' episode-long OCPs:
+    round-robin replan, apply, shift.
 
     The turn at time t is t mod N. Applied states come straight off the
     plans (the plant is the model), and the returned plans are shifted so
     they start at t+1. ``applied_residual`` is the coupling violation at
     the applied step.
     """
-    n_agents = len(specs)
-    turn = t % n_agents
-    plans, replanned = mpc_round(specs, plans, turn)
+    plans, _ = mpc_round(ocps, plans, t % len(ocps))
+    specs = [ocp.spec for ocp in ocps]
     coupling = specs[0].coupling
+    applied_residual = 0.0
     if coupling is not None:
-        z_now = sum(p.outputs[0] for p in plans)
-        slack = coupling.G @ z_now - coupling.g
+        slack = coupling.G @ sum(p.outputs[0] for p in plans) - coupling.g
         applied_residual = float(max(np.max(slack), 0.0))
-    else:
-        applied_residual = 0.0
-    inputs = [p.inputs[0].copy() for p in plans]
-    states = [p.states[1].copy() for p in plans]
-    costs = [plan_cost(p, s) for p, s in zip(plans, specs)]
-    shifted = [shift_plan(p, s) for p, s in zip(plans, specs)]
     return StepResult(
-        plans=shifted,
-        inputs=inputs,
-        states=states,
+        plans=[shift_plan(p, s) for p, s in zip(plans, specs)],
+        states=[p.states[1].copy() for p in plans],
         applied_residual=applied_residual,
-        costs=costs,
-        replanned=replanned,
-        turn=turn,
     )
 
 
@@ -651,19 +634,18 @@ def centralized_bootstrap(specs: list[OcpSpec], x_now=None) -> list[Plan]:
     sol = solve_lp(lp)
     if sol.status != OPTIMAL:
         raise FeasibilityError("no jointly feasible initial plan exists (%s)" % sol.status)
-    return [
-        LocalOcp(s, lp, extract, vx, vu).extract_plan(sol.x)
-        for s, (vx, vu) in zip(specs, blocks)
-    ]
+    return [_read_plan(s, extract, vx, vu, sol.x) for s, (vx, vu) in zip(specs, blocks)]
 
 
 def receding_horizon_oracle(spec: OcpSpec, steps: int,
                             replan_at=None) -> tuple[np.ndarray, np.ndarray]:
-    """Single-agent receding-horizon reference loop, solved centrally.
+    """Single-agent receding-horizon reference loop, solved cold.
 
     ``replan_at`` is a predicate on the step index saying when to re-solve
-    (default: every step); other steps shift the previous plan. Returns
-    (states, inputs) over the closed loop, states shaped (steps+1, n).
+    (default: every step); other steps shift the previous plan. Each
+    re-solve builds a fresh OCP, which has no basis, so the reference
+    shares no warm start with the loop it checks. Returns (states, inputs)
+    over the closed loop, states shaped (steps+1, n).
     """
     should = (lambda t: True) if replan_at is None else replan_at
     x = spec.model.x0.copy()
@@ -672,7 +654,7 @@ def receding_horizon_oracle(spec: OcpSpec, steps: int,
     inputs = []
     for t in range(steps):
         if plan is None or should(t):
-            fresh, _ = replan_local(spec, x)
+            fresh, _ = replan_local(build_local_ocp(spec), x)
             if fresh is None:
                 raise FeasibilityError("oracle problem infeasible at step %d" % t)
             plan = fresh

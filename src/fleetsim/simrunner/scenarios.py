@@ -452,7 +452,7 @@ def _run_mpc(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
             others = sum(
                 np.asarray(v["z"], dtype=float) for j, v in gathered[turn].items()
             ) if gathered[turn] else np.zeros_like(plans[turn].outputs)
-        plans, replanned = mpc_round(specs, plans, turn, others_outputs=others, ocps=ocps)
+        plans, replanned = mpc_round(ocps, plans, turn, others_outputs=others)
 
         if coupling is not None:
             z_now = sum(pl.outputs[0] for pl in plans)

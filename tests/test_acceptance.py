@@ -26,6 +26,7 @@ from fleetsim.mpc import (
     OcpSpec,
     Polyhedron,
     StageCost,
+    build_local_ocp,
     centralized_bootstrap,
     joint_feasible,
     mpc_step,
@@ -263,9 +264,10 @@ def test_criterion_5a_decoupled_matches_oracle():
     ]
     steps = 30
     plans = centralized_bootstrap(specs)
+    ocps = [build_local_ocp(spec) for spec in specs]
     states = {i: [np.array(specs[i].model.x0)] for i in range(len(specs))}
     for t in range(steps):
-        result = mpc_step(specs, plans, t)
+        result = mpc_step(ocps, plans, t)
         plans = result.plans
         for i in range(len(specs)):
             states[i].append(result.states[i])
@@ -283,9 +285,10 @@ def test_criterion_5b_coupled_residual():
     step inside the budget (residual <= 1e-8) for all 30 steps."""
     specs = _coupled_pair()
     plans = centralized_bootstrap(specs)
+    ocps = [build_local_ocp(spec) for spec in specs]
     worst = 0.0
     for t in range(30):
-        result = mpc_step(specs, plans, t)
+        result = mpc_step(ocps, plans, t)
         plans = result.plans
         worst = max(worst, result.applied_residual)
     _verdict("5b coupled residual", worst <= 1e-8, "max applied residual %.3g" % worst)
@@ -296,9 +299,10 @@ def test_criterion_5c_recursive_feasibility():
     dynamically valid and jointly feasible at every step."""
     specs = _coupled_pair()
     plans = centralized_bootstrap(specs)
+    ocps = [build_local_ocp(spec) for spec in specs]
     ok = joint_feasible(specs, plans)
     for t in range(30):
-        result = mpc_step(specs, plans, t)
+        result = mpc_step(ocps, plans, t)
         plans = result.plans
         for plan, spec in zip(plans, specs):
             validate_plan(plan, spec)  # raises on any violated plan

@@ -550,7 +550,7 @@ def test_absorb_matches_simplex_round(kind, n, profile, monkeypatch):
     seen = {"absorbs": 0, "solves": 0}
 
     def checked(agent, received):
-        want = simplex_round(agent.basis, agent.own, received, n, agent.big_m)
+        want = simplex_round(agent.basis, agent.own, received, n)
         changed = absorb(agent, received)
         seen["absorbs"] += 1
         assert np.array_equal(agent.basis.columns, want.columns)
@@ -604,6 +604,17 @@ def test_default_margin_values():
     assert default_margin(graph_from_matrix([[0]])) == 4
     assert default_margin(complete_graph(4), drop_prob=0.3) == 4 + 18
     assert default_margin(complete_graph(4), drop_prob=0.5) == 4 + 30
+
+
+@pytest.mark.filterwarnings("error")
+def test_margin_refuses_links_that_drop_everything():
+    """At drop_prob 1 no message arrives, so no halting margin exists; both
+    entry points say so instead of overflowing on log(1) = 0."""
+    with pytest.raises(ValueError, match="drop_prob"):
+        default_margin(complete_graph(3), 1.0)
+    with pytest.raises(ValueError, match="drop_prob"):
+        solve_assignment_network(np.eye(3), complete_graph(3), profile="best_effort",
+                                 transport=TransportConfig(drop_prob=1.0))
 
 
 # -- task cloud -----------------------------------------------------------------

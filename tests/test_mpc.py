@@ -80,6 +80,11 @@ def coupled_pair(horizon=8, x0=(0.2, -0.4)):
     ]
 
 
+def fresh_ocps(specs):
+    """One new episode-long OCP per agent, none solved yet."""
+    return [build_local_ocp(spec) for spec in specs]
+
+
 # -- validation ----------------------------------------------------------------
 
 
@@ -183,7 +188,7 @@ def test_plan_cost_hand_value():
 
 def test_deadbeat_single_step():
     spec = scalar_spec(horizon=1, x0=1.0)
-    plan, cost = replan_local(spec, np.array([1.0]))
+    plan, cost = replan_local(build_local_ocp(spec), np.array([1.0]))
     assert plan is not None
     assert plan.inputs[0, 0] == pytest.approx(-1.0)
     assert plan.states[1, 0] == pytest.approx(0.0)
@@ -192,13 +197,13 @@ def test_deadbeat_single_step():
 
 def test_unreachable_terminal_is_infeasible():
     spec = scalar_spec(horizon=1, x0=1.0, u_lim=0.1)
-    plan, cost = replan_local(spec, np.array([1.0]))
+    plan, cost = replan_local(build_local_ocp(spec), np.array([1.0]))
     assert plan is None and cost is None
 
 
 def test_build_local_ocp_round_trip():
     spec = double_integrator_spec(horizon=10)
-    ocp = build_local_ocp(spec, x_now=spec.model.x0)
+    ocp = build_local_ocp(spec)
     from fleetsim.lp import solve_lp
 
     sol = solve_lp(ocp.lp)
@@ -210,15 +215,16 @@ def test_build_local_ocp_round_trip():
 
 def test_already_optimal_plan_is_a_fixed_point():
     spec = scalar_spec(horizon=6, x0=0.8)
-    plan, _ = replan_local(spec, spec.model.x0)
-    again, _ = replan_local(spec, spec.model.x0)
+    ocp = build_local_ocp(spec)
+    plan, _ = replan_local(ocp, spec.model.x0)
+    again, _ = replan_local(ocp, spec.model.x0)  # warm, from the optimal basis
     assert np.array_equal(plan.states, again.states)
     assert np.array_equal(plan.inputs, again.inputs)
 
 
 def test_equilibrium_start_stays_put():
     spec = scalar_spec(x0=0.0, x_term=0.0, u_term=0.0, horizon=5)
-    plan, cost = replan_local(spec, np.array([0.0]))
+    plan, cost = replan_local(build_local_ocp(spec), np.array([0.0]))
     assert cost == pytest.approx(0.0)
     assert np.allclose(plan.states, 0.0, atol=1e-10)
     assert np.allclose(plan.inputs, 0.0, atol=1e-10)
@@ -226,7 +232,7 @@ def test_equilibrium_start_stays_put():
 
 def test_shift_plan_appends_equilibrium():
     spec = scalar_spec(horizon=3, x0=0.6)
-    plan, _ = replan_local(spec, np.array([0.6]))
+    plan, _ = replan_local(build_local_ocp(spec), np.array([0.6]))
     shifted = shift_plan(plan, spec)
     assert shifted.states.shape == plan.states.shape
     assert shifted.states[0, 0] == pytest.approx(plan.states[1, 0])
@@ -236,7 +242,7 @@ def test_shift_plan_appends_equilibrium():
 
 def test_shift_plan_rejects_corrupted_input():
     spec = scalar_spec(horizon=3, x0=0.6)
-    plan, _ = replan_local(spec, np.array([0.6]))
+    plan, _ = replan_local(build_local_ocp(spec), np.array([0.6]))
     broken = Plan(plan.states + 0.5, plan.inputs, plan.outputs)
     with pytest.raises(PlanError):
         shift_plan(broken, spec)
@@ -251,9 +257,10 @@ def test_oracle_matches_stepped_loop_single_agent():
     steps = 30
     ref_states, ref_inputs = receding_horizon_oracle(spec, steps)
     plans = centralized_bootstrap([spec])
+    ocps = fresh_ocps([spec])
     states = [spec.model.x0.copy()]
     for t in range(steps):
-        result = mpc_step([spec], plans, t)
+        result = mpc_step(ocps, plans, t)
         plans = result.plans
         states.append(result.states[0])
     got = np.array(states)
@@ -264,7 +271,7 @@ def test_oracle_replan_predicate():
     spec = scalar_spec(horizon=5, x0=0.7)
     # never replanning just rolls the bootstrap plan forward
     states, inputs = receding_horizon_oracle(spec, 5, replan_at=lambda t: False)
-    plan, _ = replan_local(spec, spec.model.x0)
+    plan, _ = replan_local(build_local_ocp(spec), spec.model.x0)
     assert states[: 6] == pytest.approx(plan.states[:, 0].reshape(-1, 1))
 
 
@@ -274,8 +281,8 @@ def test_oracle_replan_predicate():
 def test_decoupled_round_equals_local_optimum():
     specs = [scalar_spec(x0=0.9), scalar_spec(x0=-0.4)]
     plans = centralized_bootstrap(specs)
-    new_plans, replanned = mpc_round(specs, plans, turn=0)
-    ref, _ = replan_local(specs[0], specs[0].model.x0)
+    new_plans, replanned = mpc_round(fresh_ocps(specs), plans, turn=0)
+    ref, _ = replan_local(build_local_ocp(specs[0]), specs[0].model.x0)
     assert np.allclose(new_plans[0].states, ref.states, atol=1e-9)
     # the other agent's plan is untouched
     assert new_plans[1] is plans[1]
@@ -292,9 +299,10 @@ def test_decoupled_equivalence_over_30_steps():
     ]
     steps = 30
     plans = centralized_bootstrap(specs)
+    ocps = fresh_ocps(specs)
     states = {i: [np.array(specs[i].model.x0)] for i in range(n_agents)}
     for t in range(steps):
-        result = mpc_step(specs, plans, t)
+        result = mpc_step(ocps, plans, t)
         plans = result.plans
         for i in range(n_agents):
             states[i].append(result.states[i])
@@ -309,10 +317,11 @@ def test_decoupled_equivalence_over_30_steps():
 def test_coupled_rounds_keep_budget():
     specs = coupled_pair()
     plans = centralized_bootstrap(specs)
+    ocps = fresh_ocps(specs)
     for turn in range(6):
         i = turn % 2
         others = plans[1 - i].outputs
-        plans_new, _ = mpc_round(specs, plans, turn=i, others_outputs=others)
+        plans_new, _ = mpc_round(ocps, plans, turn=i, others_outputs=others)
         assert coupling_residual(plans_new, specs[0].coupling) <= 1e-9
         plans = plans_new
 
@@ -320,9 +329,10 @@ def test_coupled_rounds_keep_budget():
 def test_coupled_closed_loop_residual():
     specs = coupled_pair()
     plans = centralized_bootstrap(specs)
+    ocps = fresh_ocps(specs)
     worst = 0.0
     for t in range(30):
-        result = mpc_step(specs, plans, t)
+        result = mpc_step(ocps, plans, t)
         plans = result.plans
         worst = max(worst, result.applied_residual)
         # recursive feasibility: every new plan is still valid for its spec
@@ -334,9 +344,10 @@ def test_coupled_closed_loop_residual():
 def test_per_agent_cost_monotone_between_replans():
     spec = scalar_spec(x0=0.9, horizon=8)
     plans = centralized_bootstrap([spec])
+    ocps = fresh_ocps([spec])
     last = plan_cost(plans[0], spec)
     for t in range(20):
-        result = mpc_step([spec], plans, t)
+        result = mpc_step(ocps, plans, t)
         plans = result.plans
         now = plan_cost(plans[0], spec)
         assert now <= last + 1e-9
@@ -356,7 +367,8 @@ def test_infeasible_replan_keeps_old_plan():
     plans = centralized_bootstrap(pinned, x_now=[np.array([0.2]), np.array([0.3])])
     huge = np.full((8, 1), 10.0)
     with pytest.warns(RuntimeWarning):
-        new_plans, replanned = mpc_round(pinned, plans, turn=0, others_outputs=huge)
+        new_plans, replanned = mpc_round(fresh_ocps(pinned), plans, turn=0,
+                                         others_outputs=huge)
     assert not replanned
     assert new_plans[0] is plans[0]
 
@@ -366,7 +378,7 @@ def test_corrupted_plan_refused():
     plans = centralized_bootstrap(specs)
     broken = Plan(plans[0].states + 1.0, plans[0].inputs, plans[0].outputs)
     with pytest.raises(FeasibilityError):
-        mpc_round(specs, [broken, plans[1]], turn=0,
+        mpc_round(fresh_ocps(specs), [broken, plans[1]], turn=0,
                   others_outputs=plans[1].outputs)
 
 
@@ -391,9 +403,10 @@ def binding_budget_specs(horizon=8):
 
 def test_warm_replans_match_cold_under_a_binding_budget(monkeypatch):
     """The closed loop the MPC engine runs, mpc_round with episode-long
-    OCPs then shift_plan, equals the cold mpc_round loop step by step."""
+    OCPs then shift_plan, equals a loop whose every round replans on
+    fresh, never-solved OCPs, step by step."""
     specs = binding_budget_specs()
-    ocps = [build_local_ocp(spec) for spec in specs]
+    ocps = fresh_ocps(specs)
     stale = []  # per warm attempt: was the stored basis infeasible for the new b?
     real = mpc.solve_lp
 
@@ -406,11 +419,12 @@ def test_warm_replans_match_cold_under_a_binding_budget(monkeypatch):
     real_replan = mpc.replan_local
     rewrites = []
 
-    def replan_spy(spec, x_now, others_sum=None, ocp=None):
-        out = real_replan(spec, x_now, others_sum, ocp=ocp)
-        if ocp is not None:
+    def replan_spy(ocp, x_now, others_sum=None):
+        out = real_replan(ocp, x_now, others_sum)
+        if any(ocp is kept for kept in ocps):
             # the kept OCP's b is what a fresh build for this replan holds
-            fresh = build_local_ocp(spec, x_now=x_now, others_sum=others_sum)
+            fresh = build_local_ocp(ocp.spec)
+            fresh.set_rhs(x_now, others_sum)
             assert ocp.lp.b.tobytes() == fresh.lp.b.tobytes()
             rewrites.append(x_now)
         return out
@@ -421,8 +435,8 @@ def test_warm_replans_match_cold_under_a_binding_budget(monkeypatch):
     peak = 0.0
     for t in range(24):
         turn = t % len(specs)
-        cold, c_replanned = mpc_round(specs, cold, turn)
-        warm, w_replanned = mpc_round(specs, warm, turn, ocps=ocps)
+        cold, c_replanned = mpc_round(fresh_ocps(specs), cold, turn)
+        warm, w_replanned = mpc_round(ocps, warm, turn)
         assert w_replanned == c_replanned, t
         for w_plan, c_plan, spec in zip(warm, cold, specs):
             assert w_plan.states.tobytes() == c_plan.states.tobytes(), t
@@ -445,17 +459,38 @@ def test_build_local_ocp_rewrites_only_b():
     A, c = ocp.lp.A, ocp.lp.c
     others = np.linspace(0.0, 0.3, 8).reshape(8, 1)
     ocp.set_rhs(np.array([0.1]), others)
-    fresh = build_local_ocp(specs[0], x_now=np.array([0.1]), others_sum=others)
+    fresh = build_local_ocp(specs[0])
+    fresh.set_rhs(np.array([0.1]), others)
     assert np.shares_memory(ocp.lp.A, A) and np.shares_memory(ocp.lp.c, c)
     assert ocp.lp.b.tobytes() == fresh.lp.b.tobytes()
     assert fresh.lp.A.tobytes() == A.tobytes()
 
 
-def test_replan_with_another_agents_ocp_raises():
+def test_mpc_step_warm_starts_and_the_oracle_stays_cold(monkeypatch):
+    """Over episode-long OCPs every replan after an agent's first passes
+    its last optimal basis to the solver; the receding-horizon oracle
+    builds a fresh OCP per replan and never does."""
+    warm = []
+    real = mpc.solve_lp
+
+    def spy(problem, basis=None):
+        warm.append(basis is not None)
+        return real(problem, basis=basis)
+
+    monkeypatch.setattr(mpc, "solve_lp", spy)
+    spec = coupled_pair()[0]
+    receding_horizon_oracle(spec, 12)
+    assert len(warm) == 12 and not any(warm)
+
+    warm.clear()
     specs = coupled_pair()
-    ocp = build_local_ocp(specs[1])
-    with pytest.raises(ModelError):
-        replan_local(specs[0], specs[0].model.x0, ocp=ocp)
+    plans = centralized_bootstrap(specs)
+    assert warm == [False]  # the stacked bootstrap LP solves cold
+    warm.clear()
+    ocps = fresh_ocps(specs)
+    for t in range(30):
+        plans = mpc_step(ocps, plans, t).plans
+    assert warm == [False, False] + [True] * 28
 
 
 # -- bootstrap ------------------------------------------------------------------------
