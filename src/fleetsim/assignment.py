@@ -39,11 +39,12 @@ permutations, which ``agreed_result`` reports as NonConvergenceError
 (ROADMAP.md, item 1: a lexicographic pricing and ratio rule).
 
 Halting is a heuristic: an agent flags itself done after its basis survives
-``margin`` consecutive rounds unchanged (default twice the graph diameter
-bound, floored at 4). A flagged agent keeps broadcasting and can unflag if
-a better basis arrives; the lockstep driver stops once every agent is
-flagged, the threaded entry point additionally waits for its neighbors'
-flags. The round budget (default 50 n) turns livelock into a loud
+``margin`` consecutive rounds unchanged (in both drivers ``default_margin``:
+twice the graph diameter bound, floored at 4, longer on lossy links). A
+flagged agent keeps broadcasting and can unflag if a better basis arrives;
+the lockstep driver stops once every agent is flagged, the threaded entry
+point additionally waits for its neighbors' flags. The round budget (50 n,
+or ``round_budget`` on the lockstep driver) turns livelock into a loud
 NonConvergenceError instead of a hang.
 """
 
@@ -97,6 +98,8 @@ _RHS_EPS = 1e-5
 _COST_EPS = 1e-7
 _COST_RATIO = 0.5
 _NO_COLUMNS = np.empty((0, 3))
+# seconds the threaded driver sleeps per round so that peers interleave
+_PACE = 0.001
 # what ``_gather`` records for a payload that failed to decode or parse
 _SKIP = object()
 
@@ -508,30 +511,23 @@ def agreed_result(agents) -> tuple[int, tuple[int, ...], float]:
 
 
 def run_distributed_simplex(comm: Communicator, i: int, costs, n: int,
-                            graph: CommGraph | None = None, *,
-                            margin: int | None = None,
-                            round_budget: int | None = None,
-                            pace: float = 0.001) -> tuple[int, tuple[int, ...], float]:
+                            graph: CommGraph | None = None) -> tuple[int, tuple[int, ...], float]:
     """Blocking per-agent protocol run over a live communicator.
 
     Intended for one thread per agent. Rounds are asynchronous: each round
-    broadcasts the basis, sleeps ``pace`` seconds to let peers interleave,
+    broadcasts the basis, sleeps ``_PACE`` seconds to let peers interleave,
     then drains whatever arrived. The agent leaves once it and every
     in-neighbor have flagged halted (flags ride on the payloads), or raises
-    NonConvergenceError after ``round_budget`` rounds (default 50 n).
+    NonConvergenceError after 50 n rounds. The halting margin is
+    :func:`default_margin` of ``graph`` (the communicator's by default).
     """
     base = graph if graph is not None else comm.graph
-    agent = DistributedSimplexAgent(
-        i, costs, n,
-        margin=margin if margin is not None
-        else default_margin(base, comm.config.drop_prob),
-    )
-    budget = round_budget if round_budget is not None else 50 * n
+    agent = DistributedSimplexAgent(i, costs, n, margin=default_margin(base, comm.config.drop_prob))
+    budget = 50 * n
     neighbor_halted = {j: False for j in comm.in_neighbors}
     for rnd in range(budget):
         comm.send(agent.payload(), comm.out_neighbors, round=rnd)
-        if pace:
-            time.sleep(pace)
+        time.sleep(_PACE)
         received, flags = _gather(agent, comm, {})
         neighbor_halted.update(flags)
         agent.absorb(received)
@@ -546,8 +542,6 @@ def run_distributed_simplex(comm: Communicator, i: int, costs, n: int,
 
 def solve_assignment_network(costs, graph, *, profile: str = "static",
                              transport: TransportConfig | None = None,
-                             bus: MessageBus | None = None,
-                             margin: int | None = None,
                              round_budget: int | None = None):
     """Deterministic lockstep driver running all agents in one thread.
 
@@ -563,7 +557,7 @@ def solve_assignment_network(costs, graph, *, profile: str = "static",
     bus) alive.
     """
     try:
-        return _solve_network(costs, graph, profile, transport, bus, margin, round_budget)
+        return _solve_network(costs, graph, profile, transport, round_budget)
     except NonConvergenceError as exc:
         tb = exc.__traceback__.tb_next  # this frame is still running
         while tb is not None:
@@ -572,22 +566,18 @@ def solve_assignment_network(costs, graph, *, profile: str = "static",
         raise
 
 
-def _solve_network(costs, graph, profile, transport, bus, margin, round_budget):
+def _solve_network(costs, graph, profile, transport, round_budget):
     costs = np.asarray(costs, dtype=float)
     n = costs.shape[0]
     base = graph.base if isinstance(graph, EdgeSchedule) else graph
-    if bus is None:
-        bus = MessageBus()
+    bus = MessageBus()
     tc = transport if transport is not None else TransportConfig()
     comms = [
         Communicator(bus, i, graph, profile=profile, config=tc)
         for i in range(n)
     ]
-    use_margin = margin if margin is not None else default_margin(base, tc.drop_prob)
-    agents = [
-        DistributedSimplexAgent(i, costs, n, margin=use_margin)
-        for i in range(n)
-    ]
+    margin = default_margin(base, tc.drop_prob)
+    agents = [DistributedSimplexAgent(i, costs, n, margin=margin) for i in range(n)]
     budget = round_budget if round_budget is not None else 50 * n
     for rnd in range(budget):
         lockstep_round(agents, comms, rnd)

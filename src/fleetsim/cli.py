@@ -18,7 +18,7 @@ import sys
 
 from .errors import ConfigError, FleetError
 from .simrunner import default_config, export_csv, parse_config, run_scenario, summarize
-from .simrunner.config import SCENARIOS
+from .simrunner.config import SCENARIOS, load_document
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -88,25 +88,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_for_run(args):
     if args.config is not None:
+        # the flags override the file's fields before anything is
+        # validated, so a file that only the flags make valid runs
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
-        raw = dict(cfg.raw)
-        if args.scenario != raw["scenario"]:
+            data = load_document(fh.read())
+        declared = data.get("scenario", args.scenario)
+        if args.scenario != declared:
             raise ConfigError(
                 "scenario: config file declares %r but the command says %r"
-                % (raw["scenario"], args.scenario)
+                % (declared, args.scenario)
             )
-        if args.n is not None:
-            raw["n"] = args.n
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        if args.dt is not None:
-            raw["dt"] = args.dt
-        if args.duration is not None:
-            raw["duration"] = args.duration
+        for key in ("n", "seed", "dt", "duration"):
+            if getattr(args, key) is not None:
+                data[key] = getattr(args, key)
         if args.graph is not None:
-            raw["graph"] = _graph_option(args.graph)
-        return parse_config(raw)
+            data["graph"] = _graph_option(args.graph)
+        return parse_config(data)
     graph = _graph_option(args.graph) if args.graph is not None else None
     return default_config(
         args.scenario,

@@ -10,8 +10,8 @@ Three profiles cover the usual trade-offs:
   on inactive edges are silently skipped. Both endpoints evaluate the same
   activation, so receivers know which neighbors to expect.
 * ``best_effort``: time-varying and lossy. Only asynchronous receives are
-  available; mailboxes keep the newest message per sender (depth 1 unless
-  configured otherwise), and sends may be dropped with ``drop_prob``.
+  available; mailboxes keep only the newest message per sender, and sends
+  may be dropped with ``drop_prob``.
 
 Payloads are arbitrary structured values run through the codec; the
 envelope adds sender id, round tag and send timestamp.
@@ -50,12 +50,12 @@ class Communicator:
         always-active schedule). Best-effort accepts either.
     profile : one of PROFILES
     config : TransportConfig
-    queue_depth : override for the mailbox depth; defaults to 1 for
-        best_effort and unbounded otherwise.
+
+    The mailbox depth is 1 on best_effort and unbounded otherwise.
     """
 
     def __init__(self, bus: MessageBus, agent_id: int, graph, profile: str = "static",
-                 config: TransportConfig | None = None, queue_depth: int | None = None):
+                 config: TransportConfig | None = None):
         if profile not in PROFILES:
             raise ValueError("unknown profile %r, expected one of %s" % (profile, PROFILES))
         if isinstance(graph, EdgeSchedule):
@@ -78,8 +78,7 @@ class Communicator:
         self.in_neighbors, self.out_neighbors = neighbor_sets(self.graph, self.agent_id)
         self._rng = np.random.default_rng([self.config.rng_seed, self.agent_id])
         self._round = 0
-        depth = queue_depth if queue_depth is not None else (1 if profile == "best_effort" else None)
-        bus.register(self.agent_id, queue_depth=depth)
+        bus.register(self.agent_id, queue_depth=1 if profile == "best_effort" else None)
 
     # -- round bookkeeping -------------------------------------------------
 

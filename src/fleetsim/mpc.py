@@ -275,7 +275,7 @@ class Plan:
         return cls(states, inputs, outputs)
 
 
-def validate_plan(plan: Plan, spec: OcpSpec, tol: float = _DYN_TOL) -> None:
+def validate_plan(plan: Plan, spec: OcpSpec) -> None:
     """Raise PlanError unless the plan follows the model dynamics and ends
     at the terminal state."""
     mdl = spec.model
@@ -283,10 +283,10 @@ def validate_plan(plan: Plan, spec: OcpSpec, tol: float = _DYN_TOL) -> None:
         raise PlanError("plan horizon %d does not match spec %d" % (plan.horizon, spec.horizon))
     pred = plan.states[:-1] @ mdl.A.T + plan.inputs @ mdl.B.T
     worst = float(np.max(np.abs(pred - plan.states[1:]))) if plan.horizon else 0.0
-    if worst > tol:
+    if worst > _DYN_TOL:
         raise PlanError("plan violates dynamics by %.2e" % worst)
     zerr = float(np.max(np.abs(plan.states[:-1] @ mdl.C.T + plan.inputs @ mdl.D.T - plan.outputs)))
-    if zerr > tol:
+    if zerr > _DYN_TOL:
         raise PlanError("plan outputs inconsistent by %.2e" % zerr)
     term = float(np.max(np.abs(plan.states[-1] - spec.terminal_state)))
     if term > 1e-6:
@@ -513,8 +513,8 @@ def coupling_residual(plans: list[Plan], coupling: Polyhedron | None) -> float:
     return float(max(np.max(slack), 0.0))
 
 
-def joint_feasible(specs, plans, tol: float = 1e-8) -> bool:
-    if coupling_residual(plans, specs[0].coupling) > tol:
+def joint_feasible(specs, plans) -> bool:
+    if coupling_residual(plans, specs[0].coupling) > 1e-8:
         return False
     for spec, plan in zip(specs, plans):
         try:

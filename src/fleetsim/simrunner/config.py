@@ -31,11 +31,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from ..errors import ConfigError, FormationError
+from ..errors import ConfigError, FormationError, GraphError
 from ..guidance import FormationSpec, hexagon_formation
 from ..netgraph import CommGraph, erdos_renyi, graph_from_edges, graph_from_matrix
 
-__all__ = ["ScenarioConfig", "parse_config", "default_config", "SCENARIOS", "CONFIG_VERSION"]
+__all__ = ["ScenarioConfig", "load_document", "parse_config", "default_config",
+           "formation_spec", "SCENARIOS", "CONFIG_VERSION"]
 
 SCENARIOS = ("containment", "formation", "rendezvous", "assignment", "mpc")
 CONFIG_VERSION = 1
@@ -72,16 +73,16 @@ def _as_positive(value, path: str) -> float:
     return v
 
 
-def _as_point(value, path: str, dim: int = 2) -> list[float]:
-    if not isinstance(value, (list, tuple)) or len(value) != dim:
-        _fail(path, "expected a %d-element point, got %r" % (dim, value))
+def _as_point(value, path: str) -> list[float]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        _fail(path, "expected a 2-element point, got %r" % (value,))
     return [_as_num(v, "%s[%d]" % (path, k)) for k, v in enumerate(value)]
 
 
-def _as_points(value, path: str, dim: int = 2) -> list[list[float]]:
+def _as_points(value, path: str) -> list[list[float]]:
     if not isinstance(value, list):
         _fail(path, "expected a list of points")
-    return [_as_point(p, "%s[%d]" % (path, k), dim) for k, p in enumerate(value)]
+    return [_as_point(p, "%s[%d]" % (path, k)) for k, p in enumerate(value)]
 
 
 def _as_vec(value, path: str) -> list[float]:
@@ -104,12 +105,11 @@ def _as_matrix(value, path: str) -> list[list[float]]:
 
 @dataclass
 class ScenarioConfig:
-    """A fully validated scenario description.
+    """A fully validated scenario description, built by :func:`parse_config`.
 
-    ``graph`` is the realized communication graph; ``params`` holds the
-    normalized scenario block; ``raw`` is the normalized plain-data config
-    (defaults filled) suitable for embedding in trace headers and
-    re-parsing.
+    ``graph`` is the realized communication graph; ``raw`` is the
+    normalized plain-data config (defaults filled) that trace headers
+    embed and that re-parses to itself; ``params`` is its scenario block.
     """
 
     scenario: str
@@ -118,12 +118,16 @@ class ScenarioConfig:
     dt: float
     duration: float
     graph: CommGraph
-    params: dict
-    raw: dict = field(repr=False, default_factory=dict)
+    raw: dict = field(repr=False)
     version: int = CONFIG_VERSION
 
+    @property
+    def params(self) -> dict:
+        return self.raw[self.scenario]
 
-def _parse_graph(block, n: int, default_seed: int, path: str = "graph") -> tuple[CommGraph, dict]:
+
+def _parse_graph(block, n: int, default_seed: int) -> tuple[CommGraph, dict]:
+    path = "graph"
     if block is None:
         block = {"complete": True}
     if not isinstance(block, dict):
@@ -159,12 +163,14 @@ def _parse_graph(block, n: int, default_seed: int, path: str = "graph") -> tuple
         }
     if kind == "matrix":
         mat = _as_matrix(block["matrix"], path + ".matrix")
-        if len(mat) != n:
+        if len(mat) != n or len(mat[0]) != n:
             _fail(path + ".matrix", "matrix is %dx%d but n=%d" % (len(mat), len(mat[0]), n))
         for r, row in enumerate(mat):
             for c, v in enumerate(row):
                 if v not in (0, 1, 0.0, 1.0):
                     _fail("%s.matrix[%d][%d]" % (path, r, c), "entries must be 0 or 1")
+                if r == c and v:
+                    _fail("%s.matrix[%d][%d]" % (path, r, c), "self-loops are not allowed")
         return graph_from_matrix(mat), {"matrix": [[int(v) for v in row] for row in mat]}
     er = block["er"]
     if not isinstance(er, dict):
@@ -173,10 +179,14 @@ def _parse_graph(block, n: int, default_seed: int, path: str = "graph") -> tuple
     if not 0.0 <= p <= 1.0:
         _fail(path + ".er.p", "probability outside [0, 1]")
     gseed = _as_int(er.get("seed", default_seed), path + ".er.seed")
-    return erdos_renyi(n, p, gseed, require_connected=True), {"er": {"p": p, "seed": gseed}}
+    try:
+        graph = erdos_renyi(n, p, gseed, require_connected=True)
+    except GraphError as exc:
+        _fail(path + ".er", str(exc))
+    return graph, {"er": {"p": p, "seed": gseed}}
 
 
-def _parse_containment(block, n: int, seed: int) -> dict:
+def _parse_containment(block, n: int, graph: CommGraph) -> dict:
     path = "containment"
     if not isinstance(block, dict):
         _fail(path, "missing scenario block")
@@ -229,7 +239,14 @@ def _parse_box(value, path: str) -> list[list[float]]:
     return pts
 
 
-def _parse_formation(block, n: int, graph: CommGraph, seed: int) -> dict:
+def formation_spec(block: dict) -> FormationSpec:
+    """The target distances a normalized formation block declares."""
+    if block["kind"] == "hexagon":
+        return hexagon_formation(block["side"])
+    return FormationSpec.from_pairs(block["distances"])
+
+
+def _parse_formation(block, n: int, graph: CommGraph) -> dict:
     path = "formation"
     if not isinstance(block, dict):
         _fail(path, "missing scenario block")
@@ -237,14 +254,12 @@ def _parse_formation(block, n: int, graph: CommGraph, seed: int) -> dict:
     if kind == "hexagon":
         if n != 6:
             _fail(path + ".kind", "hexagon formation needs n=6, got n=%d" % n)
-        side = _as_positive(block.get("side", 1.0), path + ".side")
-        spec = hexagon_formation(side)
-        spec_raw = {"kind": "hexagon", "side": side}
+        out = {"kind": kind, "side": _as_positive(block.get("side", 1.0), path + ".side")}
     elif kind == "explicit":
         rows = _need(block, "distances", path)
         if not isinstance(rows, list) or not rows:
             _fail(path + ".distances", "expected a list of [i, j, d] rows")
-        pairs = []
+        distances = []
         for k, row in enumerate(rows):
             rp = "%s.distances[%d]" % (path, k)
             if not isinstance(row, (list, tuple)) or len(row) != 3:
@@ -254,14 +269,14 @@ def _parse_formation(block, n: int, graph: CommGraph, seed: int) -> dict:
             d = _as_positive(row[2], rp + "[2]")
             if not (0 <= i < n and 0 <= j < n):
                 _fail(rp, "agent index outside 0..%d" % (n - 1))
-            pairs.append((i, j, d))
-        try:
-            spec = FormationSpec.from_pairs(pairs)
-        except FormationError as exc:
-            _fail(path + ".distances", str(exc))
-        spec_raw = {"kind": "explicit", "distances": [[i, j, d] for i, j, d in pairs]}
+            distances.append([i, j, d])
+        out = {"kind": kind, "distances": distances}
     else:
         _fail(path + ".kind", "unknown formation kind %r" % (kind,))
+    try:
+        spec = formation_spec(out)
+    except FormationError as exc:
+        _fail(path + ".distances", str(exc))
     for i, j in spec.edges():
         if not graph.adjacency[i, j] or not graph.adjacency[j, i]:
             _fail(
@@ -276,29 +291,23 @@ def _parse_formation(block, n: int, graph: CommGraph, seed: int) -> dict:
         positions = _as_points(positions, path + ".positions")
         if len(positions) != n:
             _fail(path + ".positions", "need exactly n=%d rows, got %d" % (n, len(positions)))
-    out = {
-        "spec": spec,
-        "model": model,
-        "positions": positions,
-        "init_box": _parse_box(block.get("init_box", [[0.0, 0.0], [2.0, 2.0]]), path + ".init_box"),
-        "lookahead": _as_positive(block.get("lookahead", 0.01), path + ".lookahead"),
-        "v_max": _as_positive(block.get("v_max", 2.0), path + ".v_max"),
-        "omega_max": _as_positive(block.get("omega_max", 12.0), path + ".omega_max"),
-    }
-    out["raw"] = dict(
-        spec_raw,
+    out.update(
         model=model,
-        init_box=out["init_box"],
-        lookahead=out["lookahead"],
-        v_max=out["v_max"],
-        omega_max=out["omega_max"],
+        init_box=_parse_box(block.get("init_box", [[0.0, 0.0], [2.0, 2.0]]), path + ".init_box"),
+        lookahead=_as_positive(block.get("lookahead", 0.01), path + ".lookahead"),
+        v_max=_as_positive(block.get("v_max", 2.0), path + ".v_max"),
+        omega_max=_as_positive(block.get("omega_max", 12.0), path + ".omega_max"),
     )
     if positions is not None:
-        out["raw"]["positions"] = positions
+        out["positions"] = positions
+    # the formation law raises on a neighbour without a declared distance
+    for i, j in zip(*np.nonzero(graph.adjacency)):
+        if not spec.has(i, j):
+            _fail("graph", "edge (%d, %d) has no declared formation distance" % (i, j))
     return out
 
 
-def _parse_rendezvous(block, n: int, seed: int) -> dict:
+def _parse_rendezvous(block, n: int, graph: CommGraph) -> dict:
     path = "rendezvous"
     block = block or {}
     if not isinstance(block, dict):
@@ -309,7 +318,7 @@ def _parse_rendezvous(block, n: int, seed: int) -> dict:
     }
 
 
-def _parse_assignment(block, n: int, seed: int) -> dict:
+def _parse_assignment(block, n: int, graph: CommGraph) -> dict:
     path = "assignment"
     if not isinstance(block, dict):
         _fail(path, "missing scenario block")
@@ -343,7 +352,7 @@ def _parse_assignment(block, n: int, seed: int) -> dict:
     return out
 
 
-def _parse_mpc(block, n: int, seed: int) -> dict:
+def _parse_mpc(block, n: int, graph: CommGraph) -> dict:
     path = "mpc"
     if not isinstance(block, dict):
         _fail(path, "missing scenario block")
@@ -390,17 +399,16 @@ def _parse_mpc(block, n: int, seed: int) -> dict:
 
 _SCENARIO_PARSERS = {
     "containment": _parse_containment,
+    "formation": _parse_formation,
     "rendezvous": _parse_rendezvous,
     "assignment": _parse_assignment,
     "mpc": _parse_mpc,
 }
 
 
-def parse_config(text_or_data) -> ScenarioConfig:
-    """Parse and validate a YAML/JSON config document.
-
-    Accepts either the document text or an already-loaded mapping.
-    """
+def load_document(text_or_data) -> dict:
+    """The top-level mapping of a YAML/JSON config document (text, or a
+    copy of an already-loaded mapping), not yet validated."""
     if isinstance(text_or_data, (str, bytes)):
         try:
             data = yaml.safe_load(text_or_data)
@@ -410,6 +418,15 @@ def parse_config(text_or_data) -> ScenarioConfig:
         data = copy.deepcopy(text_or_data)
     if not isinstance(data, dict):
         raise ConfigError("document: expected a mapping at the top level")
+    return data
+
+
+def parse_config(text_or_data) -> ScenarioConfig:
+    """Parse and validate a YAML/JSON config document.
+
+    Accepts either the document text or an already-loaded mapping.
+    """
+    data = load_document(text_or_data)
 
     version = _as_int(data.get("version", CONFIG_VERSION), "version")
     if version != CONFIG_VERSION:
@@ -425,12 +442,6 @@ def parse_config(text_or_data) -> ScenarioConfig:
     duration = _as_positive(data.get("duration", 10.0), "duration")
 
     graph, graph_raw = _parse_graph(data.get("graph"), n, seed)
-
-    if scenario == "formation":
-        params = _parse_formation(data.get("formation"), n, graph, seed)
-    else:
-        params = _SCENARIO_PARSERS[scenario](data.get(scenario), n, seed)
-
     raw = {
         "version": version,
         "scenario": scenario,
@@ -439,35 +450,9 @@ def parse_config(text_or_data) -> ScenarioConfig:
         "dt": dt,
         "duration": duration,
         "graph": graph_raw,
+        scenario: _SCENARIO_PARSERS[scenario](data.get(scenario), n, graph),
     }
-    if scenario == "formation":
-        raw["formation"] = params["raw"]
-    else:
-        raw[scenario] = _plain(params)
-    return ScenarioConfig(
-        scenario=scenario,
-        n=n,
-        seed=seed,
-        dt=dt,
-        duration=duration,
-        graph=graph,
-        params=params,
-        raw=raw,
-        version=version,
-    )
-
-
-def _plain(value):
-    """Strip numpy types so the block round-trips through JSON."""
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    return value
+    return ScenarioConfig(scenario, n, seed, dt, duration, graph, raw, version)
 
 
 def default_config(scenario: str, n: int, seed: int = 0, dt: float | None = None,

@@ -54,7 +54,7 @@ from ..mpc import (
 from ..netgraph import CommGraph, EdgeSchedule, graph_from_edges
 from ..runtime import Agent, AgentSpec, spawn_agent
 from ..transport import MessageBus, TransportConfig
-from .config import ScenarioConfig
+from .config import ScenarioConfig, formation_spec
 from .trace import TraceWriter
 
 # unused here (runtime.Agent and guidance.formation_law call them), kept
@@ -146,9 +146,8 @@ def _formation_initials(p: dict, n: int, rng: np.random.Generator) -> np.ndarray
     pts = p.get("positions")
     if pts is not None:
         return np.asarray(pts, dtype=float)
-    raw = p["raw"]
-    if raw.get("kind") == "hexagon":
-        side = float(raw["side"])
+    if p["kind"] == "hexagon":
+        side = p["side"]
         angles = np.arange(n) * (math.pi / 3.0)
         slots = side * np.column_stack([np.cos(angles), np.sin(angles)])
         return slots + rng.uniform(-0.5 * side, 0.5 * side, size=(n, 2))
@@ -160,7 +159,8 @@ def _run_formation(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
     n = cfg.n
     rng = np.random.default_rng([cfg.seed, 12])
     pos = _formation_initials(p, n, rng)
-    laws = [formation_law(p["spec"], i) for i in range(n)]
+    spec = formation_spec(p)
+    laws = [formation_law(spec, i) for i in range(n)]
 
     bus = MessageBus()
     if p["model"] == "unicycle":
@@ -428,8 +428,9 @@ def _run_mpc(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
     # there, such as a perfbench span, sees the builds.
     ocps = [mpc.build_local_ocp(spec) for spec in specs]
 
-    # plans are broadcast every step over a complete graph; relaying
-    # through multi-hop topologies is out of scope for this engine
+    # each step the other agents send their plans to the agent whose turn
+    # it is, over a complete graph; relaying through multi-hop topologies
+    # is out of scope for this engine
     full = CommGraph(n, 1 - np.eye(n, dtype=np.int8)) if n > 1 else None
     bus = MessageBus()
     comms = (
@@ -447,11 +448,10 @@ def _run_mpc(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
         others = None
         if comms:
             for i in range(n):
-                comms[i].send({"z": plans[i].outputs}, comms[i].out_neighbors, round=k)
-            gathered = [comms[i].exchange_collect(round=k) for i in range(n)]
-            others = sum(
-                np.asarray(v["z"], dtype=float) for j, v in gathered[turn].items()
-            ) if gathered[turn] else np.zeros_like(plans[turn].outputs)
+                if i != turn:
+                    comms[i].send({"z": plans[i].outputs}, turn, round=k)
+            gathered = comms[turn].exchange_collect(round=k)
+            others = sum(np.asarray(v["z"], dtype=float) for v in gathered.values())
         plans, replanned = mpc_round(ocps, plans, turn, others_outputs=others)
 
         if coupling is not None:

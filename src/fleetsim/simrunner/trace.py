@@ -29,7 +29,7 @@ import os
 import numpy as np
 
 from ..errors import TraceError
-from ..guidance import FormationSpec, hexagon_formation
+from .config import formation_spec
 from .metrics import convex_hull, formation_error, max_pairwise_distance, point_hull_distance
 
 __all__ = [
@@ -166,13 +166,6 @@ def _pose_series(records) -> dict[float, dict[int, list[float]]]:
     return series
 
 
-def _formation_spec_from_config(config: dict) -> FormationSpec:
-    block = config["formation"]
-    if block["kind"] == "hexagon":
-        return hexagon_formation(block.get("side", 1.0))
-    return FormationSpec.from_pairs([tuple(row) for row in block["distances"]])
-
-
 def _containment_series(config: dict, records) -> list[tuple[float, float]]:
     leaders = set(config["containment"]["leaders"])
     out = []
@@ -187,7 +180,7 @@ def _containment_series(config: dict, records) -> list[tuple[float, float]]:
 
 
 def _formation_series(config: dict, records) -> list[tuple[float, float]]:
-    spec = _formation_spec_from_config(config)
+    spec = formation_spec(config["formation"])
     out = []
     for t, poses in _pose_series(records).items():
         if len(poses) == config["n"]:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from fleetsim.simrunner import (
     run_scenario,
     summarize,
 )
+from fleetsim.transport import MessageBus
 
 # ---------------------------------------------------------------- parsing
 
@@ -286,13 +288,13 @@ def test_traces_are_byte_identical_for_same_config_and_seed(tmp_path):
     for scenario in ("containment", "rendezvous", "assignment"):
         _, _, a = _short(scenario, tmp_path, scenario + "_a")
         _, _, b = _short(scenario, tmp_path, scenario + "_b")
-        assert open(a, "rb").read() == open(b, "rb").read(), scenario
+        assert Path(a).read_bytes() == Path(b).read_bytes(), scenario
 
 
 def test_traces_differ_across_seeds(tmp_path):
     _, _, a = _short("rendezvous", tmp_path, "seed0", seed=0)
     _, _, b = _short("rendezvous", tmp_path, "seed1", seed=1)
-    assert open(a, "rb").read() != open(b, "rb").read()
+    assert Path(a).read_bytes() != Path(b).read_bytes()
 
 
 def test_formation_positions_override_initial_layout(tmp_path):
@@ -364,6 +366,25 @@ def test_mpc_engine_keeps_coupling_residual_tiny(tmp_path):
     assert stats["max_coupling_residual"] <= 1e-8
     assert stats["closed_loop_cost"] == pytest.approx(summary["closed_loop_cost"])
     assert stats["steps"] == 30
+
+
+def test_mpc_engine_sends_plans_only_to_the_turn_agent(tmp_path, monkeypatch):
+    """Each step the n - 1 other agents send their plans to the agent whose
+    turn it is, and nobody else; that is all the replan reads."""
+    n, steps = 4, 5
+    raw = dict(default_config("mpc", n, seed=0).raw)
+    raw["mpc"] = dict(raw["mpc"], steps=steps)
+    delivered = []
+    deliver = MessageBus.deliver
+
+    def counting(self, src, dst, env, **kw):
+        delivered.append((env.round, src, dst))
+        return deliver(self, src, dst, env, **kw)
+
+    monkeypatch.setattr(MessageBus, "deliver", counting)
+    run_scenario(parse_config(raw), str(tmp_path))
+    assert len(delivered) == (n - 1) * steps
+    assert all(dst == k % n and src != dst for k, src, dst in delivered)
 
 
 def _golden_config(name):
@@ -615,6 +636,23 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         ["run", "rendezvous", "-n", "2", "--graph", str(bad), "--out", str(tmp_path)]
     ) == 2
     assert "bad_adj.txt line 2" in capsys.readouterr().err
+    # graph faults the config layer catches before any trace is written
+    loop = tmp_path / "loop_adj.txt"
+    loop.write_text("1 1\n1 0\n")
+    wide = tmp_path / "wide_adj.txt"
+    wide.write_text("0 1 1\n1 0 1\n")
+    for argv, where in [
+        (["formation", "--graph", "complete"], "graph: edge (0, 3)"),
+        (["rendezvous", "-n", "3", "--graph", "er:0.0"], "graph.er: "),
+        (["rendezvous", "-n", "2", "--graph", str(loop)], "graph.matrix[0][0]: "),
+        (["rendezvous", "-n", "2", "--graph", str(wide)], "graph.matrix: matrix is 2x3"),
+    ]:
+        out = tmp_path / "faults"
+        out.mkdir()
+        assert main(["run", *argv, "--out", str(out)]) == 2
+        assert "config error: " + where in capsys.readouterr().err
+        assert not any(out.iterdir())
+        out.rmdir()
 
 
 def test_cli_config_file_with_flag_overrides(tmp_path, capsys):
@@ -637,6 +675,29 @@ def test_cli_config_file_with_flag_overrides(tmp_path, capsys):
     # the config file pins the scenario; a different positional is an error
     assert main(["run", "containment", "--config", str(cfg_file)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_flags_override_the_file_before_validation(tmp_path, capsys):
+    """A config file that only the flags make valid runs."""
+    hexagon = tmp_path / "hexagon.yaml"
+    hexagon.write_text("scenario: formation\nn: 5\nduration: 0.05\nformation: {kind: hexagon}\n")
+    ring = tmp_path / "ring_adj.txt"
+    ring.write_text("".join(
+        " ".join("1" if (j - i) % 6 in (1, 2, 4, 5) else "0" for j in range(6)) + "\n"
+        for i in range(6)
+    ))
+    out = tmp_path / "run"
+    out.mkdir()
+    assert main(["run", "formation", "--config", str(hexagon), "-n", "6",
+                 "--graph", str(ring), "--out", str(out)]) == 0
+    capsys.readouterr()
+    header, _ = read_trace(str(out / "trace.jsonl"))
+    assert header["config"]["n"] == 6
+    assert len(header["config"]["graph"]["matrix"]) == 6
+    # without the graph flag the file's complete graph has edges with no distance
+    assert main(["run", "formation", "--config", str(hexagon), "-n", "6",
+                 "--out", str(tmp_path)]) == 2
+    assert "config error: graph: edge (0, 3)" in capsys.readouterr().err
 
 
 def test_cli_scenario_failures_exit_3(tmp_path, capsys):
