@@ -7,7 +7,9 @@ the restricted assignment LP over that pool, and keep the optimal basis.
 Columns travel and pool as (k, 3) float arrays of [robot, task, cost] rows.
 A lockstep round decodes and parses each distinct payload once and shares
 the result among its receivers; a payload that fails to decode or parse
-is skipped like a lost message. Objectives never increase. The scheme
+is skipped like a lost message. ``parse`` validates the columns, and
+``_gather`` hands them on marked as checked, so ``absorb`` and
+``simplex_round`` validate only columns that arrive any other way. Objectives never increase. The scheme
 tolerates asynchrony, time-varying edges and packet loss, so it runs over
 reliable or best-effort communicators alike.
 
@@ -294,6 +296,21 @@ def _validate_columns(cols: np.ndarray, n: int) -> None:
                             % (cols[np.argmax(bad)].tolist(), n))
 
 
+class _Parsed(np.ndarray):
+    """Columns that passed ``_validate_columns`` for the receiver's n, as
+    ``_gather`` hands what ``parse`` returned to ``absorb``. Only this
+    module makes them, so ``absorb`` and ``simplex_round`` check any other
+    array they are given and trust these."""
+
+
+def _checked(cols: np.ndarray, n: int) -> _Parsed:
+    """``cols`` as validated columns, validating them unless they are."""
+    if type(cols) is not _Parsed:
+        _validate_columns(cols, n)
+        cols = cols.view(_Parsed)
+    return cols
+
+
 def simplex_round(state: SimplexBasis, own: np.ndarray, received: np.ndarray,
                   n: int) -> SimplexBasis:
     """One merge-and-reoptimize step.
@@ -306,9 +323,10 @@ def simplex_round(state: SimplexBasis, own: np.ndarray, received: np.ndarray,
     of a basis depends only on the basis and the right-hand side, both of
     which persist across rounds. The returned objective is the perturbed
     LP value, which never increases. Malformed received columns raise
-    ProtocolError before any state changes.
+    ProtocolError before any state changes; columns that ``absorb`` or
+    ``parse`` already validated are not checked again.
     """
-    _validate_columns(received, n)
+    received = _checked(received, n)
     cols = np.concatenate((state.columns, own, received, artificial_columns(n)))
     keys, first = np.unique(_column_keys(cols, n), return_index=True)
     pool = cols[first]
@@ -341,7 +359,8 @@ class DistributedSimplexAgent:
             raise ProtocolError(
                 "big-M %.3g too small for costs around %.3g" % (DEFAULT_BIG_M, worst)
             )
-        self.basis = simplex_round(initial_basis(self.n), self.own, _NO_COLUMNS, self.n)
+        self.basis = simplex_round(initial_basis(self.n), self.own,
+                                   _NO_COLUMNS.view(_Parsed), self.n)
         self.margin = int(margin)
         self.unchanged = 0
         self.rounds = 0
@@ -402,8 +421,11 @@ class DistributedSimplexAgent:
         the current basis. If none has a reduced cost below the simplex's
         pricing tolerance, the warm solve would stop at its start basis, so
         the round keeps the basis (and its objective) without solving.
+        Malformed columns raise ProtocolError; columns that ``_gather``
+        collected from ``parse``, which validated them, are not checked
+        again.
         """
-        _validate_columns(received, self.n)
+        received = _checked(received, self.n)
         if self._y is None:
             cols = self.basis.columns
             y = np.ascontiguousarray(cols[:, 2]) @ np.linalg.inv(column_matrix(cols, self.n))
@@ -411,7 +433,9 @@ class DistributedSimplexAgent:
             local = np.concatenate((self.own, artificial_columns(self.n)))
             self._local_enters = bool((self._reduced_costs(local) < -_TOL).any())
         changed = False
-        if self._local_enters or (self._reduced_costs(received) < -_TOL).any():
+        # priced as a plain array: ufuncs on a subclass cost more
+        plain = received.view(np.ndarray)
+        if self._local_enters or (self._reduced_costs(plain) < -_TOL).any():
             new = simplex_round(self.basis, self.own, received, self.n)
             changed = not np.array_equal(new.columns, self.basis.columns)
             self.basis = new
@@ -480,7 +504,7 @@ def _gather(agent: DistributedSimplexAgent, comm: Communicator,
                 continue
             cols, flags[j] = hit
             received.append(cols)
-    return np.concatenate(received), flags
+    return np.concatenate(received).view(_Parsed), flags
 
 
 def lockstep_round(agents: list[DistributedSimplexAgent], comms: list[Communicator],

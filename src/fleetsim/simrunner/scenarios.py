@@ -421,12 +421,13 @@ def _run_mpc(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
     p = cfg.params
     n = cfg.n
     specs = _build_ocp_specs(p)
-    plans = centralized_bootstrap(specs)
     coupling = specs[0].coupling
-    # one OCP per agent for the episode; each replan rewrites its b and
+    # one OCP per agent for the episode; the bootstrap starts from their
+    # optima and seeds their bases, and each replan rewrites its b and
     # warm-starts. Looked up on the module so that a wrapper installed
     # there, such as a perfbench span, sees the builds.
     ocps = [mpc.build_local_ocp(spec) for spec in specs]
+    plans = centralized_bootstrap(ocps)
 
     # each step the other agents send their plans to the agent whose turn
     # it is, over a complete graph; relaying through multi-hop topologies

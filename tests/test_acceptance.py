@@ -263,8 +263,8 @@ def test_criterion_5a_decoupled_matches_oracle():
         _scalar_spec(a=0.95, b=0.5, x0=-1.2, x_term=0.4, u_term=0.04),
     ]
     steps = 30
-    plans = centralized_bootstrap(specs)
     ocps = [build_local_ocp(spec) for spec in specs]
+    plans = centralized_bootstrap(ocps)
     states = {i: [np.array(specs[i].model.x0)] for i in range(len(specs))}
     for t in range(steps):
         result = mpc_step(ocps, plans, t)
@@ -284,8 +284,8 @@ def test_criterion_5b_coupled_residual():
     """Two agents sharing the output budget sum z <= 1 keep the applied
     step inside the budget (residual <= 1e-8) for all 30 steps."""
     specs = _coupled_pair()
-    plans = centralized_bootstrap(specs)
     ocps = [build_local_ocp(spec) for spec in specs]
+    plans = centralized_bootstrap(ocps)
     worst = 0.0
     for t in range(30):
         result = mpc_step(ocps, plans, t)
@@ -298,8 +298,8 @@ def test_criterion_5c_recursive_feasibility():
     """From jointly feasible bootstrap plans, every shifted plan stays
     dynamically valid and jointly feasible at every step."""
     specs = _coupled_pair()
-    plans = centralized_bootstrap(specs)
     ocps = [build_local_ocp(spec) for spec in specs]
+    plans = centralized_bootstrap(ocps)
     ok = joint_feasible(specs, plans)
     for t in range(30):
         result = mpc_step(ocps, plans, t)

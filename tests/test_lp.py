@@ -14,6 +14,7 @@ import pytest
 from scipy.optimize import linprog
 
 import fleetsim
+from fleetsim import lp as lp_module
 from fleetsim import mpc
 from fleetsim.errors import LpError
 from fleetsim.lp import (
@@ -154,8 +155,8 @@ def captured_mpc_lps(run):
 def mpc_bootstrap_lp(n=4):
     """The stacked LP that ``centralized_bootstrap`` solves for the default
     n-agent MPC config."""
-    specs = _build_ocp_specs(default_config("mpc", n).params)
-    return captured_mpc_lps(lambda: mpc.centralized_bootstrap(specs))[0]
+    ocps = [mpc.build_local_ocp(s) for s in _build_ocp_specs(default_config("mpc", n).params)]
+    return captured_mpc_lps(lambda: mpc.centralized_bootstrap(ocps))[-1]
 
 
 @pytest.mark.parametrize("m", [40, 120, 240, "mpc bootstrap", "mpc bootstrap n=8"])
@@ -503,10 +504,21 @@ def test_mpc_with_dependent_terminal_rows_solves(n, tmp_path):
     and every local OCP drop them and solve."""
     cfg = dependent_terminal_mpc(n)
     lps = captured_mpc_lps(lambda: run_scenario(cfg, str(tmp_path)))
-    assert len(lps) > 1
-    sol = solve_lp(lps[0])
-    assert_matches_highs(lps[0], sol)
-    assert sol.kept_rows is not None and len(sol.kept_rows) == lps[0].m - 2 * n
+    assert len(lps) > n + 1
+    sol = solve_lp(lps[n])  # after the n local solves of the bootstrap
+    assert_matches_highs(lps[n], sol)
+    assert sol.kept_rows is not None and len(sol.kept_rows) == lps[n].m - 2 * n
+
+
+def test_bootstrap_with_dependent_terminal_rows_seeds_no_basis():
+    """The agents' own solves drop a row, so their bases cannot start the
+    stacked LP: it solves in two phases and no OCP gets a seed."""
+    ocps = [mpc.build_local_ocp(s)
+            for s in _build_ocp_specs(dependent_terminal_mpc(2).params)]
+    plans = mpc.centralized_bootstrap(ocps)
+    for ocp, plan in zip(ocps, plans):
+        mpc.validate_plan(plan, ocp.spec)
+        assert ocp.basis is None
 
 
 def test_crash_basis_infeasible_with_one_artificial():
@@ -527,8 +539,43 @@ def test_crash_basis_pivot_counts(tmp_path):
     took 969 and 131 pivots from the all-artificial start; the crash basis
     walks no slack row's artificial out."""
     lps = captured_mpc_lps(lambda: run_scenario(default_config("mpc", 4), str(tmp_path)))
-    assert solve_lp(lps[0]).iterations <= 200
-    assert solve_lp(lps[1]).iterations <= 60
+    assert solve_lp(lps[4]).iterations <= 200
+    assert solve_lp(lps[0]).iterations <= 60
+
+
+def test_phase1_starts_from_the_exact_diagonal_inverse(monkeypatch):
+    """The crash basis is diagonal, so phase 1 starts from diag(1/a): a
+    cold solve of the default local OCP factors only phase 2's basis, and
+    returns the basis and x that a LAPACK inverse of the crash basis gives."""
+    spec = _build_ocp_specs(default_config("mpc", 4).params)[0]
+    lp = mpc.build_local_ocp(spec).lp
+    real_simplex = lp_module._simplex
+    starts = []
+
+    def lapack_start(A, b, c, basis, *, Binv=None):
+        if not starts:  # phase 1: what np.linalg.inv made of the crash basis
+            starts.append(Binv)
+            Binv = None
+        return real_simplex(A, b, c, basis, Binv=Binv)
+
+    monkeypatch.setattr(lp_module, "_simplex", lapack_start)
+    lapack = solve_lp(lp)
+    monkeypatch.undo()
+    assert starts[0] is not None
+
+    real_inv = np.linalg.inv
+    calls = []
+
+    def counting_inv(a):
+        calls.append(a.shape)
+        return real_inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
+    sol = solve_lp(lp)
+    assert calls == [(lp.m, lp.m)]
+    assert sol.iterations == lapack.iterations == 35
+    assert sol.basis == lapack.basis
+    assert sol.x.tobytes() == lapack.x.tobytes()
 
 
 def test_lp_builder_infeasible_detected():
@@ -592,7 +639,7 @@ def test_warm_start_mpc_local_lps_match_cold(tmp_path):
     next one from the previous optimum matches its cold solve, in fewer
     pivots overall."""
     lps = captured_mpc_lps(lambda: run_scenario(default_config("mpc", 4), str(tmp_path)))
-    local = lps[1:]
+    local = lps[5:]
     warm_pivots = cold_pivots = pairs = 0
     for prev, new in zip(local, local[4:]):
         assert prev.A.tobytes() == new.A.tobytes() and prev.c.tobytes() == new.c.tobytes()

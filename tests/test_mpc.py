@@ -6,6 +6,7 @@ round-robin loop, recursive feasibility, and the validation surface.
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from fleetsim import mpc
 from fleetsim.errors import FeasibilityError, ModelError, PlanError
@@ -27,6 +28,8 @@ from fleetsim.mpc import (
     shift_plan,
     validate_plan,
 )
+from fleetsim.simrunner import default_config, run_scenario
+from fleetsim.simrunner.scenarios import _build_ocp_specs
 
 
 def scalar_spec(a=1.0, b=1.0, x0=0.9, x_term=0.0, u_term=0.0, horizon=10,
@@ -256,8 +259,8 @@ def test_oracle_matches_stepped_loop_single_agent():
     spec = double_integrator_spec(horizon=10)
     steps = 30
     ref_states, ref_inputs = receding_horizon_oracle(spec, steps)
-    plans = centralized_bootstrap([spec])
     ocps = fresh_ocps([spec])
+    plans = centralized_bootstrap(ocps)
     states = [spec.model.x0.copy()]
     for t in range(steps):
         result = mpc_step(ocps, plans, t)
@@ -280,7 +283,7 @@ def test_oracle_replan_predicate():
 
 def test_decoupled_round_equals_local_optimum():
     specs = [scalar_spec(x0=0.9), scalar_spec(x0=-0.4)]
-    plans = centralized_bootstrap(specs)
+    plans = centralized_bootstrap(fresh_ocps(specs))
     new_plans, replanned = mpc_round(fresh_ocps(specs), plans, turn=0)
     ref, _ = replan_local(build_local_ocp(specs[0]), specs[0].model.x0)
     assert np.allclose(new_plans[0].states, ref.states, atol=1e-9)
@@ -298,8 +301,8 @@ def test_decoupled_equivalence_over_30_steps():
         scalar_spec(a=0.95, b=0.5, x0=-1.2, x_term=0.4, u_term=0.04, horizon=10),
     ]
     steps = 30
-    plans = centralized_bootstrap(specs)
     ocps = fresh_ocps(specs)
+    plans = centralized_bootstrap(ocps)
     states = {i: [np.array(specs[i].model.x0)] for i in range(n_agents)}
     for t in range(steps):
         result = mpc_step(ocps, plans, t)
@@ -316,8 +319,8 @@ def test_decoupled_equivalence_over_30_steps():
 
 def test_coupled_rounds_keep_budget():
     specs = coupled_pair()
-    plans = centralized_bootstrap(specs)
     ocps = fresh_ocps(specs)
+    plans = centralized_bootstrap(ocps)
     for turn in range(6):
         i = turn % 2
         others = plans[1 - i].outputs
@@ -328,8 +331,8 @@ def test_coupled_rounds_keep_budget():
 
 def test_coupled_closed_loop_residual():
     specs = coupled_pair()
-    plans = centralized_bootstrap(specs)
     ocps = fresh_ocps(specs)
+    plans = centralized_bootstrap(ocps)
     worst = 0.0
     for t in range(30):
         result = mpc_step(ocps, plans, t)
@@ -343,8 +346,8 @@ def test_coupled_closed_loop_residual():
 
 def test_per_agent_cost_monotone_between_replans():
     spec = scalar_spec(x0=0.9, horizon=8)
-    plans = centralized_bootstrap([spec])
     ocps = fresh_ocps([spec])
+    plans = centralized_bootstrap(ocps)
     last = plan_cost(plans[0], spec)
     for t in range(20):
         result = mpc_step(ocps, plans, t)
@@ -356,7 +359,7 @@ def test_per_agent_cost_monotone_between_replans():
 
 def test_infeasible_replan_keeps_old_plan():
     specs = coupled_pair()
-    plans = centralized_bootstrap(specs)
+    plans = centralized_bootstrap(fresh_ocps(specs))
     # a neighbor claiming the whole budget and more leaves agent 0 with an
     # empty feasible set only if it cannot go negative; pin z >= 0
     pinned = [
@@ -364,7 +367,7 @@ def test_infeasible_replan_keeps_old_plan():
                     x_lower=0.0, coupling=specs[i].coupling)
         for i in range(2)
     ]
-    plans = centralized_bootstrap(pinned, x_now=[np.array([0.2]), np.array([0.3])])
+    plans = centralized_bootstrap(fresh_ocps(pinned), x_now=[np.array([0.2]), np.array([0.3])])
     huge = np.full((8, 1), 10.0)
     with pytest.warns(RuntimeWarning):
         new_plans, replanned = mpc_round(fresh_ocps(pinned), plans, turn=0,
@@ -375,7 +378,7 @@ def test_infeasible_replan_keeps_old_plan():
 
 def test_corrupted_plan_refused():
     specs = coupled_pair()
-    plans = centralized_bootstrap(specs)
+    plans = centralized_bootstrap(fresh_ocps(specs))
     broken = Plan(plans[0].states + 1.0, plans[0].inputs, plans[0].outputs)
     with pytest.raises(FeasibilityError):
         mpc_round(fresh_ocps(specs), [broken, plans[1]], turn=0,
@@ -431,7 +434,7 @@ def test_warm_replans_match_cold_under_a_binding_budget(monkeypatch):
 
     monkeypatch.setattr(mpc, "solve_lp", spy)
     monkeypatch.setattr(mpc, "replan_local", replan_spy)
-    cold = warm = centralized_bootstrap(specs)
+    cold = warm = centralized_bootstrap(ocps)
     peak = 0.0
     for t in range(24):
         turn = t % len(specs)
@@ -467,9 +470,9 @@ def test_build_local_ocp_rewrites_only_b():
 
 
 def test_mpc_step_warm_starts_and_the_oracle_stays_cold(monkeypatch):
-    """Over episode-long OCPs every replan after an agent's first passes
-    its last optimal basis to the solver; the receding-horizon oracle
-    builds a fresh OCP per replan and never does."""
+    """Over episode-long OCPs seeded by the bootstrap every replan passes
+    a basis to the solver; the receding-horizon oracle builds a fresh OCP
+    per replan and never does."""
     warm = []
     real = mpc.solve_lp
 
@@ -484,13 +487,14 @@ def test_mpc_step_warm_starts_and_the_oracle_stays_cold(monkeypatch):
 
     warm.clear()
     specs = coupled_pair()
-    plans = centralized_bootstrap(specs)
-    assert warm == [False]  # the stacked bootstrap LP solves cold
-    warm.clear()
     ocps = fresh_ocps(specs)
+    plans = centralized_bootstrap(ocps)
+    # each agent's own OCP solves cold, then the stacked LP starts warm
+    assert warm == [False, False, True]
+    warm.clear()
     for t in range(30):
         plans = mpc_step(ocps, plans, t).plans
-    assert warm == [False, False] + [True] * 28
+    assert warm == [True] * 30
 
 
 # -- bootstrap ------------------------------------------------------------------------
@@ -498,7 +502,7 @@ def test_mpc_step_warm_starts_and_the_oracle_stays_cold(monkeypatch):
 
 def test_bootstrap_is_jointly_feasible():
     specs = coupled_pair()
-    plans = centralized_bootstrap(specs)
+    plans = centralized_bootstrap(fresh_ocps(specs))
     for spec, plan in zip(specs, plans):
         validate_plan(plan, spec)
     assert coupling_residual(plans, specs[0].coupling) <= 1e-9
@@ -507,19 +511,98 @@ def test_bootstrap_is_jointly_feasible():
 def test_bootstrap_requires_shared_horizon():
     specs = [scalar_spec(horizon=5), scalar_spec(horizon=6)]
     with pytest.raises(ModelError):
-        centralized_bootstrap(specs)
+        centralized_bootstrap(fresh_ocps(specs))
 
 
 def test_bootstrap_infeasible_start():
     specs = coupled_pair()
     # both agents start above the budget and cannot fix stage 0
     with pytest.raises(FeasibilityError):
-        centralized_bootstrap(specs, x_now=[np.array([0.8]), np.array([0.9])])
+        centralized_bootstrap(fresh_ocps(specs), x_now=[np.array([0.8]), np.array([0.9])])
 
 
 def test_coupling_residual_values():
     specs = coupled_pair()
-    plans = centralized_bootstrap(specs)
+    plans = centralized_bootstrap(fresh_ocps(specs))
     assert coupling_residual(plans, None) == 0.0
     bumped = Plan(plans[0].states, plans[0].inputs, plans[0].outputs + 5.0)
     assert coupling_residual([bumped, plans[1]], specs[0].coupling) > 1.0
+
+
+def solve_spy(monkeypatch):
+    """Record (problem, warm basis given, solution) for every solve_lp call
+    that mpc makes."""
+    calls = []
+    real = mpc.solve_lp
+
+    def spy(problem, basis=None):
+        sol = real(problem, basis=basis)
+        calls.append((problem, basis is not None, sol))
+        return sol
+
+    monkeypatch.setattr(mpc, "solve_lp", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_bootstrap_starts_warm_and_seeds_every_first_replan(monkeypatch, tmp_path, n):
+    """On the default config the budget rows are slack at the agents' own
+    optima: the stacked LP starts from their bases and takes no pivot,
+    and every replan of the run, the first ones included, is warm."""
+    calls = solve_spy(monkeypatch)
+    ocps = fresh_ocps(_build_ocp_specs(default_config("mpc", n).params))
+    centralized_bootstrap(ocps)
+    assert [warm for _, warm, _ in calls] == [False] * n + [True]
+    assert calls[-1][2].iterations == 0
+    assert all(ocp.basis is not None for ocp in ocps)
+
+    calls.clear()
+    run_scenario(default_config("mpc", n), str(tmp_path / "trace.jsonl"))
+    replans = calls[n + 1:]
+    assert len(replans) == default_config("mpc", n).params["steps"]
+    assert all(warm for _, warm, _ in replans)
+
+
+def test_bootstrap_under_a_binding_budget_falls_back(monkeypatch):
+    """Under the binding budget the agents' own optima overspend it: the
+    stacked LP solves in two phases, reaches the HiGHS joint optimum and
+    seeds no basis, so the closed loop equals one run on OCPs the
+    bootstrap never saw."""
+    specs = binding_budget_specs()
+    calls = solve_spy(monkeypatch)
+    ocps = fresh_ocps(specs)
+    plans = centralized_bootstrap(ocps)
+    joint, _, sol = calls[-1]
+    assert sol.iterations > 0
+    assert all(ocp.basis is None for ocp in ocps)
+    ref = linprog(joint.c, A_eq=joint.A, b_eq=joint.b, bounds=(0, None), method="highs")
+    assert ref.status == 0 and sol.objective == pytest.approx(ref.fun, rel=1e-9)
+    assert sum(plan_cost(p, s) for p, s in zip(plans, specs)) == pytest.approx(ref.fun)
+    assert coupling_residual(plans, specs[0].coupling) <= 1e-9
+
+    seeded, unseen = plans, centralized_bootstrap(fresh_ocps(specs))
+    other = fresh_ocps(specs)
+    for t in range(24):
+        a, b = mpc_step(ocps, seeded, t), mpc_step(other, unseen, t)
+        seeded, unseen = a.plans, b.plans
+        assert [x.tobytes() for x in a.states] == [x.tobytes() for x in b.states], t
+
+
+def test_bootstrap_of_uncoupled_agents_with_different_shapes():
+    """With no budget rows the stacked LP is the agents' own blocks: it
+    starts from their optima, takes no pivot, and returns them."""
+    specs = [scalar_spec(x0=0.9), double_integrator_spec(),
+             scalar_spec(a=0.95, b=0.5, x0=-1.2, x_term=0.4, u_term=0.04)]
+    ocps = fresh_ocps(specs)
+    plans = centralized_bootstrap(ocps)
+    for spec, plan, ocp in zip(specs, plans, ocps):
+        alone, _ = replan_local(build_local_ocp(spec), spec.model.x0)
+        assert np.allclose(plan.states, alone.states, atol=1e-9)
+        assert ocp.basis is not None and len(ocp.basis) == ocp.lp.m
+
+
+def test_bootstrap_requires_a_shared_coupling():
+    specs = coupled_pair()
+    specs[1] = scalar_spec(x0=-0.4, x_term=0.5, horizon=8, u_lim=1.0)
+    with pytest.raises(ModelError):
+        centralized_bootstrap(fresh_ocps(specs))

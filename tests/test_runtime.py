@@ -224,7 +224,12 @@ def test_free_running_agents_converge():
         for a in agents:
             a.start()
         assert all(a.running for a in agents)
-        time.sleep(0.6)
+        # about 300 loops each, what 0.6 s holds at the 2 ms period; a
+        # starved run waits for them instead of stopping short
+        deadline = time.monotonic() + 30.0
+        while min(a.round for a in agents) < 300:
+            assert time.monotonic() < deadline, [a.round for a in agents]
+            time.sleep(0.01)
     finally:
         for a in agents:
             a.stop()
