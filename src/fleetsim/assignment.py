@@ -9,36 +9,42 @@ A lockstep round decodes and parses each distinct payload once and shares
 the result among its receivers; a payload that fails to decode or parse
 is skipped like a lost message. ``parse`` validates the columns, and
 ``_gather`` hands them on marked as checked, so ``absorb`` and
-``simplex_round`` validate only columns that arrive any other way. Objectives never increase. The scheme
-tolerates asynchrony, time-varying edges and packet loss, so it runs over
-reliable or best-effort communicators alike.
+``simplex_round`` validate only columns that arrive any other way. Objectives
+never increase. The scheme tolerates asynchrony, time-varying edges and
+packet loss, so it runs over reliable or best-effort communicators alike.
 
-A round prices before it solves (Burger, Notarstefano, Bullo & Allgower,
-Automatica 2012). Each agent caches the dual prices of its current basis,
-computed from a fresh inverse exactly as the simplex computes them at its
-first iteration. Own and artificial columns are priced once per basis,
-received columns every round, each reduced cost bit for bit the one the
-warm solve would compute. Only if some column prices below the simplex's
-tolerance does the round build the pool and re-solve; otherwise the solve
-would stop at its start basis, so the round keeps the basis, objective
-included, and only advances the halt counter.
+A basis of the restricted LP is a spanning tree of the robot-task network,
+and each agent pivots on its tree by network simplex (Cunningham, "A
+network simplex method", Math. Programming 11, 1976; Ahuja, Magnanti &
+Orlin, Network Flows, 1993, ch. 11). Nodes are robots 0..n-1 and tasks
+n..2n-1, rooted at task n-1, whose row the LP drops. Column (i, k) is the
+arc i -> n+k; the artificial on row r is the arc r -> root for a robot row
+and root -> r for a task row. Robots supply one unit and tasks take one,
+so every basic flow is 0 or 1.
 
-Two perturbations, both identical across agents, are meant to make every
-optimal basis unique, so that agents which agree on a vertex agree on its
-dual prices. Costs get the shared geometric schedule from the lp module so
-that no two assignments tie. The right-hand side gets a tiny geometric bump
-(``perturbed_rhs``) so every feasible basis has strictly positive basic
-values: without it the assignment polytope is degenerate (a matching pins
-only n of the 2n-1 basic variables away from zero), dual prices depend on
-which zero-level columns pad the basis, and agents can each certify
-"no improving column in my pool" against different prices while the union
-of their pools still holds an improvement. Neither perturbation is sound
-at every size: the cost offsets fall below the simplex's 1e-9 pricing
-tolerance from the eighth flattened column on, and the bump clears it only
-up to n of about 7. So when costs tie, as the zero-padded columns of a
-drained task window do, agents on a connected graph can halt on different
-permutations, which ``agreed_result`` reports as NonConvergenceError
-(ROADMAP.md, item 1: a lexicographic pricing and ratio rule).
+The exchange settles only if every pool has one optimal basis (Burger,
+Notarstefano, Bullo & Allgower, Automatica 48(9), 2012): then agents with
+one pool hold one basis, and the union argument makes it the same across a
+connected network. Two exact rules make it so, with no number perturbed:
+
+- The tree stays strongly feasible: every zero-flow arc points toward the
+  root. The leaving arc is the last blocking arc met walking the cycle from
+  its apex along the entering arc: the one nearest the apex on the head
+  side, else the one nearest the tail. That is the ratio test under an
+  infinitesimal extra supply at every node but the root.
+- A column below -1e-9 (``lp._TOL``) in reduced cost enters, the most
+  negative first. Failing that, a column within 1e-9 of zero enters if the
+  lowest-key arc on its cycle (``_column_keys``, itself included) is
+  traversed backward: an infinitesimal cost perturbation ordered by key.
+  Integer potentials that weigh the arc of key j by 2^(K-1-j) decide it.
+
+Potentials count big-M units apart from the real part, so rounding at the
+scale of M does not pile up down the tree. A pivot recomputes them only
+over the re-hung subtree, each node from its parent, so prices depend on
+the tree alone, bit for bit. A round prices before it pivots: received
+columns against the current tree, own and artificial ones once per basis.
+If none enters, the round keeps the basis and only advances the halt
+counter.
 
 Halting is a heuristic: an agent flags itself done after its basis survives
 ``margin`` consecutive rounds unchanged (in both drivers ``default_margin``:
@@ -52,6 +58,8 @@ NonConvergenceError instead of a hang.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -60,7 +68,10 @@ import numpy as np
 from . import codec
 from .communicator import Communicator
 from .errors import CloudError, DecodeError, NonConvergenceError, ProtocolError
-from .lp import _TOL, perturbation_vector, simplex_from_basis
+# simplex_from_basis is no longer called here; it stays importable from this
+# module only because the benchmark's traced run (perfbench/spans.py) looks
+# it up as ``assignment.simplex_from_basis``
+from .lp import _TOL, simplex_from_basis  # noqa: F401
 from .netgraph import CommGraph, EdgeSchedule, diameter_bound
 from .transport import MessageBus, TransportConfig
 
@@ -72,13 +83,10 @@ __all__ = [
     "CloudState",
     "SimplexBasis",
     "costs_from_positions",
-    "column_matrix",
     "local_columns",
     "artificial_columns",
     "initial_basis",
-    "perturbed_rhs",
     "simplex_round",
-    "basis_support",
     "DistributedSimplexAgent",
     "default_margin",
     "lockstep_round",
@@ -94,12 +102,9 @@ ASSIGNED = "assigned"
 COMPLETED = "completed"
 
 DEFAULT_BIG_M = 1.0e6
-_SUPPORT_TOL = 0.5
-_RHS_EPS = 1e-5
-# geometric cost offsets eps * ratio**j over the flattened column index
-_COST_EPS = 1e-7
-_COST_RATIO = 0.5
 _NO_COLUMNS = np.empty((0, 3))
+# pivots one round may take before its LP counts as stuck
+_MAX_PIVOTS = 50000
 # seconds the threaded driver sleeps per round so that peers interleave
 _PACE = 0.001
 # what ``_gather`` records for a payload that failed to decode or parse
@@ -176,7 +181,7 @@ def costs_from_positions(robot_positions, task_positions) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=2))
 
 
-# -- columns and bases ---------------------------------------------------------
+# -- columns and arcs ----------------------------------------------------------
 #
 # A set of LP columns is a float array of rows [robot, task, cost], the same
 # (k, 3) matrix a payload carries. Robot -1 marks an artificial column on
@@ -193,57 +198,246 @@ def _column_keys(cols: np.ndarray, n: int) -> np.ndarray:
     return np.where(robot < 0, n * n + task, robot * n + task)
 
 
-def column_matrix(cols: np.ndarray, n: int) -> np.ndarray:
-    """Constraint columns, one per row of ``cols``: a real column is the lp
-    module's ``assignment_column`` (ones on the robot's row and, for all
-    but the last task, on row n + task), an artificial the unit vector of
-    its row."""
-    robot = cols[:, 0].astype(np.int64)
-    task = cols[:, 1].astype(np.int64)
-    j = np.arange(len(cols))
-    art = robot < 0
-    A = np.zeros((2 * n - 1, len(cols)))
-    A[np.where(art, task, robot), j] = 1.0
-    tasked = ~art & (task < n - 1)
-    A[n + task[tasked], j[tasked]] = 1.0
-    return A
+@functools.lru_cache(maxsize=None)
+def _weights(n: int) -> tuple[int, ...]:
+    """Lexicographic weight of the arc of each key: 2^(K-1-key) over the K
+    keys, so the lowest key on a cycle outweighs all the others together."""
+    keys = n * n + 2 * n - 1
+    return tuple(1 << (keys - 1 - key) for key in range(keys))
+
+
+@functools.lru_cache(maxsize=None)
+def _ends(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tail and head node of the arc of each key."""
+    root = 2 * n - 1
+    robot, task = np.divmod(np.arange(n * n), n)
+    rows = np.arange(2 * n - 1)
+    tail = np.concatenate((robot, np.where(rows < n, rows, root)))
+    head = np.concatenate((n + task, np.where(rows < n, root, rows)))
+    return tail, head
+
+
+class _Arcs:
+    """Columns read as network arcs: cost, key, tail and head nodes, the
+    latter three also as lists for the pivot's scalar reads."""
+
+    __slots__ = ("cost", "key", "tail", "head", "keys", "tails", "heads")
+
+    def __init__(self, cols: np.ndarray, n: int, key: np.ndarray | None = None):
+        tail, head = _ends(n)
+        self.cost = np.ascontiguousarray(cols[:, 2])
+        self.key = _column_keys(cols, n) if key is None else key
+        self.tail = tail[self.key]
+        self.head = head[self.key]
+        self.keys = self.key.tolist()
+        self.tails = self.tail.tolist()
+        self.heads = self.head.tolist()
+
+
+# -- the basis tree ------------------------------------------------------------
+
+
+class _Tree:
+    """A strongly feasible basis tree over the 2n nodes, one list entry per
+    node; the root is node 2n-1 (task n-1).
+
+    Every other node v hangs from ``parent[v]`` by the arc of key
+    ``key[v]``, which points up (v -> parent) if ``up[v]`` and carries
+    ``flow[v]``, 0 or 1. ``cost[v]`` is the arc's cost, 0.0 for an
+    artificial, whose big M is counted in ``big`` instead. The potential of
+    v is ``big[v]`` * M + ``pot[v]``, stored summed in the array ``price``,
+    and ``lex[v]`` is its lexicographic part. Each tree arc prices to zero:
+    its tail's potential less its head's is its cost.
+    """
+
+    __slots__ = ("n", "parent", "children", "up", "flow", "key", "cost",
+                 "depth", "big", "pot", "price", "lex")
+
+    @classmethod
+    def star(cls, n: int) -> "_Tree":
+        """The all-artificial tree: each robot sends its unit straight to
+        the root, and each other task takes its unit straight from it."""
+        root = 2 * n - 1
+        t = cls.__new__(cls)
+        t.n = n
+        t.parent = [root] * root + [-1]
+        t.children = [[] for _ in range(root)] + [list(range(root))]
+        t.up = [True] * n + [False] * n
+        t.flow = [1] * root + [0]
+        t.key = list(range(n * n, n * n + root)) + [-1]
+        t.cost = [0.0] * (root + 1)
+        t.depth, t.big, t.lex = [0] * (root + 1), [0] * (root + 1), [0] * (root + 1)
+        t.pot, t.price = [0.0] * (root + 1), np.zeros(root + 1)
+        for v in range(root):
+            t.hang(v)
+        return t
+
+    def copy(self) -> "_Tree":
+        t = _Tree.__new__(_Tree)
+        t.n = self.n
+        t.children = [list(c) for c in self.children]
+        for name in ("parent", "up", "flow", "key", "cost", "depth", "big", "pot", "lex"):
+            setattr(t, name, list(getattr(self, name)))
+        t.price = self.price.copy()
+        return t
+
+    def hang(self, top: int) -> None:
+        """Recompute depth and potentials over the subtree of ``top``, each
+        node from its parent."""
+        parent, children, up, key, cost = self.parent, self.children, self.up, self.key, self.cost
+        depth, big, pot, price, lex = self.depth, self.big, self.pot, self.price, self.lex
+        weight = _weights(self.n)
+        reals = self.n * self.n
+        stack = [top]
+        while stack:
+            v = stack.pop()
+            p, k = parent[v], key[v]
+            depth[v] = depth[p] + 1
+            if up[v]:
+                big[v] = big[p] + (k >= reals)
+                pot[v] = pot[p] + cost[v]
+                lex[v] = lex[p] + weight[k]
+            else:
+                big[v] = big[p] - (k >= reals)
+                pot[v] = pot[p] - cost[v]
+                lex[v] = lex[p] - weight[k]
+            price[v] = big[v] * DEFAULT_BIG_M + pot[v]
+            stack.extend(children[v])
+
+    def objective(self) -> float:
+        """Cost of the basic solution, summed in key order."""
+        reals = self.n * self.n
+        total = 0.0
+        for key, cost in sorted((k, c if k < reals else DEFAULT_BIG_M)
+                                for k, c, f in zip(self.key, self.cost, self.flow) if f):
+            total += cost
+        return total
+
+    def permutation(self) -> tuple[int, ...] | None:
+        """Robot->task map carried by the flow, or None while an
+        artificial still carries a unit."""
+        n = self.n
+        perm = [0] * n
+        for k, f in zip(self.key, self.flow):
+            if f:
+                if k >= n * n:
+                    return None
+                perm[k // n] = k % n
+        return tuple(perm)
+
+
+def _entering(tree: _Tree, arcs: _Arcs, cost: np.ndarray) -> int:
+    """Index of the arc that enters ``tree``: the most negative reduced
+    cost below -_TOL, else the first (lowest key) lexicographically negative
+    arc within _TOL of zero; -1 if none. ``cost`` is the arcs' cost, with
+    +inf on arcs the tree holds."""
+    if not arcs.keys:
+        return -1
+    rc = cost - tree.price[arcs.tail] + tree.price[arcs.head]
+    j = int(rc.argmin())
+    if rc[j] < -_TOL:
+        return j
+    weight, lex, keys, tails, heads = _weights(tree.n), tree.lex, arcs.keys, arcs.tails, arcs.heads
+    for c in (rc <= _TOL).nonzero()[0].tolist():
+        if weight[keys[c]] - lex[tails[c]] + lex[heads[c]] < 0:
+            return c
+    return -1
+
+
+def _pivot(t: _Tree, k: int, l: int, key: int, cost: float) -> int:
+    """Pivot the arc k -> l of ``key`` into ``t`` under the strongly
+    feasible rule and return the key of the arc that leaves. ``cost`` is
+    the arc's cost, 0.0 for an artificial."""
+    parent, depth, up, flow = t.parent, t.depth, t.up, t.flow
+    # the cycle: the tail side from k and the head side from l, each up to the apex
+    tail_side, head_side = [], []
+    a, b = k, l
+    while depth[a] > depth[b]:
+        tail_side.append(a)
+        a = parent[a]
+    while depth[b] > depth[a]:
+        head_side.append(b)
+        b = parent[b]
+    while a != b:
+        tail_side.append(a)
+        a = parent[a]
+        head_side.append(b)
+        b = parent[b]
+    # walked from the apex along k -> l, the tail side runs down and the
+    # head side up: backward arcs point up on the tail side, down on the head side
+    theta = 1
+    for v in tail_side:
+        if up[v] and not flow[v]:
+            theta = 0
+            break
+    else:
+        for v in head_side:
+            if not up[v] and not flow[v]:
+                theta = 0
+                break
+    out = -1
+    for v in head_side:
+        if not up[v] and flow[v] == theta:
+            out = v  # the last one is nearest the apex
+    if out >= 0:
+        q, p, q_up = l, k, False
+    else:
+        # no directed cycle exists, so some arc on the cycle is backward
+        out = next(v for v in tail_side if up[v] and flow[v] == theta)
+        q, p, q_up = k, l, True
+    if theta:
+        for v in tail_side:
+            flow[v] += -1 if up[v] else 1
+        for v in head_side:
+            flow[v] += 1 if up[v] else -1
+    leaving = t.key[out]
+    # re-hang the subtree cut off at ``out`` from q: reverse the path q..out
+    children, keys, costs = t.children, t.key, t.cost
+    v, arc = q, (p, key, cost, theta, q_up)
+    while True:
+        old_parent = parent[v]
+        old = (v, keys[v], costs[v], flow[v], not up[v])
+        children[old_parent].remove(v)
+        children[arc[0]].append(v)
+        parent[v], keys[v], costs[v], flow[v], up[v] = arc
+        if v == out:
+            break
+        v, arc = old_parent, old
+    t.hang(q)
+    return leaving
+
+
+# -- bases -----------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
 class SimplexBasis:
-    """A feasible basis of the (perturbed) assignment LP.
+    """A strongly feasible basis of the restricted assignment LP.
 
     ``columns`` holds the 2n-1 basic columns sorted by ``_column_keys`` and
-    ``objective`` the value of its basic solution under the perturbed costs
-    and right-hand side; the latter is the quantity that decreases
-    monotonically as rounds progress.
+    ``objective`` the cost of its basic solution, summed in key order; the
+    latter never increases as rounds progress. The basis tree rides along
+    privately, so a round starts from it instead of rebuilding it.
     """
 
     columns: np.ndarray
     objective: float
+    _tree: _Tree = field(repr=False)
 
     def permutation(self, n: int) -> tuple[int, ...] | None:
         """Robot->task map encoded by the basis, or None if artificials
         still cover some row (no full matching yet)."""
-        support = basis_support(self, n)
-        if not np.array_equal(support[:, 0], np.arange(n)):
-            return None
-        return tuple(support[:, 1].astype(int).tolist())
+        return self._tree.permutation()
 
 
 def local_columns(i: int, costs: np.ndarray, n: int) -> np.ndarray:
-    """Robot i's own columns with the shared lexicographic perturbation.
-
-    ``costs`` may be the full matrix or just row i. The perturbation index
-    is the global flattened column index i*n + k, so all agents perturb any
-    given column identically.
-    """
+    """Robot i's own columns at their raw costs. ``costs`` may be the full
+    matrix or just row i."""
     costs = np.asarray(costs, dtype=float)
     row = costs[i] if costs.ndim == 2 else costs
     if row.shape != (n,):
         raise ProtocolError("cost row for robot %d has shape %s" % (i, row.shape))
-    delta = perturbation_vector(n * n, _COST_EPS, _COST_RATIO)[i * n:(i + 1) * n]
-    return np.column_stack((np.full(n, float(i)), np.arange(n, dtype=float), row + delta))
+    return np.column_stack((np.full(n, float(i)), np.arange(n, dtype=float), row))
 
 
 def artificial_columns(n: int) -> np.ndarray:
@@ -251,35 +445,10 @@ def artificial_columns(n: int) -> np.ndarray:
     return np.column_stack((np.full_like(rows, -1.0), rows, np.full_like(rows, DEFAULT_BIG_M)))
 
 
-def perturbed_rhs(n: int) -> np.ndarray:
-    """Right-hand side 1 + eps * 2^-(r+1), identical for every agent.
-
-    The geometric bump makes every feasible basis of the restricted LPs
-    nondegenerate: basic values sit at least eps * 2^-(2n-1) away from
-    zero (powers of one half cannot cancel), so each vertex has a unique
-    basis and unique dual prices. At the default eps that floor clears the
-    solver's 1e-9 pivot tolerance up to n around 7, which covers the fleet
-    sizes this protocol targets.
-    """
-    m = 2 * n - 1
-    return 1.0 + _RHS_EPS * np.power(0.5, np.arange(1, m + 1))
-
-
 def initial_basis(n: int) -> SimplexBasis:
-    """The all-artificial starting basis (identity columns, trivially feasible)."""
-    return SimplexBasis(columns=artificial_columns(n),
-                        objective=DEFAULT_BIG_M * float(perturbed_rhs(n).sum()))
-
-
-def basis_support(basis: SimplexBasis, n: int) -> np.ndarray:
-    """Columns whose basic value is 1 (the rest of the basis sits at 0).
-
-    Evaluated at the unperturbed right-hand side of ones, where a feasible
-    basis takes exact 0/1 values, so the threshold is safe by a wide margin.
-    """
-    cols = basis.columns
-    x = np.linalg.solve(column_matrix(cols, n), np.ones(2 * n - 1))
-    return cols[x > _SUPPORT_TOL]
+    """The all-artificial starting basis: every robot's unit goes to the
+    root and every task's comes from it, all flows 1."""
+    return SimplexBasis(artificial_columns(n), DEFAULT_BIG_M * (2 * n - 1), _Tree.star(n))
 
 
 def _validate_columns(cols: np.ndarray, n: int) -> None:
@@ -317,26 +486,41 @@ def simplex_round(state: SimplexBasis, own: np.ndarray, received: np.ndarray,
 
     Pool = current basis + own columns + received columns + artificials,
     deduplicated by column (the first occurrence in that order wins) and
-    sorted by ``_column_keys``; the restricted LP over the pool (with the
-    shared perturbed right-hand side) is solved warm-started from the
-    current basis. The warm start is always feasible because feasibility
-    of a basis depends only on the basis and the right-hand side, both of
-    which persist across rounds. The returned objective is the perturbed
-    LP value, which never increases. Malformed received columns raise
-    ProtocolError before any state changes; columns that ``absorb`` or
-    ``parse`` already validated are not checked again.
+    sorted by ``_column_keys``. The round pivots on the current basis tree
+    (copied at its first pivot, so ``state`` stays as it was) until no
+    column of the pool enters, and returns the pool's one optimal basis
+    under the lexicographic rule, whatever the start tree and the order of
+    the columns. Malformed received columns raise ProtocolError before any
+    state changes; columns that ``absorb`` or ``parse`` already validated
+    are not checked again.
     """
     received = _checked(received, n)
     cols = np.concatenate((state.columns, own, received, artificial_columns(n)))
-    keys, first = np.unique(_column_keys(cols, n), return_index=True)
-    pool = cols[first]
-    start = np.searchsorted(keys, _column_keys(state.columns, n))
-    final, _, objective, status = simplex_from_basis(
-        column_matrix(pool, n), perturbed_rhs(n), np.ascontiguousarray(pool[:, 2]),
-        start.tolist())
-    if status != "optimal":
-        raise ProtocolError("restricted assignment LP ended %s" % status)
-    return SimplexBasis(columns=pool[np.sort(final)], objective=float(objective))
+    key, first = np.unique(_column_keys(cols, n), return_index=True)
+    cols = cols[first]
+    pool = _Arcs(cols, n, key)
+    tree = state._tree
+    # the pool's costs with the tree's arcs priced out
+    cost = pool.cost.copy()
+    cost[key.searchsorted(tree.key[:2 * n - 1])] = np.inf
+    reals = n * n
+    for pivots in range(_MAX_PIVOTS):
+        j = _entering(tree, pool, cost)
+        if j < 0:
+            break
+        if not pivots:
+            tree = tree.copy()
+        k = pool.keys[j]
+        leaving = _pivot(tree, pool.tails[j], pool.heads[j], k,
+                         float(pool.cost[j]) if k < reals else 0.0)
+        cost[j] = np.inf
+        out = bisect.bisect_left(pool.keys, leaving)
+        cost[out] = pool.cost[out]
+    else:
+        raise ProtocolError("restricted assignment LP took %d pivots" % _MAX_PIVOTS)
+    if not pivots:
+        return state
+    return SimplexBasis(cols[np.isinf(cost)], tree.objective(), tree)
 
 
 # -- protocol agent ------------------------------------------------------------
@@ -353,7 +537,6 @@ class DistributedSimplexAgent:
         self.i = int(i)
         self.n = int(n)
         self.own = local_columns(self.i, np.asarray(costs, dtype=float), self.n)
-        self._delta = perturbation_vector(self.n * self.n, _COST_EPS, _COST_RATIO)
         worst = float(np.abs(self.own[:, 2]).max())
         if DEFAULT_BIG_M <= 10.0 * self.n * max(worst, 1.0):
             raise ProtocolError(
@@ -364,10 +547,10 @@ class DistributedSimplexAgent:
         self.margin = int(margin)
         self.unchanged = 0
         self.rounds = 0
-        # duals of the current basis with a zero appended, and whether an
-        # own or artificial column prices in against them; None when stale
-        self._y: np.ndarray | None = None
-        self._local_enters = False
+        # the own and artificial columns, in every pool, and whether one of
+        # them enters the current basis; None when stale
+        self._local = _Arcs(np.concatenate((self.own, artificial_columns(self.n))), self.n)
+        self._local_enters: bool | None = None
 
     @property
     def halted(self) -> bool:
@@ -401,65 +584,50 @@ class DistributedSimplexAgent:
         _validate_columns(out, self.n)
         return out, halted
 
-    def _reduced_costs(self, cols: np.ndarray) -> np.ndarray:
-        """Reduced costs of ``cols`` against the cached duals, bit for bit
-        the simplex's ``c - y @ A``: a column holds at most two unit
-        entries, so y @ A is the sum of their duals (a missing second entry
-        reads the zero appended after y)."""
-        n = self.n
-        robot = cols[:, 0].astype(np.int64)
-        task = cols[:, 1].astype(np.int64)
-        art = robot < 0
-        first = np.where(art, task, robot)
-        second = np.where(art | (task == n - 1), 2 * n - 1, n + task)
-        return cols[:, 2] - (self._y[first] + self._y[second])
+    def _enters(self, arcs: _Arcs) -> bool:
+        """Whether one of ``arcs`` enters the current basis tree, by the
+        test the round's first pivot applies."""
+        tree = self.basis._tree
+        held = np.array(tree.key)  # the root's reads -1
+        cost = np.where((held[arcs.tail] == arcs.key) | (held[arcs.head] == arcs.key),
+                        np.inf, arcs.cost)
+        return _entering(tree, arcs, cost) >= 0
 
     def absorb(self, received: np.ndarray) -> bool:
         """Run one simplex round; returns True if the basis changed.
 
-        The round first prices the candidate columns against the duals of
-        the current basis. If none has a reduced cost below the simplex's
-        pricing tolerance, the warm solve would stop at its start basis, so
-        the round keeps the basis (and its objective) without solving.
-        Malformed columns raise ProtocolError; columns that ``_gather``
-        collected from ``parse``, which validated them, are not checked
-        again.
+        The round first prices the candidate columns against the potentials
+        of the current basis tree. If none enters, the pivots would stop at
+        the start tree, so the round keeps the basis (and its objective)
+        without solving. Malformed columns raise ProtocolError; columns
+        that ``_gather`` collected from ``parse``, which validated them,
+        are not checked again.
         """
         received = _checked(received, self.n)
-        if self._y is None:
-            cols = self.basis.columns
-            y = np.ascontiguousarray(cols[:, 2]) @ np.linalg.inv(column_matrix(cols, self.n))
-            self._y = np.append(y, 0.0)
-            local = np.concatenate((self.own, artificial_columns(self.n)))
-            self._local_enters = bool((self._reduced_costs(local) < -_TOL).any())
+        if self._local_enters is None:
+            self._local_enters = self._enters(self._local)
         changed = False
         # priced as a plain array: ufuncs on a subclass cost more
-        plain = received.view(np.ndarray)
-        if self._local_enters or (self._reduced_costs(plain) < -_TOL).any():
+        if self._local_enters or self._enters(_Arcs(received.view(np.ndarray), self.n)):
             new = simplex_round(self.basis, self.own, received, self.n)
             changed = not np.array_equal(new.columns, self.basis.columns)
             self.basis = new
             if changed:
-                self._y = None
+                self._local_enters = None
         self.unchanged = 0 if changed else self.unchanged + 1
         self.rounds += 1
         return changed
 
     def result(self) -> tuple[int, tuple[int, ...], float]:
-        """(own task, full permutation, unperturbed objective)."""
+        """(own task, full permutation, objective). The objective sums the
+        assigned costs in robot order, as ``lp.assignment_cost`` does."""
         perm = self.basis.permutation(self.n)
         if perm is None:
             raise NonConvergenceError(
                 "agent %d basis still contains artificial columns" % self.i,
                 diagnostics={"objective": self.basis.objective},
             )
-        flat = np.arange(self.n) * self.n + np.asarray(perm)
-        keys = _column_keys(self.basis.columns, self.n)
-        costs = self.basis.columns[np.searchsorted(keys, flat), 2]
-        objective = 0.0
-        for term in (costs - self._delta[flat]).tolist():  # in robot order
-            objective += term
-        return perm[self.i], perm, objective
+        return perm[self.i], perm, self.basis.objective
 
 
 def default_margin(graph: CommGraph, drop_prob: float = 0.0) -> int:

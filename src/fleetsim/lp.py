@@ -1,12 +1,12 @@
 """Dense linear programming core: two-phase revised simplex plus helpers.
 
-Everything downstream that optimizes (task assignment, MPC) reduces to
-``min c'x  s.t.  Ax = b, x >= 0`` and runs through :func:`solve_lp`. The
+MPC's optimal control problems reduce to
+``min c'x  s.t.  Ax = b, x >= 0`` and run through :func:`solve_lp`. The
 solver is deliberately deterministic: Dantzig pricing with lowest-index
 tie-breaking, switching to Bland's rule after a run of degenerate pivots,
 and a leaving-variable rule that always picks the smallest basis column
 among tied ratios. Identical inputs give identical bases on every call,
-which distributed protocols rely on for consensus.
+which keeps the simulator's traces reproducible.
 
 Phase 1 starts from a slack crash basis (Bixby, "Implementing the simplex
 method: the initial basis", ORSA J. Computing 1992): every row that holds
@@ -31,9 +31,7 @@ O(m^2), and the inverse is recomputed from scratch every
 ``_REFACTOR_EVERY`` pivots to bound the rounding the updates accumulate.
 
 Also here: the assignment-problem encoding (one redundant constraint row
-dropped so the system has full row rank 2n-1), a Hungarian oracle, and the
-geometric cost offsets (``perturbation_vector``) the distributed assignment
-adds to break ties between assignments.
+dropped so the system has full row rank 2n-1) and a Hungarian oracle.
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ __all__ = [
     "build_assignment_lp",
     "hungarian",
     "assignment_cost",
-    "perturbation_vector",
     "OPTIMAL",
     "INFEASIBLE",
     "UNBOUNDED",
@@ -189,9 +186,7 @@ def _simplex(A, b, c, basis, *, Binv=None):
 def simplex_from_basis(A, b, c, basis):
     """Phase-2 entry point when a feasible starting basis is already known.
 
-    Returns (basis, x, objective, status). Used by the distributed
-    assignment protocol, whose restricted problems always carry a feasible
-    warm start.
+    Returns (basis, x, objective, status).
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -401,20 +396,6 @@ def hungarian(p: AssignmentProblem) -> tuple[tuple[int, ...], float]:
     rows, cols = linear_sum_assignment(p.cost)
     perm = tuple(int(c) for c in cols[np.argsort(rows)])
     return perm, assignment_cost(perm, p.cost)
-
-
-def perturbation_vector(n_cols: int, eps: float = 1e-7, ratio: float = 0.5) -> np.ndarray:
-    """Geometric tie-breaking offsets delta_j = eps * ratio**j.
-
-    With ratio 1/2 the offsets behave like binary digits: no two distinct
-    column subsets of equal size share a perturbation sum, so cost ties
-    between assignments break deterministically (down to float resolution;
-    beyond ~50 columns the tail vanishes into rounding and tie-breaking
-    falls back to the solver's lowest-index pivot rules).
-    """
-    if eps == 0.0:
-        return np.zeros(n_cols)
-    return eps * np.power(float(ratio), np.arange(n_cols))
 
 
 # -- small builder for structured LPs ---------------------------------------

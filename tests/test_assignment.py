@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from fleetsim import codec
+from fleetsim import assignment, codec
 from fleetsim.assignment import (
     DEFAULT_BIG_M,
     CloudState,
@@ -22,22 +22,19 @@ from fleetsim.assignment import (
     Task,
     agreed_result,
     artificial_columns,
-    basis_support,
     cloud_complete,
-    column_matrix,
     costs_from_positions,
     default_margin,
     initial_basis,
     local_columns,
     lockstep_round,
-    perturbed_rhs,
     run_distributed_simplex,
     simplex_round,
     solve_assignment_network,
 )
 from fleetsim.communicator import Communicator
 from fleetsim.errors import CloudError, NonConvergenceError, ProtocolError
-from fleetsim.lp import AssignmentProblem, assignment_column, assignment_cost, hungarian
+from fleetsim.lp import AssignmentProblem, assignment_cost, hungarian
 from fleetsim.netgraph import erdos_renyi, graph_from_edges, graph_from_matrix
 from fleetsim.transport import Envelope, MessageBus, TransportConfig
 
@@ -91,23 +88,7 @@ def test_local_columns_structure():
         for k, (robot, task, cost) in enumerate(cols):
             assert robot == i and task == k
             assert robot >= 0  # not artificial
-            # cost carries the lexicographic tie-break bump for column i*n+k
-            delta = 1e-7 * 0.5 ** (i * n + k)
-            assert cost == pytest.approx(costs[i, k] + delta, abs=1e-18)
-
-
-def test_column_vectors_match_lp_columns():
-    n = 3
-    A = column_matrix(np.array([[1.0, 2.0, 0.5], [-1.0, 3.0, DEFAULT_BIG_M]]), n)
-    assert A.shape == (2 * n - 1, 2)
-    assert np.array_equal(A[:, 0], assignment_column(1, 2, n))
-    want = np.zeros(2 * n - 1)
-    want[3] = 1.0
-    assert np.array_equal(A[:, 1], want)
-    # every real column, including the last task's (its row is dropped)
-    real = np.array([[i, k, 0.0] for i in range(n) for k in range(n)])
-    for col, vec in zip(real, column_matrix(real, n).T):
-        assert np.array_equal(vec, assignment_column(int(col[0]), int(col[1]), n))
+            assert cost == costs[i, k]  # the raw cost, bit for bit
 
 
 def test_artificial_columns():
@@ -123,20 +104,8 @@ def test_initial_basis():
     basis = initial_basis(n)
     assert len(basis.columns) == 2 * n - 1
     assert basis.permutation(n) is None
-    assert basis.objective == pytest.approx(DEFAULT_BIG_M * perturbed_rhs(n).sum())
-
-
-def test_perturbed_rhs_properties():
-    for n in (2, 4, 6):
-        rhs = perturbed_rhs(n)
-        assert rhs.shape == (2 * n - 1,)
-        assert np.all(rhs > 1.0)
-        assert np.all(np.diff(rhs) < 0)  # strictly decreasing bumps
-        assert rhs[0] == pytest.approx(1.0 + 1e-5 * 0.5)
-        # the smallest bump still clears the pivot tolerance
-        assert rhs[-1] - 1.0 > 1e-9
-    # identical across agents by construction: pure function of n
-    assert np.array_equal(perturbed_rhs(5), perturbed_rhs(5))
+    # every artificial carries one unit
+    assert basis.objective == DEFAULT_BIG_M * (2 * n - 1)
 
 
 def test_simplex_round_converges_then_fixed_point():
@@ -267,17 +236,20 @@ def test_result_requires_real_basis():
 
 
 def test_basis_support_is_the_assignment():
+    """The basis tree's flow-1 arcs, its support, are the permutation the
+    agent reports, and the reported objective is their cost."""
     rng = np.random.default_rng(3)
     n = 3
     costs = rng.random((n, n))
     agents = [DistributedSimplexAgent(i, costs, n) for i in range(n)]
     lockstep_rounds(agents, complete_graph(n), 8)
-    _, perm, _ = agents[0].result()
-    support = basis_support(agents[0].basis, n)
-    assert len(support) == n
-    assert sorted((int(r), int(k)) for r, k, _ in support) == [
-        (i, perm[i]) for i in range(n)
-    ]
+    _, perm, objective = agents[0].result()
+    tree = agents[0].basis._tree
+    support = sorted(divmod(k, n) for k, f in zip(tree.key, tree.flow) if f)
+    assert support == [(i, perm[i]) for i in range(n)]
+    assert objective == assignment_cost(perm, costs)
+    # the other n - 1 basic arcs carry nothing
+    assert sum(tree.flow) == n and len(agents[0].basis.columns) == 2 * n - 1
 
 
 # -- convergence ------------------------------------------------------------------
@@ -432,11 +404,23 @@ def _network_objects():
 
 
 @pytest.mark.parametrize("path", ["mismatch", "budget"])
-def test_held_non_convergence_error_keeps_no_network_alive(path):
+def test_held_non_convergence_error_keeps_no_network_alive(path, monkeypatch):
     """A held NonConvergenceError keeps no agent and no bus alive, while
     its traceback still names the raise site."""
     costs, graph = _drain_problem()
     kwargs = {"round_budget": 2} if path == "budget" else {}
+    if path == "mismatch":
+        # the drain problem agrees, so agent 1 reports another permutation
+        # to make ``agreed_result`` raise
+        result = DistributedSimplexAgent.result
+
+        def split(agent):
+            _, perm, objective = result(agent)
+            if agent.i == 1:
+                perm = (perm[1], perm[0]) + perm[2:]
+            return perm[agent.i], perm, objective
+
+        monkeypatch.setattr(DistributedSimplexAgent, "result", split)
     gc.collect()
     before = _network_objects()  # held, so no id of theirs is reused
     with pytest.raises(NonConvergenceError) as info:
@@ -592,6 +576,138 @@ def test_price_before_solve_counts(monkeypatch):
     assert calls["absorb"] == rounds * n
     # solving every round would take one call per absorb plus one per agent init
     assert calls["simplex_round"] < calls["absorb"] / 2 + n
+
+
+# -- ties and the lexicographic rule -------------------------------------------------
+
+
+def _tied_costs(n, seed):
+    return np.random.default_rng([n, seed]).integers(0, 3, size=(n, n)).astype(float)
+
+
+@pytest.mark.parametrize("profile", ["static", "best_effort"])
+@pytest.mark.parametrize("n", [4, 8, 12, 16])
+def test_tied_costs_agree_at_the_optimum(n, profile, monkeypatch):
+    """Integer costs in {0, 1, 2} tie all over; every agent still ends on
+    one permutation, at the Hungarian cost."""
+    costs = _tied_costs(n, 0)
+    graph = erdos_renyi(n, 0.4, 70 * n, require_connected=True)
+    tc = TransportConfig(drop_prob=0.3 if profile == "best_effort" else 0.0, rng_seed=n)
+    halted = []
+    agreed = agreed_result
+
+    def recorded(agents):
+        halted.extend(agents)
+        return agreed(agents)
+
+    monkeypatch.setattr("fleetsim.assignment.agreed_result", recorded)
+    perm, objective, _ = solve_assignment_network(costs, graph, profile=profile, transport=tc)
+    assert len(halted) == n
+    assert {agent.result()[1] for agent in halted} == {perm}
+    _, ref = hungarian(AssignmentProblem(n, costs))
+    assert assignment_cost(perm, costs) == objective == ref
+
+
+def test_threaded_protocol_agrees_on_tied_costs():
+    n = 8
+    costs = _tied_costs(n, 1)
+    graph = erdos_renyi(n, 0.5, 808, require_connected=True)
+    bus = MessageBus()
+    comms = [Communicator(bus, i, graph) for i in range(n)]
+    results = {}
+    errors = []
+
+    def worker(i):
+        try:
+            results[i] = run_distributed_simplex(comms[i], i, costs, n, graph)
+        except Exception as exc:  # pragma: no cover
+            errors.append((i, exc))
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120.0)
+    assert not errors and len(results) == n
+    perms = {results[i][1] for i in range(n)}
+    assert len(perms) == 1
+    perm = perms.pop()
+    _, ref = hungarian(AssignmentProblem(n, costs))
+    assert assignment_cost(perm, costs) == ref
+    assert all(results[i][0] == perm[i] and results[i][2] == ref for i in range(n))
+
+
+@pytest.mark.parametrize("kind", ["continuous", "tied", "zero_padded"])
+@pytest.mark.parametrize("n", [4, 8, 12])
+def test_round_basis_depends_only_on_its_pool(kind, n):
+    """Different start trees and shuffled received columns over one pool
+    end on the same basis, the optimal one."""
+    rng = np.random.default_rng([n, len(kind)])
+    costs = _price_costs(kind, n, rng)
+    every = np.concatenate([local_columns(i, costs, n) for i in range(n)])
+    own = local_columns(0, costs, n)
+    starts = [initial_basis(n)]
+    for i in range(n):
+        subset = every[rng.random(len(every)) < 0.3]
+        starts.append(simplex_round(initial_basis(n), local_columns(i, costs, n), subset, n))
+    assert len({s.columns.tobytes() for s in starts}) > 2
+    finals = set()
+    for start in starts:
+        received = every[rng.permutation(len(every))]
+        final = simplex_round(start, own, received, n)
+        finals.add(final.columns.tobytes())
+    assert len(finals) == 1
+    _, ref = hungarian(AssignmentProblem(n, costs))
+    assert assignment_cost(final.permutation(n), costs) == ref
+
+
+def _check_tree(tree, n):
+    """Flows in {0, 1} that conserve every node's supply, zero flow only on
+    arcs toward the root, every arc priced to zero, and potentials bit for
+    bit those of a full recompute from the root."""
+    root = 2 * n - 1
+    weight = assignment._weights(n)
+    net = [0] * (2 * n)
+    for v in range(root):
+        parent, key, flow = tree.parent[v], tree.key[v], tree.flow[v]
+        assert flow in (0, 1)
+        assert flow or tree.up[v]
+        tail, head = (v, parent) if tree.up[v] else (parent, v)
+        net[tail] += flow
+        net[head] -= flow
+        cost = DEFAULT_BIG_M if key >= n * n else tree.cost[v]
+        assert abs(cost - tree.price[tail] + tree.price[head]) <= 1e-9
+        assert weight[key] - tree.lex[tail] + tree.lex[head] == 0
+    assert net == [1] * n + [-1] * n
+    fresh = tree.copy()
+    for child in fresh.children[root]:
+        fresh.hang(child)
+    for name in ("depth", "big", "lex"):
+        assert getattr(fresh, name) == getattr(tree, name)
+    for name in ("pot", "price"):
+        assert np.array(getattr(fresh, name)).tobytes() == np.array(getattr(tree, name)).tobytes()
+
+
+@pytest.mark.parametrize("profile", ["static", "best_effort"])
+def test_every_pivot_keeps_the_tree_strongly_feasible(profile, monkeypatch):
+    n = 8
+    costs = _tied_costs(n, 2)
+    graph = erdos_renyi(n, 0.4, 880, require_connected=True)
+    tc = TransportConfig(drop_prob=0.3 if profile == "best_effort" else 0.0, rng_seed=3)
+    pivot = assignment._pivot
+    pivots = []
+
+    def checked(tree, *args):
+        leaving = pivot(tree, *args)
+        _check_tree(tree, n)
+        pivots.append(leaving)
+        return leaving
+
+    monkeypatch.setattr(assignment, "_pivot", checked)
+    perm, _, _ = solve_assignment_network(costs, graph, profile=profile, transport=tc)
+    assert len(pivots) > 10 * n
+    _, ref = hungarian(AssignmentProblem(n, costs))
+    assert assignment_cost(perm, costs) == ref
 
 
 # -- halting margin ----------------------------------------------------------------

@@ -28,7 +28,6 @@ from fleetsim.lp import (
     assignment_cost,
     build_assignment_lp,
     hungarian,
-    perturbation_vector,
     simplex_from_basis,
     solve_lp,
 )
@@ -360,15 +359,6 @@ def test_integer_cost_assignment_lps_match_highs():
 def test_assignment_cost_row_order():
     cost = np.array([[0.1, 0.2], [0.3, 0.4]])
     assert assignment_cost((1, 0), cost) == cost[0, 1] + cost[1, 0]
-
-
-# -- perturbation --------------------------------------------------------------
-
-
-def test_perturbation_vector_values():
-    v = perturbation_vector(4, eps=1e-7, ratio=0.5)
-    assert v == pytest.approx(1e-7 * np.array([1.0, 0.5, 0.25, 0.125]))
-    assert np.array_equal(perturbation_vector(3, eps=0.0), np.zeros(3))
 
 
 # -- builder -------------------------------------------------------------------

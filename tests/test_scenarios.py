@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fleetsim.cli import main
-from fleetsim.errors import ConfigError, NonConvergenceError, TraceError
+from fleetsim.errors import ConfigError, TraceError
 from fleetsim.simrunner import (
     CONFIG_VERSION,
     SCHEMA_VERSION,
@@ -348,13 +348,34 @@ def test_assignment_run_completes_all_tasks(tmp_path):
     assert stats["optimality_gap"] == pytest.approx(0.0, abs=1e-9)
 
 
-@pytest.mark.xfail(strict=True, raises=NonConvergenceError,
-                   reason="tied costs: agents halt on different permutations "
-                          "(ROADMAP.md, item 1)")
 def test_assignment_agents_agree_on_tied_costs(tmp_path):
     # once the backlog drains, the zero-padded cost columns tie exactly
     summary = run_scenario(default_config("assignment", 4, seed=1), str(tmp_path))
     assert summary["completed_tasks"] == summary["total_tasks"]
+
+
+def _epochs_hit_their_reference(trace):
+    _, records = read_trace(trace)
+    epochs = [r for r in records if r["kind"] == "assignment"]
+    assert epochs
+    assert all(r["objective"] == r["reference"] for r in epochs)
+
+
+def test_cli_assignment_run_at_n7_completes(tmp_path, capsys):
+    """``fleetsim run assignment -n 7``: every drain epoch ties and agrees."""
+    out = tmp_path / "assign7"
+    out.mkdir()
+    assert main(["run", "assignment", "-n", "7", "--out", str(out)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["completed_tasks"] == printed["total_tasks"]
+    _epochs_hit_their_reference(str(out / "trace.jsonl"))
+
+
+@pytest.mark.parametrize("seed", [2, 4, 5])
+def test_assignment_n6_drains_on_tied_windows(tmp_path, seed):
+    summary = run_scenario(default_config("assignment", 6, seed=seed), str(tmp_path))
+    assert summary["completed_tasks"] == summary["total_tasks"]
+    _epochs_hit_their_reference(summary["trace"])
 
 
 def test_mpc_engine_keeps_coupling_residual_tiny(tmp_path):
@@ -416,7 +437,7 @@ GOLDEN_TRACES = {
     "formation": "e4785fa88325a28f4c9c20938a557ce341c49d56e3741a2f8c143480d904d407",
     "formation_unicycle": "dd6d3ccf15029bde9181a3b384d7f2f33a8bd9d8147b3cb356445451978bb0a9",
     "assignment": "e6ef5406f0e14d8f3e0f4eec6828ba6ace259f3224ea305ecdbaa4064124f90a",
-    "assignment_drained": "29f3742823d75d4f2a017d775be20f8b9d6a290e974ee15a3375e6b54d2d388e",
+    "assignment_drained": "1fef37f2f35ecc876db170c13d6395821f8c2ac243e9724e991c24b95e5aa01e",
     "mpc": "f63e43f34885a71ea36d12a403821e3a73f2a5d94717fbe7144698affbd22049",
 }
 
