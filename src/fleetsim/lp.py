@@ -397,76 +397,3 @@ def hungarian(p: AssignmentProblem) -> tuple[tuple[int, ...], float]:
     perm = tuple(int(c) for c in cols[np.argsort(rows)])
     return perm, assignment_cost(perm, p.cost)
 
-
-# -- small builder for structured LPs ---------------------------------------
-
-
-class LpBuilder:
-    """Assemble min-cost LPs from free/nonnegative variables and eq/le rows.
-
-    Free variables are split into positive and negative parts; inequality
-    rows get slack columns. ``build`` returns the StandardLP plus an
-    extractor mapping a standard-form solution back to the declared
-    variables.
-    """
-
-    def __init__(self):
-        self._vars = []  # (kind, size)
-        self._rows = []  # (kind, {var_index: coeff_array}, rhs)
-        self._cost = {}  # var_index -> array
-
-    def add_var(self, size: int, free: bool = True) -> int:
-        self._vars.append(("free" if free else "nonneg", int(size)))
-        return len(self._vars) - 1
-
-    def add_eq(self, coeffs: dict[int, np.ndarray], rhs: float) -> None:
-        self._rows.append(("eq", {k: np.asarray(v, dtype=float) for k, v in coeffs.items()}, float(rhs)))
-
-    def add_le(self, coeffs: dict[int, np.ndarray], rhs: float) -> None:
-        self._rows.append(("le", {k: np.asarray(v, dtype=float) for k, v in coeffs.items()}, float(rhs)))
-
-    def add_cost(self, var: int, weights) -> None:
-        w = np.asarray(weights, dtype=float)
-        self._cost[var] = self._cost.get(var, 0) + w
-
-    def build(self) -> tuple[StandardLP, "LpExtract"]:
-        offsets = []
-        ncols = 0
-        for kind, size in self._vars:
-            offsets.append((kind, ncols, size))
-            ncols += 2 * size if kind == "free" else size
-        nslack = sum(1 for kind, _, _ in self._rows if kind == "le")
-        total = ncols + nslack
-        A = np.zeros((len(self._rows), total))
-        b = np.zeros(len(self._rows))
-        c = np.zeros(total)
-        slack_at = ncols
-        for r, (kind, coeffs, rhs) in enumerate(self._rows):
-            for var, coef in coeffs.items():
-                vkind, off, size = offsets[var]
-                coef = np.broadcast_to(coef, (size,))
-                A[r, off : off + size] += coef
-                if vkind == "free":
-                    A[r, off + size : off + 2 * size] -= coef
-            b[r] = rhs
-            if kind == "le":
-                A[r, slack_at] = 1.0
-                slack_at += 1
-        for var, w in self._cost.items():
-            vkind, off, size = offsets[var]
-            w = np.broadcast_to(w, (size,))
-            c[off : off + size] += w
-            if vkind == "free":
-                c[off + size : off + 2 * size] -= w
-        return StandardLP(A=A, b=b, c=c), LpExtract(offsets)
-
-
-class LpExtract:
-    def __init__(self, offsets):
-        self._offsets = offsets
-
-    def value(self, x: np.ndarray, var: int) -> np.ndarray:
-        kind, off, size = self._offsets[var]
-        if kind == "free":
-            return x[off : off + size] - x[off + size : off + 2 * size]
-        return x[off : off + size].copy()

@@ -44,7 +44,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import FeasibilityError, LpError, ModelError, PlanError
-from .lp import INFEASIBLE, OPTIMAL, LpBuilder, StandardLP, solve_lp
+from .lp import INFEASIBLE, OPTIMAL, StandardLP, solve_lp
 
 __all__ = [
     "LinearAgentModel",
@@ -202,7 +202,10 @@ class OcpSpec:
 
     The terminal pair must be an equilibrium (xbar = A xbar + B ubar);
     plans end with a hard equality x(T) = xbar so shifting stays feasible.
-    ``coupling`` is the shared output set S, identical across agents.
+    ``coupling`` is the shared output set S, identical across agents. The
+    terminal pair, references and weights must be finite and as long as
+    the model's state and input, and the sets as wide as its state, input
+    and output; anything else raises ModelError here.
     """
 
     model: LinearAgentModel
@@ -219,16 +222,28 @@ class OcpSpec:
             raise ModelError("horizon must be at least 1")
         xbar = np.asarray(self.terminal_state, dtype=float).ravel()
         ubar = np.asarray(self.terminal_input, dtype=float).ravel()
-        mdl = self.model
-        if xbar.shape != (mdl.n,) or ubar.shape != (mdl.m,):
-            raise ModelError("terminal pair dimensions do not match the model")
+        mdl, cost = self.model, self.cost
+        x_ref = xbar if cost.x_ref is None else cost.x_ref
+        u_ref = ubar if cost.u_ref is None else cost.u_ref
+        for name, vec, dim in (("terminal_state", xbar, mdl.n), ("terminal_input", ubar, mdl.m),
+                               ("x_ref", x_ref, mdl.n), ("u_ref", u_ref, mdl.m),
+                               ("w_x", cost.w_x, mdl.n), ("w_u", cost.w_u, mdl.m)):
+            if vec.shape != (dim,):
+                raise ModelError("%s has %d entries, the model needs %d" % (name, vec.size, dim))
+            if not np.all(np.isfinite(vec)):
+                raise ModelError("%s contains NaN or inf" % name)
+        for name, region, dim in (("x_set", self.x_set, mdl.n), ("u_set", self.u_set, mdl.m),
+                                  ("coupling", self.coupling, mdl.r)):
+            if region is not None:
+                try:
+                    region.rows(dim)
+                except ModelError as exc:
+                    raise ModelError("%s: %s" % (name, exc)) from None
         resid = np.max(np.abs(mdl.A @ xbar + mdl.B @ ubar - xbar)) if mdl.n else 0.0
         if resid > _DYN_TOL:
             raise ModelError(
                 "terminal pair is not an equilibrium (residual %.2e)" % resid
             )
-        if self.cost.w_x.shape != (mdl.n,) or self.cost.w_u.shape != (mdl.m,):
-            raise ModelError("stage cost weight dimensions do not match the model")
         object.__setattr__(self, "terminal_state", xbar)
         object.__setattr__(self, "terminal_input", ubar)
 
@@ -307,19 +322,16 @@ def plan_cost(plan: Plan, spec: OcpSpec) -> float:
 class LocalOcp:
     """One agent's local OCP as a standard-form LP, kept for a whole episode.
 
-    Made by :func:`build_local_ocp`. A replan rewrites only the entries of
-    ``lp.b`` that hold ``x_now`` and the coupling right-hand sides
-    (:meth:`set_rhs`), while A and c stay shared and read-only. ``basis``
-    is the last optimal basis, the warm start of the next solve, or None
-    before the first one.
+    Made by :func:`build_local_ocp`, whose docstring gives the LP's layout.
+    A replan rewrites only the entries of ``lp.b`` that hold ``x_now`` and
+    the coupling right-hand sides (:meth:`set_rhs`), while A and c stay
+    shared and read-only. ``basis`` is the last optimal basis, the warm
+    start of the next solve, or None before the first one.
     """
 
-    def __init__(self, spec: OcpSpec, lp, extract, var_x, var_u, x_rows, coupling_rows):
+    def __init__(self, spec: OcpSpec, lp: StandardLP, x_rows, coupling_rows):
         self.spec = spec
         self.lp = lp
-        self._extract = extract
-        self._var_x = var_x
-        self._var_u = var_u
         self._x_rows = x_rows
         self._coupling_rows = coupling_rows
         self.basis: list[int] | None = None
@@ -353,106 +365,80 @@ class LocalOcp:
         columns are this OCP's columns in order."""
         spec = self.spec
         T, n, m = spec.horizon, spec.model.n, spec.model.m
-        xs = self._extract.value(x_solution, self._var_x).reshape(T + 1, n)
-        us = self._extract.value(x_solution, self._var_u).reshape(T, m)
-        return Plan.from_states_inputs(spec.model, xs, us)
-
-
-def _agent_rows(bld: LpBuilder, spec: OcpSpec) -> tuple[int, int]:
-    """Declare one agent's variables in ``bld`` and emit its own OCP rows
-    and stage-cost weights.
-
-    Returns the free state (T+1)n and input Tm variables; the epigraph
-    slacks stay internal. The initial equalities, rows 2k, get a zero
-    right-hand side for :meth:`LocalOcp.set_rhs` to fill in.
-    """
-    mdl = spec.model
-    T, n, m = spec.horizon, mdl.n, mdl.m
-    vx = bld.add_var((T + 1) * n, free=True)
-    vu = bld.add_var(T * m, free=True)
-    vsx = bld.add_var(T * n, free=False)
-    vsu = bld.add_var(T * m, free=False)
-
-    # initial and terminal equalities
-    for k in range(n):
-        row = np.zeros((T + 1) * n)
-        row[k] = 1.0
-        bld.add_eq({vx: row}, 0.0)
-        row = np.zeros((T + 1) * n)
-        row[T * n + k] = 1.0
-        bld.add_eq({vx: row}, float(spec.terminal_state[k]))
-
-    # dynamics x(t+1) = A x(t) + B u(t)
-    for t in range(T):
-        for k in range(n):
-            rx = np.zeros((T + 1) * n)
-            rx[(t + 1) * n + k] = 1.0
-            rx[t * n : (t + 1) * n] -= mdl.A[k]
-            ru = np.zeros(T * m)
-            ru[t * m : (t + 1) * m] = -mdl.B[k]
-            bld.add_eq({vx: rx, vu: ru}, 0.0)
-
-    # epigraph rows: +-(v - ref) <= s, states then inputs at each t
-    for t in range(T):
-        for v, vs, size, dim, ref in ((vx, vsx, (T + 1) * n, n, spec.x_ref),
-                                      (vu, vsu, T * m, m, spec.u_ref)):
-            for k in range(dim):
-                for sign in (1.0, -1.0):
-                    rv = np.zeros(size)
-                    rv[t * dim + k] = sign
-                    rs = np.zeros(T * dim)
-                    rs[t * dim + k] = -1.0
-                    bld.add_le({v: rv, vs: rs}, sign * float(ref[k]))
-
-    # state set on x(1..T), input set on u(0..T-1)
-    for v, size, dim, region, first in ((vx, (T + 1) * n, n, spec.x_set, 1),
-                                        (vu, T * m, m, spec.u_set, 0)):
-        if region is None:
-            continue
-        G, g = region.rows(dim)
-        for t in range(first, first + T):
-            for row, rhs in zip(G, g):
-                rv = np.zeros(size)
-                rv[t * dim : (t + 1) * dim] = row
-                bld.add_le({v: rv}, float(rhs))
-
-    bld.add_cost(vsx, np.tile(spec.cost.w_x, T))
-    bld.add_cost(vsu, np.tile(spec.cost.w_u, T))
-    return vx, vu
+        nx, nu = (T + 1) * n, T * m
+        xs = x_solution[:nx] - x_solution[nx:2 * nx]
+        us = x_solution[2 * nx:2 * nx + nu] - x_solution[2 * nx + nu:2 * (nx + nu)]
+        return Plan.from_states_inputs(spec.model, xs.reshape(T + 1, n), us.reshape(T, m))
 
 
 def build_local_ocp(spec: OcpSpec) -> LocalOcp:
     """Encode one agent's T-step OCP as a standard-form LP, once per episode.
 
-    Coupling rows read H z_i(t) <= h - H others_sum(t), where others_sum
-    is the (T, r) summed output plan of the other agents. The OCP records
-    which rows of b hold x_now and those bounds: the initial equalities,
-    rows 2k of :func:`_agent_rows`, and the coupling rows, which come
-    last, as do their slack columns. It starts at the model's x0 with the
-    others at zero output; replans rewrite just those rows through
-    :meth:`LocalOcp.set_rhs`.
+    Columns: the states x(0..T) and inputs u(0..T-1), each split as
+    [x+, x-, u+, u-]; the epigraph slacks of all states, then of all
+    inputs; one slack per inequality row. Rows, one block per family:
+
+    - x(0)_k = x_now_k (row 2k) and x(T)_k = xbar_k (row 2k + 1);
+    - the dynamics x(t+1) = A x(t) + B u(t);
+    - +-(v - ref) <= s, both signs of each component v of x(t), then of
+      u(t), step by step;
+    - the state set on x(1..T), then the input set on u(0..T-1);
+    - the coupling rows H (C x(t) + D u(t)) <= h - H others_sum(t), with
+      others_sum the (T, r) summed output plan of the other agents.
+
+    So the agent's own rows and columns come first, and the coupling rows
+    and their slacks last: :func:`centralized_bootstrap` stacks the OCPs on
+    that split, and :meth:`LocalOcp.set_rhs` rewrites the rows 2k and the
+    coupling rows. The OCP starts at the model's x0 with the others at
+    zero output.
     """
     mdl = spec.model
     T, n, m, r = spec.horizon, mdl.n, mdl.m, mdl.r
-    bld = LpBuilder()
-    vx, vu = _agent_rows(bld, spec)
-
-    # coupled output rows: H (C x(t) + D u(t)) <= h - H others(t)
+    nx, nu = (T + 1) * n, T * m
+    # kron patterns that put a per-step block on x(0..T-1), x(1..T), u(0..T-1)
+    now, nxt, I_T = np.eye(T, T + 1), np.eye(T, T + 1, 1), np.eye(T)
+    pairs = np.zeros((2 * n, nx))
+    pairs[0::2, :n] = pairs[1::2, T * n:] = np.eye(n)
+    pairs_b = np.zeros(2 * n)
+    pairs_b[1::2] = spec.terminal_state
+    epi = np.kron(np.eye(n + m), [[1.0], [-1.0]])
+    epi_s = np.kron(np.eye(n + m), [[-1.0], [-1.0]])
+    ref = np.tile(np.concatenate([spec.x_ref, spec.u_ref]), T)
+    # (x coefficients, u coefficients, epigraph-slack coefficients, rhs);
+    # None is a zero block
+    families = [
+        (pairs, None, None, pairs_b),
+        (np.kron(nxt, np.eye(n)) - np.kron(now, mdl.A), -np.kron(I_T, mdl.B), None,
+         np.zeros(T * n)),
+        (np.kron(now, epi[:, :n]), np.kron(I_T, epi[:, n:]),
+         np.hstack([np.kron(I_T, epi_s[:, :n]), np.kron(I_T, epi_s[:, n:])]),
+         np.kron(ref, [1.0, -1.0])),
+    ]
+    if spec.x_set is not None:
+        G, g = spec.x_set.rows(n)
+        families.append((np.kron(nxt, G), None, None, np.tile(g, T)))
+    if spec.u_set is not None:
+        G, g = spec.u_set.rows(m)
+        families.append((None, np.kron(I_T, G), None, np.tile(g, T)))
     n_coupling = 0
     if spec.coupling is not None:
         H, _ = spec.coupling.rows(r)
-        for t in range(T):
-            for row in H:
-                rx = np.zeros((T + 1) * n)
-                rx[t * n : (t + 1) * n] = row @ mdl.C
-                ru = np.zeros(T * m)
-                ru[t * m : (t + 1) * m] = row @ mdl.D
-                bld.add_le({vx: rx, vu: ru}, 0.0)
-        n_coupling = T * H.shape[0]
+        # row by row: a BLAS matrix product may round H @ C differently
+        HC = np.array([h @ mdl.C for h in H]).reshape(len(H), n)
+        HD = np.array([h @ mdl.D for h in H]).reshape(len(H), m)
+        n_coupling = T * len(H)
+        families.append((np.kron(now, HC), np.kron(I_T, HD), None, np.zeros(n_coupling)))
 
-    lp, extract = bld.build()
-    ocp = LocalOcp(spec, lp, extract, vx, vu, 2 * np.arange(n),
-                   np.arange(lp.m - n_coupling, lp.m))
+    X, U, S = (np.vstack([np.zeros((len(f[3]), w)) if f[j] is None else f[j] for f in families])
+               for j, w in enumerate((nx, nu, T * (n + m))))
+    b = np.concatenate([f[3] for f in families])
+    n_eq = 2 * n + T * n
+    # 0.0 + M and 0.0 - M store every zero as +0.0, so A and c hold no -0.0
+    A = np.hstack([0.0 + X, 0.0 - X, 0.0 + U, 0.0 - U, 0.0 + S, np.eye(len(b))[:, n_eq:]])
+    c = np.concatenate([np.zeros(2 * (nx + nu)), np.tile(spec.cost.w_x, T),
+                        np.tile(spec.cost.w_u, T), np.zeros(len(b) - n_eq)]) + 0.0
+    ocp = LocalOcp(spec, StandardLP(A, b, c), 2 * np.arange(n),
+                   np.arange(len(b) - n_coupling, len(b)))
     ocp.set_rhs()
     return ocp
 

@@ -31,12 +31,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import yaml
 
-from ..errors import ConfigError, FormationError, GraphError
+from ..errors import ConfigError, FormationError, GraphError, ModelError
 from ..guidance import FormationSpec, hexagon_formation
+from ..mpc import Box, LinearAgentModel, OcpSpec, Polyhedron, StageCost
 from ..netgraph import CommGraph, erdos_renyi, graph_from_edges, graph_from_matrix
 
 __all__ = ["ScenarioConfig", "load_document", "parse_config", "default_config",
-           "formation_spec", "SCENARIOS", "CONFIG_VERSION"]
+           "formation_spec", "ocp_specs", "SCENARIOS", "CONFIG_VERSION"]
 
 SCENARIOS = ("containment", "formation", "rendezvous", "assignment", "mpc")
 CONFIG_VERSION = 1
@@ -352,6 +353,26 @@ def _parse_assignment(block, n: int, graph: CommGraph) -> dict:
     return out
 
 
+def ocp_specs(block: dict) -> list[OcpSpec]:
+    """The agents' local OCP specs a normalized mpc block declares."""
+    cp = block.get("coupling")
+    coupling = None if cp is None else Polyhedron(cp["H"], cp["h"])
+    specs = []
+    for blk in block["agents"]:
+        model = LinearAgentModel(blk["A"], blk["B"], blk["C"], blk["D"], blk["x0"])
+        x_set = u_set = None
+        if "x_min" in blk or "x_max" in blk:
+            x_set = Box(blk.get("x_min", [-math.inf] * model.n),
+                        blk.get("x_max", [math.inf] * model.n))
+        if "u_min" in blk or "u_max" in blk:
+            u_set = Box(blk.get("u_min", [-math.inf] * model.m),
+                        blk.get("u_max", [math.inf] * model.m))
+        specs.append(OcpSpec(model, block["horizon"], blk["terminal_state"],
+                             blk["terminal_input"], StageCost(blk["w_x"], blk["w_u"]),
+                             x_set, u_set, coupling))
+    return specs
+
+
 def _parse_mpc(block, n: int, graph: CommGraph) -> dict:
     path = "mpc"
     if not isinstance(block, dict):
@@ -385,6 +406,11 @@ def _parse_mpc(block, n: int, graph: CommGraph) -> dict:
             if bound in a:
                 entry[bound] = _as_vec(a[bound], "%s.%s" % (ap, bound))
         parsed_agents.append(entry)
+        # an agent whose OCP fails alone is at fault itself
+        try:
+            ocp_specs({"horizon": horizon, "agents": [entry]})
+        except ModelError as exc:
+            _fail(ap, str(exc))
     out = {"horizon": horizon, "steps": steps, "agents": parsed_agents}
     if "coupling" in block:
         cp = block["coupling"]
@@ -394,6 +420,10 @@ def _parse_mpc(block, n: int, graph: CommGraph) -> dict:
             "H": _as_matrix(_need(cp, "H", path + ".coupling"), path + ".coupling.H"),
             "h": _as_vec(_need(cp, "h", path + ".coupling"), path + ".coupling.h"),
         }
+        try:
+            ocp_specs(out)
+        except ModelError as exc:
+            _fail(path + ".coupling", str(exc))
     return out
 
 

@@ -41,11 +41,6 @@ from ..errors import NonConvergenceError
 from ..guidance import containment_law, formation_law
 from ..lp import AssignmentProblem, hungarian
 from ..mpc import (
-    Box,
-    LinearAgentModel,
-    OcpSpec,
-    Polyhedron,
-    StageCost,
     centralized_bootstrap,
     mpc_round,
     plan_cost,
@@ -54,7 +49,7 @@ from ..mpc import (
 from ..netgraph import CommGraph, EdgeSchedule, graph_from_edges
 from ..runtime import Agent, AgentSpec, spawn_agent
 from ..transport import MessageBus, TransportConfig
-from .config import ScenarioConfig, formation_spec
+from .config import ScenarioConfig, formation_spec, ocp_specs
 from .trace import TraceWriter
 
 # unused here (runtime.Agent and guidance.formation_law call them), kept
@@ -381,46 +376,10 @@ def _run_assignment(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
 # -- distributed MPC ---------------------------------------------------------------
 
 
-def _build_ocp_specs(p: dict) -> list[OcpSpec]:
-    coupling = None
-    if "coupling" in p:
-        coupling = Polyhedron(np.asarray(p["coupling"]["H"], dtype=float),
-                              np.asarray(p["coupling"]["h"], dtype=float))
-    specs = []
-    for blk in p["agents"]:
-        model = LinearAgentModel(
-            np.asarray(blk["A"], dtype=float), np.asarray(blk["B"], dtype=float),
-            np.asarray(blk["C"], dtype=float), np.asarray(blk["D"], dtype=float),
-            np.asarray(blk["x0"], dtype=float),
-        )
-        x_set = None
-        if "x_min" in blk or "x_max" in blk:
-            lo = np.asarray(blk.get("x_min", [-math.inf] * model.n), dtype=float)
-            hi = np.asarray(blk.get("x_max", [math.inf] * model.n), dtype=float)
-            x_set = Box(lo, hi)
-        u_set = None
-        if "u_min" in blk or "u_max" in blk:
-            lo = np.asarray(blk.get("u_min", [-math.inf] * model.m), dtype=float)
-            hi = np.asarray(blk.get("u_max", [math.inf] * model.m), dtype=float)
-            u_set = Box(lo, hi)
-        specs.append(OcpSpec(
-            model=model,
-            horizon=p["horizon"],
-            terminal_state=np.asarray(blk["terminal_state"], dtype=float),
-            terminal_input=np.asarray(blk["terminal_input"], dtype=float),
-            cost=StageCost(np.asarray(blk["w_x"], dtype=float),
-                           np.asarray(blk["w_u"], dtype=float)),
-            x_set=x_set,
-            u_set=u_set,
-            coupling=coupling,
-        ))
-    return specs
-
-
 def _run_mpc(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
     p = cfg.params
     n = cfg.n
-    specs = _build_ocp_specs(p)
+    specs = ocp_specs(p)
     coupling = specs[0].coupling
     # one OCP per agent for the episode; the bootstrap starts from their
     # optima and seeds their bases, and each replan rewrites its b and

@@ -22,7 +22,6 @@ from fleetsim.lp import (
     OPTIMAL,
     UNBOUNDED,
     AssignmentProblem,
-    LpBuilder,
     StandardLP,
     assignment_column,
     assignment_cost,
@@ -32,7 +31,7 @@ from fleetsim.lp import (
     solve_lp,
 )
 from fleetsim.simrunner import default_config, parse_config, run_scenario
-from fleetsim.simrunner.scenarios import _build_ocp_specs
+from fleetsim.simrunner.config import ocp_specs
 
 
 def solution_perm(sol, n):
@@ -154,7 +153,7 @@ def captured_mpc_lps(run):
 def mpc_bootstrap_lp(n=4):
     """The stacked LP that ``centralized_bootstrap`` solves for the default
     n-agent MPC config."""
-    ocps = [mpc.build_local_ocp(s) for s in _build_ocp_specs(default_config("mpc", n).params)]
+    ocps = [mpc.build_local_ocp(s) for s in ocp_specs(default_config("mpc", n).params)]
     return captured_mpc_lps(lambda: mpc.centralized_bootstrap(ocps))[-1]
 
 
@@ -361,50 +360,25 @@ def test_assignment_cost_row_order():
     assert assignment_cost((1, 0), cost) == cost[0, 1] + cost[1, 0]
 
 
-# -- builder -------------------------------------------------------------------
-
-
-def test_lp_builder_round_trip():
-    builder = LpBuilder()
-    x = builder.add_var(2, free=True)
-    builder.add_eq({x: np.array([1.0, 1.0])}, 3.0)
-    builder.add_le({x: np.array([1.0, 0.0])}, 1.0)
-    builder.add_cost(x, np.array([1.0, 2.0]))
-    lp, extract = builder.build()
-    sol = solve_lp(lp)
-    assert sol.status == OPTIMAL
-    val = extract.value(sol.x, x)
-    assert val.shape == (2,)
-    assert val.sum() == pytest.approx(3.0)
-    assert val[0] <= 1.0 + 1e-9
-    # free variables may go negative: check with a target below zero
-    builder2 = LpBuilder()
-    z = builder2.add_var(1, free=True)
-    builder2.add_eq({z: np.array([1.0])}, -2.0)
-    lp2, ex2 = builder2.build()
-    sol2 = solve_lp(lp2)
-    assert ex2.value(sol2.x, z)[0] == pytest.approx(-2.0)
-
-
 # -- phase-1 crash basis ---------------------------------------------------------
 
 
-def _builder_lp(rows, cost, free=None):
-    """LP over two nonnegative variables, plus a free scalar ``z`` when
-    ``free`` gives its coefficient in each row. ``rows`` holds
-    (kind, coeffs, rhs) triples for ``add_eq`` / ``add_le``."""
-    bld = LpBuilder()
-    x = bld.add_var(2, free=False)
-    z = bld.add_var(1) if free is not None else None
-    for r, (kind, coeffs, rhs) in enumerate(rows):
-        terms = {x: np.array(coeffs, dtype=float)}
-        if free is not None and free[r]:
-            terms[z] = np.array([free[r]], dtype=float)
-        (bld.add_eq if kind == "eq" else bld.add_le)(terms, rhs)
-    bld.add_cost(x, np.array(cost, dtype=float))
+def _rows_lp(rows, cost, free=None):
+    """LP over two nonnegative variables, plus a free scalar ``z`` split
+    into z+ and z- when ``free`` gives its coefficient in each row.
+    ``rows`` holds (kind, coeffs, rhs) triples, kind "eq" or "le"; each
+    "le" row gets a slack column, after all the variables."""
+    A = np.array([coeffs for _, coeffs, _ in rows], dtype=float)
+    c = list(cost)
     if free is not None:
-        bld.add_cost(z, np.array([0.5]))
-    return bld.build()[0]
+        z = np.array(free, dtype=float)[:, None]
+        A = np.hstack([A, z, -z])
+        c += [0.5, -0.5]
+    le = [kind == "le" for kind, _, _ in rows]
+    # adding to 0.0 stores every zero as +0.0
+    A = np.hstack([A, np.eye(len(rows))[:, le]]) + 0.0
+    c = np.concatenate([c, np.zeros(sum(le))]) + 0.0
+    return StandardLP(A, [rhs for _, _, rhs in rows], c)
 
 
 # x0 and x1 sit in both rows, so only the columns the comments name can
@@ -425,11 +399,11 @@ CRASH_CASES = {
     ),
     # z's positive half is a singleton in row 0 and crashes there, and the
     # slack crashes row 1: no artificial at all
-    "free variable in one row": _builder_lp(
+    "free variable in one row": _rows_lp(
         [("eq", [1.0, 1.0], 2.0), ("le", [1.0, 1.0], 1.5)], [1.0, 1.0], free=[1.0, 0.0]
     ),
     # after the flip of row 0 it is z's negative half that crashes
-    "free variable in one flipped row": _builder_lp(
+    "free variable in one flipped row": _rows_lp(
         [("eq", [1.0, 1.0], -2.0), ("le", [1.0, 1.0], 1.5)], [1.0, 1.0], free=[1.0, 0.0]
     ),
 }
@@ -446,7 +420,7 @@ def test_crash_basis_cases_match_highs(case):
 def test_crash_basis_redundant_rows_are_dropped():
     """Two copies of one equality row sit next to two slack rows: the slack
     rows crash, and one copy's artificial cannot leave and is dropped."""
-    lp = _builder_lp(
+    lp = _rows_lp(
         [("eq", [1.0, 1.0], 1.0), ("eq", [1.0, 1.0], 1.0),
          ("le", [1.0, 0.0], 0.7), ("le", [0.0, 1.0], 0.9)],
         [-1.0, 0.0],
@@ -504,7 +478,7 @@ def test_bootstrap_with_dependent_terminal_rows_seeds_no_basis():
     """The agents' own solves drop a row, so their bases cannot start the
     stacked LP: it solves in two phases and no OCP gets a seed."""
     ocps = [mpc.build_local_ocp(s)
-            for s in _build_ocp_specs(dependent_terminal_mpc(2).params)]
+            for s in ocp_specs(dependent_terminal_mpc(2).params)]
     plans = mpc.centralized_bootstrap(ocps)
     for ocp, plan in zip(ocps, plans):
         mpc.validate_plan(plan, ocp.spec)
@@ -514,7 +488,7 @@ def test_bootstrap_with_dependent_terminal_rows_seeds_no_basis():
 def test_crash_basis_infeasible_with_one_artificial():
     """Every row but the equality crashes on its slack; phase 1 still
     reports the LP infeasible, as HiGHS does."""
-    lp = _builder_lp(
+    lp = _rows_lp(
         [("le", [1.0, 1.0], 1.0), ("le", [1.0, 0.0], 0.5), ("eq", [1.0, 1.0], 3.0)],
         [1.0, 1.0],
     )
@@ -537,7 +511,7 @@ def test_phase1_starts_from_the_exact_diagonal_inverse(monkeypatch):
     """The crash basis is diagonal, so phase 1 starts from diag(1/a): a
     cold solve of the default local OCP factors only phase 2's basis, and
     returns the basis and x that a LAPACK inverse of the crash basis gives."""
-    spec = _build_ocp_specs(default_config("mpc", 4).params)[0]
+    spec = ocp_specs(default_config("mpc", 4).params)[0]
     lp = mpc.build_local_ocp(spec).lp
     real_simplex = lp_module._simplex
     starts = []
@@ -569,11 +543,8 @@ def test_phase1_starts_from_the_exact_diagonal_inverse(monkeypatch):
 
 
 def test_lp_builder_infeasible_detected():
-    builder = LpBuilder()
-    x = builder.add_var(1, free=False)
-    builder.add_eq({x: np.array([1.0])}, 1.0)
-    builder.add_eq({x: np.array([1.0])}, 2.0)
-    lp, _ = builder.build()
+    # x = 1 and x = 2
+    lp = StandardLP([[1.0], [1.0]], [1.0, 2.0], [0.0])
     assert solve_lp(lp).status == INFEASIBLE
 
 
@@ -677,7 +648,7 @@ def test_unusable_warm_basis_falls_back():
 def test_warm_basis_short_a_dropped_row_falls_back():
     """A basis from a solve that dropped a dependent row has one entry
     fewer than the LP has rows."""
-    lp = _builder_lp(
+    lp = _rows_lp(
         [("eq", [1.0, 1.0], 1.0), ("eq", [1.0, 1.0], 1.0),
          ("le", [1.0, 0.0], 0.7), ("le", [0.0, 1.0], 0.9)],
         [-1.0, 0.0],
@@ -689,7 +660,7 @@ def test_warm_basis_short_a_dropped_row_falls_back():
 
 def test_infeasible_lp_with_warm_basis_reports_infeasible():
     rows = [("le", [1.0, 1.0], 1.0), ("le", [1.0, 0.0], 0.5), ("eq", [1.0, 1.0], 0.8)]
-    feasible = _builder_lp(rows, [1.0, 1.0])
+    feasible = _rows_lp(rows, [1.0, 1.0])
     basis = solve_lp(feasible).basis
     assert len(basis) == feasible.m
     infeasible = StandardLP(feasible.A, [1.0, 0.5, 3.0], feasible.c)

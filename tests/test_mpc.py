@@ -4,6 +4,9 @@ Single-agent planning against a centralized oracle, the coupled
 round-robin loop, recursive feasibility, and the validation surface.
 """
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -29,7 +32,7 @@ from fleetsim.mpc import (
     validate_plan,
 )
 from fleetsim.simrunner import default_config, run_scenario
-from fleetsim.simrunner.scenarios import _build_ocp_specs
+from fleetsim.simrunner.config import ocp_specs
 
 
 def scalar_spec(a=1.0, b=1.0, x0=0.9, x_term=0.0, u_term=0.0, horizon=10,
@@ -129,6 +132,37 @@ def test_ocp_spec_requires_equilibrium_terminal():
     # the matching input makes it an equilibrium again
     spec = scalar_spec(a=0.95, b=0.5, x_term=0.4, u_term=0.04)
     assert spec.terminal_state[0] == 0.4
+
+
+def test_ocp_spec_rejects_references_of_the_wrong_length():
+    spec = double_integrator_spec()  # n = 2, m = 1
+    w = dict(w_x=spec.cost.w_x, w_u=spec.cost.w_u)
+    for refs in (dict(x_ref=np.zeros(1)), dict(x_ref=np.zeros(3)),
+                 dict(u_ref=np.zeros(2)), dict(u_ref=np.zeros(0)),
+                 # one too long and one too short: as many entries in all
+                 dict(x_ref=np.zeros(3), u_ref=np.zeros(0))):
+        with pytest.raises(ModelError, match="_ref has"):
+            replace(spec, cost=StageCost(**w, **refs))
+
+
+def test_ocp_spec_rejects_sets_of_the_wrong_width():
+    spec = double_integrator_spec()  # n = 2, m = 1, r = 2
+    for field, region in (("x_set", Box(np.zeros(3), np.ones(3))),
+                          ("u_set", Polyhedron(np.ones((1, 2)), np.ones(1))),
+                          ("coupling", Polyhedron(np.ones((2, 3)), np.ones(2)))):
+        with pytest.raises(ModelError, match=field):
+            replace(spec, **{field: region})
+
+
+def test_ocp_spec_rejects_non_finite_terminal_pair_and_references():
+    spec = double_integrator_spec()
+    w = dict(w_x=spec.cost.w_x, w_u=spec.cost.w_u)
+    for change in (dict(terminal_state=np.array([np.nan, 0.0])),
+                   dict(terminal_input=np.array([np.inf])),
+                   dict(cost=StageCost(**w, x_ref=np.array([0.0, np.nan]))),
+                   dict(cost=StageCost(**w, u_ref=np.array([-np.inf])))):
+        with pytest.raises(ModelError, match="NaN or inf"):
+            replace(spec, **change)
 
 
 def test_box_rows():
@@ -469,6 +503,58 @@ def test_build_local_ocp_rewrites_only_b():
     assert fresh.lp.A.tobytes() == A.tobytes()
 
 
+def hand_spec():
+    """Two states, inputs and outputs, a polyhedral state set, an input box
+    open on one side, a two-row coupling and explicit references."""
+    model = LinearAgentModel(
+        A=np.array([[1.0, 0.2], [-0.1, 0.9]]),
+        B=np.array([[0.5, -0.0], [0.1, 1.0]]),
+        C=np.array([[1.0, 0.5], [0.3, 1.0]]),
+        D=np.array([[0.1, 0.0], [-0.0, 0.2]]),
+        x0=np.array([0.4, -0.3]),
+    )
+    return OcpSpec(
+        model=model,
+        horizon=3,
+        terminal_state=np.zeros(2),
+        terminal_input=np.zeros(2),
+        cost=StageCost(w_x=np.array([1.0, 0.5]), w_u=np.array([0.1, 0.2]),
+                       x_ref=np.array([0.1, -0.0]), u_ref=np.array([0.0, 0.05])),
+        x_set=Polyhedron(np.array([[1.0, 1.0], [-1.0, 0.3], [0.0, -1.0]]),
+                         np.array([2.0, 1.5, 0.7])),
+        u_set=Box(np.array([-1.0, -np.inf]), np.array([0.8, 0.6])),
+        coupling=Polyhedron(np.array([[1.0, 0.3], [-0.7, 0.5]]), np.array([2.0, 1.0])),
+    )
+
+
+# sha256 of A, b and c of each spec's local OCP LP. centralized_bootstrap
+# stacks these blocks and the simplex breaks ties by column index, so a
+# rewrite of build_local_ocp must keep these bytes. They were recorded with
+# numpy 2.4 and OpenBLAS on x86-64; a BLAS that rounds the coupling
+# products H C and H D differently needs them re-recorded.
+GOLDEN_OCP_LPS = {
+    "mpc_default": "3f593b6d774a91ea14d86dc67708937d36f8b793da4c95490d02fdf693279c6a",
+    "double_integrator": "5259ab56c9f835fe049f2074ac9dd92a2619ab4739a6fa80173d5bc4cee88474",
+    "dependent_terminal": "9f87bf91ef1f66929981c80e10f17b099eb45351f5781f280cb75542d3d75f03",
+    "hand": "ef42cb04324ae1b2649384590e19498bda47d0a2a267a5179ae6d73c16f34404",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OCP_LPS))
+def test_local_ocp_lp_bytes_match_golden(name):
+    from test_lp import dependent_terminal_mpc
+
+    spec = {
+        "mpc_default": lambda: ocp_specs(default_config("mpc", 4).params)[0],
+        "double_integrator": double_integrator_spec,
+        "dependent_terminal": lambda: ocp_specs(dependent_terminal_mpc(1).params)[0],
+        "hand": hand_spec,
+    }[name]()
+    lp = build_local_ocp(spec).lp
+    digest = hashlib.sha256(lp.A.tobytes() + lp.b.tobytes() + lp.c.tobytes()).hexdigest()
+    assert digest == GOLDEN_OCP_LPS[name]
+
+
 def test_mpc_step_warm_starts_and_the_oracle_stays_cold(monkeypatch):
     """Over episode-long OCPs seeded by the bootstrap every replan passes
     a basis to the solver; the receding-horizon oracle builds a fresh OCP
@@ -550,7 +636,7 @@ def test_bootstrap_starts_warm_and_seeds_every_first_replan(monkeypatch, tmp_pat
     optima: the stacked LP starts from their bases and takes no pivot,
     and every replan of the run, the first ones included, is warm."""
     calls = solve_spy(monkeypatch)
-    ocps = fresh_ocps(_build_ocp_specs(default_config("mpc", n).params))
+    ocps = fresh_ocps(ocp_specs(default_config("mpc", n).params))
     centralized_bootstrap(ocps)
     assert [warm for _, warm, _ in calls] == [False] * n + [True]
     assert calls[-1][2].iterations == 0

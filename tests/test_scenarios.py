@@ -662,11 +662,27 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     loop.write_text("1 1\n1 0\n")
     wide = tmp_path / "wide_adj.txt"
     wide.write_text("0 1 1\n1 0 1\n")
+
+    def mpc_fault(name, agent=None, coupling=None):
+        """A two-agent mpc config file with agent 1 or the coupling changed."""
+        raw = default_config("mpc", 2).raw
+        raw["mpc"]["agents"][1].update(agent or {})
+        raw["mpc"]["coupling"].update(coupling or {})
+        path = tmp_path / (name + ".json")
+        path.write_text(json.dumps(raw))
+        return ["mpc", "--config", str(path)]
+
     for argv, where in [
         (["formation", "--graph", "complete"], "graph: edge (0, 3)"),
         (["rendezvous", "-n", "3", "--graph", "er:0.0"], "graph.er: "),
         (["rendezvous", "-n", "2", "--graph", str(loop)], "graph.matrix[0][0]: "),
         (["rendezvous", "-n", "2", "--graph", str(wide)], "graph.matrix: matrix is 2x3"),
+        # model faults the OCP specs catch
+        (mpc_fault("square", {"A": [[1.0, 0.0]]}), "mpc.agents[1]: A must be square"),
+        (mpc_fault("u_min", {"u_min": [-1.0, -1.0]}), "mpc.agents[1]: box bounds"),
+        (mpc_fault("terminal", {"terminal_input": [0.1]}),
+         "mpc.agents[1]: terminal pair is not an equilibrium"),
+        (mpc_fault("coupling", coupling={"H": [[1.0, 1.0]]}), "mpc.coupling: coupling: "),
     ]:
         out = tmp_path / "faults"
         out.mkdir()
