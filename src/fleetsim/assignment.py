@@ -77,7 +77,6 @@ from .transport import MessageBus, TransportConfig
 
 __all__ = [
     "PENDING",
-    "ASSIGNED",
     "COMPLETED",
     "Task",
     "CloudState",
@@ -98,7 +97,6 @@ __all__ = [
 ]
 
 PENDING = "pending"
-ASSIGNED = "assigned"
 COMPLETED = "completed"
 
 DEFAULT_BIG_M = 1.0e6
@@ -119,7 +117,6 @@ class Task:
     task_id: int
     position: np.ndarray
     state: str = PENDING
-    seq: int = 0
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=float)
@@ -141,10 +138,8 @@ class CloudState:
 
     @classmethod
     def from_positions(cls, initial, hidden) -> "CloudState":
-        tasks = [Task(i, p, seq=i) for i, p in enumerate(initial)]
-        backlog = [
-            Task(len(tasks) + i, p, seq=len(tasks) + i) for i, p in enumerate(hidden)
-        ]
+        tasks = [Task(i, p) for i, p in enumerate(initial)]
+        backlog = [Task(len(tasks) + i, p) for i, p in enumerate(hidden)]
         return cls(revealed=tasks, hidden=backlog)
 
     def live_tasks(self) -> list[Task]:
@@ -424,7 +419,7 @@ class SimplexBasis:
     objective: float
     _tree: _Tree = field(repr=False)
 
-    def permutation(self, n: int) -> tuple[int, ...] | None:
+    def permutation(self) -> tuple[int, ...] | None:
         """Robot->task map encoded by the basis, or None if artificials
         still cover some row (no full matching yet)."""
         return self._tree.permutation()
@@ -621,7 +616,7 @@ class DistributedSimplexAgent:
     def result(self) -> tuple[int, tuple[int, ...], float]:
         """(own task, full permutation, objective). The objective sums the
         assigned costs in robot order, as ``lp.assignment_cost`` does."""
-        perm = self.basis.permutation(self.n)
+        perm = self.basis.permutation()
         if perm is None:
             raise NonConvergenceError(
                 "agent %d basis still contains artificial columns" % self.i,

@@ -30,8 +30,8 @@ Dantzig and Orchard-Hays): each pivot applies a rank-1 eta update in
 O(m^2), and the inverse is recomputed from scratch every
 ``_REFACTOR_EVERY`` pivots to bound the rounding the updates accumulate.
 
-Also here: the assignment-problem encoding (one redundant constraint row
-dropped so the system has full row rank 2n-1) and a Hungarian oracle.
+Also here: the assignment problem's type and cost, and a Hungarian
+oracle.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ __all__ = [
     "AssignmentProblem",
     "solve_lp",
     "simplex_from_basis",
-    "build_assignment_lp",
     "hungarian",
     "assignment_cost",
     "OPTIMAL",
@@ -350,33 +349,6 @@ class AssignmentProblem:
         cost = cost.copy()
         cost.setflags(write=False)
         object.__setattr__(self, "cost", cost)
-
-
-def assignment_column(i: int, k: int, n: int) -> np.ndarray:
-    """Constraint column for decision variable x_ik under the dropped-row
-    convention: rows are n robot equations then the first n-1 task
-    equations (the last task row is redundant and omitted)."""
-    a = np.zeros(2 * n - 1)
-    a[i] = 1.0
-    if k < n - 1:
-        a[n + k] = 1.0
-    return a
-
-
-def build_assignment_lp(p: AssignmentProblem) -> StandardLP:
-    """Encode the assignment problem in standard form with full row rank.
-
-    Variables x_ik are flattened as j = i*n + k. The constraint matrix is
-    totally unimodular, so every basic solution (and hence every optimum
-    found by the simplex) is integral.
-    """
-    n = p.n
-    m = 2 * n - 1
-    A = np.zeros((m, n * n))
-    for i in range(n):
-        for k in range(n):
-            A[:, i * n + k] = assignment_column(i, k, n)
-    return StandardLP(A=A, b=np.ones(m), c=p.cost.ravel().copy())
 
 
 def assignment_cost(perm, cost: np.ndarray) -> float:

@@ -48,7 +48,6 @@ from .lp import INFEASIBLE, OPTIMAL, StandardLP, solve_lp
 
 __all__ = [
     "LinearAgentModel",
-    "Box",
     "Polyhedron",
     "StageCost",
     "OcpSpec",
@@ -64,7 +63,6 @@ __all__ = [
     "mpc_step",
     "StepResult",
     "centralized_bootstrap",
-    "receding_horizon_oracle",
 ]
 
 _DYN_TOL = 1e-9
@@ -121,41 +119,8 @@ class LinearAgentModel:
 
 
 @dataclass(frozen=True)
-class Box:
-    """Componentwise bounds; use +-inf to leave a side open."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float).ravel()
-        hi = np.asarray(self.upper, dtype=float).ravel()
-        if lo.shape != hi.shape:
-            raise ModelError("box bounds differ in length")
-        if np.any(lo > hi):
-            raise ModelError("box lower bound exceeds upper bound")
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-
-    def rows(self, dim: int):
-        """(G, g) pairs equivalent to the box, finite sides only."""
-        if self.lower.shape != (dim,):
-            raise ModelError("box dimension %s does not match %d" % (self.lower.shape, dim))
-        G, g = [], []
-        eye = np.eye(dim)
-        for k in range(dim):
-            if np.isfinite(self.upper[k]):
-                G.append(eye[k])
-                g.append(self.upper[k])
-            if np.isfinite(self.lower[k]):
-                G.append(-eye[k])
-                g.append(-self.lower[k])
-        return np.array(G).reshape(-1, dim), np.array(g)
-
-
-@dataclass(frozen=True)
 class Polyhedron:
-    """{v : G v <= g}."""
+    """{v : G v <= g}, with finite G and g; :meth:`box` builds bounds."""
 
     G: np.ndarray
     g: np.ndarray
@@ -165,13 +130,30 @@ class Polyhedron:
         g = np.asarray(self.g, dtype=float).ravel()
         if G.shape[0] != g.shape[0]:
             raise ModelError("polyhedron row counts differ: %s vs %s" % (G.shape, g.shape))
+        for name, arr in (("G", G), ("g", g)):
+            if not np.all(np.isfinite(arr)):
+                raise ModelError("polyhedron %s contains NaN or inf" % name)
         object.__setattr__(self, "G", G)
         object.__setattr__(self, "g", g)
 
-    def rows(self, dim: int):
-        if self.G.shape[1] != dim:
-            raise ModelError("polyhedron dimension %d does not match %d" % (self.G.shape[1], dim))
-        return self.G, self.g
+    @classmethod
+    def box(cls, lower, upper) -> "Polyhedron":
+        """Componentwise bounds lower <= v <= upper; +-inf leaves a side
+        open. Per component, the row v_k <= upper_k and then the row
+        -v_k <= -lower_k, finite sides only."""
+        lo = np.asarray(lower, dtype=float).ravel()
+        hi = np.asarray(upper, dtype=float).ravel()
+        if lo.shape != hi.shape:
+            raise ModelError("box bounds differ in length")
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise ModelError("box bounds contain NaN")
+        if np.any(lo > hi):
+            raise ModelError("box lower bound exceeds upper bound")
+        eye = np.eye(lo.size)
+        G = np.stack([eye, -eye], axis=1).reshape(2 * lo.size, lo.size)
+        g = np.stack([hi, -lo], axis=1).ravel()
+        keep = np.isfinite(g)
+        return cls(G[keep], g[keep])
 
 
 @dataclass(frozen=True)
@@ -213,8 +195,8 @@ class OcpSpec:
     terminal_state: np.ndarray
     terminal_input: np.ndarray
     cost: StageCost
-    x_set: Box | Polyhedron | None = None
-    u_set: Box | Polyhedron | None = None
+    x_set: Polyhedron | None = None
+    u_set: Polyhedron | None = None
     coupling: Polyhedron | None = None
 
     def __post_init__(self):
@@ -234,11 +216,9 @@ class OcpSpec:
                 raise ModelError("%s contains NaN or inf" % name)
         for name, region, dim in (("x_set", self.x_set, mdl.n), ("u_set", self.u_set, mdl.m),
                                   ("coupling", self.coupling, mdl.r)):
-            if region is not None:
-                try:
-                    region.rows(dim)
-                except ModelError as exc:
-                    raise ModelError("%s: %s" % (name, exc)) from None
+            if region is not None and region.G.shape[1] != dim:
+                raise ModelError("%s: polyhedron dimension %d does not match %d"
+                                 % (name, region.G.shape[1], dim))
         resid = np.max(np.abs(mdl.A @ xbar + mdl.B @ ubar - xbar)) if mdl.n else 0.0
         if resid > _DYN_TOL:
             raise ModelError(
@@ -356,7 +336,7 @@ class LocalOcp:
                 if others.shape != (T, r):
                     raise ModelError(
                         "others_sum shape %s, expected (%d, %d)" % (others.shape, T, r))
-            H, h = spec.coupling.rows(r)
+            H, h = spec.coupling.G, spec.coupling.g
             b[self._coupling_rows] = np.concatenate([h - H @ others[t] for t in range(T)])
         self.lp = StandardLP(self.lp.A, b, self.lp.c)
 
@@ -393,7 +373,7 @@ def build_local_ocp(spec: OcpSpec) -> LocalOcp:
     zero output.
     """
     mdl = spec.model
-    T, n, m, r = spec.horizon, mdl.n, mdl.m, mdl.r
+    T, n, m = spec.horizon, mdl.n, mdl.m
     nx, nu = (T + 1) * n, T * m
     # kron patterns that put a per-step block on x(0..T-1), x(1..T), u(0..T-1)
     now, nxt, I_T = np.eye(T, T + 1), np.eye(T, T + 1, 1), np.eye(T)
@@ -415,14 +395,12 @@ def build_local_ocp(spec: OcpSpec) -> LocalOcp:
          np.kron(ref, [1.0, -1.0])),
     ]
     if spec.x_set is not None:
-        G, g = spec.x_set.rows(n)
-        families.append((np.kron(nxt, G), None, None, np.tile(g, T)))
+        families.append((np.kron(nxt, spec.x_set.G), None, None, np.tile(spec.x_set.g, T)))
     if spec.u_set is not None:
-        G, g = spec.u_set.rows(m)
-        families.append((None, np.kron(I_T, G), None, np.tile(g, T)))
+        families.append((None, np.kron(I_T, spec.u_set.G), None, np.tile(spec.u_set.g, T)))
     n_coupling = 0
     if spec.coupling is not None:
-        H, _ = spec.coupling.rows(r)
+        H = spec.coupling.G
         # row by row: a BLAS matrix product may round H @ C differently
         HC = np.array([h @ mdl.C for h in H]).reshape(len(H), n)
         HD = np.array([h @ mdl.D for h in H]).reshape(len(H), m)
@@ -491,17 +469,6 @@ def coupling_residual(plans: list[Plan], coupling: Polyhedron | None) -> float:
         total = total + p.outputs
     slack = total @ coupling.G.T - coupling.g
     return float(max(np.max(slack), 0.0))
-
-
-def joint_feasible(specs, plans) -> bool:
-    if coupling_residual(plans, specs[0].coupling) > 1e-8:
-        return False
-    for spec, plan in zip(specs, plans):
-        try:
-            validate_plan(plan, spec)
-        except PlanError:
-            return False
-    return True
 
 
 def mpc_round(ocps: list[LocalOcp], plans: list[Plan], turn: int,
@@ -579,11 +546,11 @@ def mpc_step(ocps: list[LocalOcp], plans: list[Plan], t: int) -> StepResult:
     )
 
 
-def centralized_bootstrap(ocps: list[LocalOcp], x_now=None) -> list[Plan]:
+def centralized_bootstrap(ocps: list[LocalOcp]) -> list[Plan]:
     """Jointly feasible (and jointly optimal) initial plans from the agents'
     episode-long OCPs. Test and startup scaffolding: the closed loop itself
     stays distributed, this only seeds it with a feasible joint plan at
-    t = 0 (at the models' x0, or at ``x_now``, one state per agent).
+    t = 0, at the models' x0.
 
     The joint LP is block-angular: each agent's own rows and columns, as
     its OCP holds them, on the diagonal, tied only by the T coupling rows
@@ -620,12 +587,11 @@ def centralized_bootstrap(ocps: list[LocalOcp], x_now=None) -> list[Plan]:
             raise ModelError("either every agent or none carries the coupling")
         if coupling is not None and s.model.r != r:
             raise ModelError("coupled agents must share the output dimension")
-    states0 = [None] * len(ocps) if x_now is None else x_now
 
-    # each agent alone, with the others at zero output
+    # each agent alone, at its x0 with the others at zero output
     local = []
-    for ocp, x in zip(ocps, states0):
-        ocp.set_rhs(x)
+    for ocp in ocps:
+        ocp.set_rhs()
         local.append(solve_lp(ocp.lp))
 
     # the stacked LP: own blocks on the diagonal, then the coupling rows
@@ -647,7 +613,7 @@ def centralized_bootstrap(ocps: list[LocalOcp], x_now=None) -> list[Plan]:
     A[M:, N:] = np.eye(k)
     slacks = list(range(N, N + k))
     if coupling is not None:
-        b[M:] = np.tile(coupling.rows(r)[1], T)
+        b[M:] = np.tile(coupling.g, T)
 
     # the joint coupling slacks plus the local optimal bases less their own
     # coupling slacks: a basis of the stacked LP when every local coupling
@@ -671,30 +637,3 @@ def centralized_bootstrap(ocps: list[LocalOcp], x_now=None) -> list[Plan]:
     return [ocp.extract_plan(sol.x[col:col + n_i])
             for ocp, n_i, col in zip(ocps, own_n, col_at)]
 
-
-def receding_horizon_oracle(spec: OcpSpec, steps: int,
-                            replan_at=None) -> tuple[np.ndarray, np.ndarray]:
-    """Single-agent receding-horizon reference loop, solved cold.
-
-    ``replan_at`` is a predicate on the step index saying when to re-solve
-    (default: every step); other steps shift the previous plan. Each
-    re-solve builds a fresh OCP, which has no basis, so the reference
-    shares no warm start with the loop it checks. Returns (states, inputs)
-    over the closed loop, states shaped (steps+1, n).
-    """
-    should = (lambda t: True) if replan_at is None else replan_at
-    x = spec.model.x0.copy()
-    plan = None
-    states = [x.copy()]
-    inputs = []
-    for t in range(steps):
-        if plan is None or should(t):
-            fresh, _ = replan_local(build_local_ocp(spec), x)
-            if fresh is None:
-                raise FeasibilityError("oracle problem infeasible at step %d" % t)
-            plan = fresh
-        inputs.append(plan.inputs[0].copy())
-        x = plan.states[1].copy()
-        states.append(x.copy())
-        plan = shift_plan(plan, spec)
-    return np.array(states), np.array(inputs)

@@ -31,6 +31,9 @@ __all__ = [
     "graph_from_matrix",
 ]
 
+# samples erdos_renyi draws before it gives up on a connected graph
+_ER_ATTEMPTS = 1000
+
 
 @dataclass(frozen=True)
 class CommGraph:
@@ -83,19 +86,18 @@ def erdos_renyi(
     p: float,
     seed: int,
     require_connected: bool = False,
-    max_attempts: int = 1000,
 ) -> CommGraph:
     """Sample an undirected Erdos-Renyi graph G(n, p).
 
     With ``require_connected`` the graph is resampled until connected,
-    capped at ``max_attempts`` before raising :class:`GraphError`.
+    capped at ``_ER_ATTEMPTS`` samples before raising :class:`GraphError`.
     """
     if not 0.0 <= p <= 1.0:
         raise GraphError("edge probability %r outside [0, 1]" % (p,))
     if n < 1:
         raise GraphError("need n >= 1, got %d" % n)
     rng = np.random.default_rng(seed)
-    for _ in range(max_attempts):
+    for _ in range(_ER_ATTEMPTS):
         draws = rng.random((n, n))
         upper = np.triu(draws < p, k=1)
         adj = (upper | upper.T).astype(np.int8)
@@ -103,7 +105,7 @@ def erdos_renyi(
         if not require_connected or is_connected(g):
             return g
     raise GraphError(
-        "no connected G(%d, %.3f) found in %d attempts" % (n, p, max_attempts)
+        "no connected G(%d, %.3f) found in %d attempts" % (n, p, _ER_ATTEMPTS)
     )
 
 

@@ -60,18 +60,15 @@ __all__ = [
     "Agent",
     "OptimizationJob",
     "spawn_agent",
-    "JOB_IDLE",
     "JOB_RUNNING",
     "JOB_DONE",
     "JOB_CANCELLED",
 ]
 
-JOB_IDLE = "idle"
 JOB_RUNNING = "running"
 JOB_DONE = "done"
 JOB_CANCELLED = "cancelled"
 
-ROLES = ("leader", "follower", "generic")
 MODELS = ("single_integrator", "unicycle", "double_integrator")
 
 
@@ -89,7 +86,6 @@ class AgentSpec:
     initial_state: object
     law: Callable[[np.ndarray, dict], np.ndarray]
     model: str = "single_integrator"
-    role: str = "generic"
     period: float = 0.01
     si_params: SiToUniParams | None = None
     saturation: object = None
@@ -113,8 +109,6 @@ class OptimizationJob:
 
 
 def _validate_spec(spec: AgentSpec) -> None:
-    if spec.role not in ROLES:
-        raise RegistrationError("unknown role %r" % (spec.role,))
     if spec.model not in MODELS:
         raise RegistrationError("unknown model %r" % (spec.model,))
     if spec.period <= 0:
@@ -356,7 +350,7 @@ def spawn_agent(spec: AgentSpec, bus: MessageBus, graph, profile: str = "static"
                 config: TransportConfig | None = None, start: bool = True) -> Agent:
     """Create, register and (by default) start an agent.
 
-    A duplicate id, an unknown role/model, or a guidance/model mismatch
+    A duplicate id, an unknown model, or a guidance/model mismatch
     raises RegistrationError before anything runs.
     """
     from .communicator import Communicator

@@ -33,7 +33,7 @@ import yaml
 
 from ..errors import ConfigError, FormationError, GraphError, ModelError
 from ..guidance import FormationSpec, hexagon_formation
-from ..mpc import Box, LinearAgentModel, OcpSpec, Polyhedron, StageCost
+from ..mpc import LinearAgentModel, OcpSpec, Polyhedron, StageCost
 from ..netgraph import CommGraph, erdos_renyi, graph_from_edges, graph_from_matrix
 
 __all__ = ["ScenarioConfig", "load_document", "parse_config", "default_config",
@@ -362,11 +362,11 @@ def ocp_specs(block: dict) -> list[OcpSpec]:
         model = LinearAgentModel(blk["A"], blk["B"], blk["C"], blk["D"], blk["x0"])
         x_set = u_set = None
         if "x_min" in blk or "x_max" in blk:
-            x_set = Box(blk.get("x_min", [-math.inf] * model.n),
-                        blk.get("x_max", [math.inf] * model.n))
+            x_set = Polyhedron.box(blk.get("x_min", [-math.inf] * model.n),
+                                   blk.get("x_max", [math.inf] * model.n))
         if "u_min" in blk or "u_max" in blk:
-            u_set = Box(blk.get("u_min", [-math.inf] * model.m),
-                        blk.get("u_max", [math.inf] * model.m))
+            u_set = Polyhedron.box(blk.get("u_min", [-math.inf] * model.m),
+                                   blk.get("u_max", [math.inf] * model.m))
         specs.append(OcpSpec(model, block["horizon"], blk["terminal_state"],
                              blk["terminal_input"], StageCost(blk["w_x"], blk["w_u"]),
                              x_set, u_set, coupling))
@@ -375,6 +375,9 @@ def ocp_specs(block: dict) -> list[OcpSpec]:
 
 def _parse_mpc(block, n: int, graph: CommGraph) -> dict:
     path = "mpc"
+    if not np.array_equal(graph.adjacency, 1 - np.eye(n, dtype=np.int8)):
+        # the engine sends every plan straight to the agent whose turn it is
+        _fail("graph", "the mpc engine needs a complete graph")
     if not isinstance(block, dict):
         _fail(path, "missing scenario block")
     horizon = _as_int(block.get("horizon", 8), path + ".horizon")

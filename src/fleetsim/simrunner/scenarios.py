@@ -46,7 +46,7 @@ from ..mpc import (
     plan_cost,
     shift_plan,
 )
-from ..netgraph import CommGraph, EdgeSchedule, graph_from_edges
+from ..netgraph import EdgeSchedule, graph_from_edges
 from ..runtime import Agent, AgentSpec, spawn_agent
 from ..transport import MessageBus, TransportConfig
 from .config import ScenarioConfig, formation_spec, ocp_specs
@@ -389,15 +389,13 @@ def _run_mpc(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
     plans = centralized_bootstrap(ocps)
 
     # each step the other agents send their plans to the agent whose turn
-    # it is, over a complete graph; relaying through multi-hop topologies
-    # is out of scope for this engine
-    full = CommGraph(n, 1 - np.eye(n, dtype=np.int8)) if n > 1 else None
+    # it is, over the config's graph, which _parse_mpc requires to be
+    # complete; relaying through multi-hop topologies is out of scope for
+    # this engine
     bus = MessageBus()
-    comms = (
-        [Communicator(bus, i, full, profile="static") for i in range(n)]
-        if full is not None
-        else []
-    )
+    comms = []
+    if n > 1:
+        comms = [Communicator(bus, i, cfg.graph, profile="static") for i in range(n)]
 
     steps = p["steps"]
     closed_loop_cost = 0.0

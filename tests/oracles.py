@@ -1,0 +1,89 @@
+"""Reference implementations the tests hold the library to.
+
+No module of fleetsim calls these, so they live beside the tests and the
+library's public surface holds only what its engines use: the dense
+assignment LP, with its 2n-1 rows of full rank, that the dense simplex is
+checked on; a joint feasibility test of coupled plans; and a cold
+receding-horizon loop for single-agent MPC.
+"""
+
+import numpy as np
+
+from fleetsim.errors import FeasibilityError, PlanError
+from fleetsim.lp import AssignmentProblem, StandardLP
+from fleetsim.mpc import (
+    OcpSpec,
+    build_local_ocp,
+    coupling_residual,
+    replan_local,
+    shift_plan,
+    validate_plan,
+)
+
+
+def assignment_column(i: int, k: int, n: int) -> np.ndarray:
+    """Constraint column for decision variable x_ik under the dropped-row
+    convention: rows are n robot equations then the first n-1 task
+    equations (the last task row is redundant and omitted)."""
+    a = np.zeros(2 * n - 1)
+    a[i] = 1.0
+    if k < n - 1:
+        a[n + k] = 1.0
+    return a
+
+
+def build_assignment_lp(p: AssignmentProblem) -> StandardLP:
+    """Encode the assignment problem in standard form with full row rank.
+
+    Variables x_ik are flattened as j = i*n + k. The constraint matrix is
+    totally unimodular, so every basic solution (and hence every optimum
+    found by the simplex) is integral.
+    """
+    n = p.n
+    m = 2 * n - 1
+    A = np.zeros((m, n * n))
+    for i in range(n):
+        for k in range(n):
+            A[:, i * n + k] = assignment_column(i, k, n)
+    return StandardLP(A=A, b=np.ones(m), c=p.cost.ravel().copy())
+
+
+def joint_feasible(specs, plans) -> bool:
+    """True when every plan is valid for its spec and the plans' summed
+    outputs keep the shared coupling."""
+    if coupling_residual(plans, specs[0].coupling) > 1e-8:
+        return False
+    for spec, plan in zip(specs, plans):
+        try:
+            validate_plan(plan, spec)
+        except PlanError:
+            return False
+    return True
+
+
+def receding_horizon_oracle(spec: OcpSpec, steps: int,
+                            replan_at=None) -> tuple[np.ndarray, np.ndarray]:
+    """Single-agent receding-horizon reference loop, solved cold.
+
+    ``replan_at`` is a predicate on the step index saying when to re-solve
+    (default: every step); other steps shift the previous plan. Each
+    re-solve builds a fresh OCP, which has no basis, so the reference
+    shares no warm start with the loop it checks. Returns (states, inputs)
+    over the closed loop, states shaped (steps+1, n).
+    """
+    should = (lambda t: True) if replan_at is None else replan_at
+    x = spec.model.x0.copy()
+    plan = None
+    states = [x.copy()]
+    inputs = []
+    for t in range(steps):
+        if plan is None or should(t):
+            fresh, _ = replan_local(build_local_ocp(spec), x)
+            if fresh is None:
+                raise FeasibilityError("oracle problem infeasible at step %d" % t)
+            plan = fresh
+        inputs.append(plan.inputs[0].copy())
+        x = plan.states[1].copy()
+        states.append(x.copy())
+        plan = shift_plan(plan, spec)
+    return np.array(states), np.array(inputs)

@@ -16,21 +16,17 @@ from fleetsim.errors import NonConvergenceError, UnsupportedOperationError
 from fleetsim.lp import (
     AssignmentProblem,
     assignment_cost,
-    build_assignment_lp,
     hungarian,
     solve_lp,
 )
 from fleetsim.mpc import (
-    Box,
     LinearAgentModel,
     OcpSpec,
     Polyhedron,
     StageCost,
     build_local_ocp,
     centralized_bootstrap,
-    joint_feasible,
     mpc_step,
-    receding_horizon_oracle,
     validate_plan,
 )
 from fleetsim.netgraph import erdos_renyi, graph_from_edges
@@ -43,6 +39,7 @@ from fleetsim.simrunner import (
     summarize,
 )
 from fleetsim.transport import MessageBus, TransportConfig
+from oracles import build_assignment_lp, joint_feasible, receding_horizon_oracle
 
 
 def _verdict(label: str, ok: bool, detail: str = "") -> None:
@@ -216,7 +213,7 @@ def _scalar_spec(a=1.0, b=1.0, x0=0.9, x_term=0.0, u_term=0.0, horizon=10,
         A=np.array([[a]]), B=np.array([[b]]), C=np.array([[1.0]]),
         D=np.array([[0.0]]), x0=np.array([x0]),
     )
-    u_set = None if u_lim is None else Box(np.array([-u_lim]), np.array([u_lim]))
+    u_set = None if u_lim is None else Polyhedron.box(np.array([-u_lim]), np.array([u_lim]))
     return OcpSpec(
         model=model,
         horizon=horizon,
@@ -242,7 +239,7 @@ def _double_integrator_spec(horizon=10):
         terminal_state=np.zeros(2),
         terminal_input=np.zeros(1),
         cost=StageCost(w_x=np.array([1.0, 0.5]), w_u=np.array([0.1])),
-        u_set=Box(np.array([-2.0]), np.array([2.0])),
+        u_set=Polyhedron.box(np.array([-2.0]), np.array([2.0])),
     )
 
 

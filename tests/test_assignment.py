@@ -103,7 +103,7 @@ def test_initial_basis():
     n = 3
     basis = initial_basis(n)
     assert len(basis.columns) == 2 * n - 1
-    assert basis.permutation(n) is None
+    assert basis.permutation() is None
     # every artificial carries one unit
     assert basis.objective == DEFAULT_BIG_M * (2 * n - 1)
 
@@ -658,7 +658,7 @@ def test_round_basis_depends_only_on_its_pool(kind, n):
         finals.add(final.columns.tobytes())
     assert len(finals) == 1
     _, ref = hungarian(AssignmentProblem(n, costs))
-    assert assignment_cost(final.permutation(n), costs) == ref
+    assert assignment_cost(final.permutation(), costs) == ref
 
 
 def _check_tree(tree, n):

@@ -23,15 +23,14 @@ from fleetsim.lp import (
     UNBOUNDED,
     AssignmentProblem,
     StandardLP,
-    assignment_column,
     assignment_cost,
-    build_assignment_lp,
     hungarian,
     simplex_from_basis,
     solve_lp,
 )
 from fleetsim.simrunner import default_config, parse_config, run_scenario
 from fleetsim.simrunner.config import ocp_specs
+from oracles import assignment_column, build_assignment_lp
 
 
 def solution_perm(sol, n):

@@ -14,7 +14,6 @@ from scipy.optimize import linprog
 from fleetsim import mpc
 from fleetsim.errors import FeasibilityError, ModelError, PlanError
 from fleetsim.mpc import (
-    Box,
     LinearAgentModel,
     OcpSpec,
     Plan,
@@ -26,13 +25,13 @@ from fleetsim.mpc import (
     mpc_round,
     mpc_step,
     plan_cost,
-    receding_horizon_oracle,
     replan_local,
     shift_plan,
     validate_plan,
 )
 from fleetsim.simrunner import default_config, run_scenario
 from fleetsim.simrunner.config import ocp_specs
+from oracles import receding_horizon_oracle
 
 
 def scalar_spec(a=1.0, b=1.0, x0=0.9, x_term=0.0, u_term=0.0, horizon=10,
@@ -44,8 +43,8 @@ def scalar_spec(a=1.0, b=1.0, x0=0.9, x_term=0.0, u_term=0.0, horizon=10,
         D=np.array([[0.0]]),
         x0=np.array([x0]),
     )
-    u_set = None if u_lim is None else Box(np.array([-u_lim]), np.array([u_lim]))
-    x_set = None if x_lower is None else Box(np.array([x_lower]), np.array([np.inf]))
+    u_set = None if u_lim is None else Polyhedron.box(np.array([-u_lim]), np.array([u_lim]))
+    x_set = None if x_lower is None else Polyhedron.box(np.array([x_lower]), np.array([np.inf]))
     return OcpSpec(
         model=model,
         horizon=horizon,
@@ -72,7 +71,7 @@ def double_integrator_spec(horizon=10, x0=(1.5, 0.0)):
         terminal_state=np.zeros(2),
         terminal_input=np.zeros(1),
         cost=StageCost(w_x=np.array([1.0, 0.5]), w_u=np.array([0.1])),
-        u_set=Box(np.array([-2.0]), np.array([2.0])),
+        u_set=Polyhedron.box(np.array([-2.0]), np.array([2.0])),
     )
 
 
@@ -147,7 +146,7 @@ def test_ocp_spec_rejects_references_of_the_wrong_length():
 
 def test_ocp_spec_rejects_sets_of_the_wrong_width():
     spec = double_integrator_spec()  # n = 2, m = 1, r = 2
-    for field, region in (("x_set", Box(np.zeros(3), np.ones(3))),
+    for field, region in (("x_set", Polyhedron.box(np.zeros(3), np.ones(3))),
                           ("u_set", Polyhedron(np.ones((1, 2)), np.ones(1))),
                           ("coupling", Polyhedron(np.ones((2, 3)), np.ones(2)))):
         with pytest.raises(ModelError, match=field):
@@ -166,14 +165,29 @@ def test_ocp_spec_rejects_non_finite_terminal_pair_and_references():
 
 
 def test_box_rows():
-    box = Box(np.array([-1.0]), np.array([2.0]))
-    G, g = box.rows(1)
+    box = Polyhedron.box(np.array([-1.0]), np.array([2.0]))
+    G, g = box.G, box.g
     grid = sorted(zip(G[:, 0].tolist(), g.tolist()))
     assert grid == [(-1.0, 1.0), (1.0, 2.0)]
     # infinite sides produce no rows
-    half = Box(np.array([-np.inf]), np.array([2.0]))
-    G, g = half.rows(1)
+    half = Polyhedron.box(np.array([-np.inf]), np.array([2.0]))
+    G, g = half.G, half.g
     assert G.shape[0] == 1
+
+
+def test_polyhedron_rejects_non_finite_entries():
+    G, g = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ModelError, match="polyhedron G contains NaN or inf"):
+            Polyhedron(np.where(np.eye(2) > 0, G, bad), g)
+        with pytest.raises(ModelError, match="polyhedron g contains NaN or inf"):
+            Polyhedron(G, np.array([1.0, bad]))
+
+
+def test_box_rejects_nan_bounds():
+    for lower, upper in (([np.nan], [1.0]), ([-1.0], [np.nan]), ([0.0, -np.inf], [np.nan, 1.0])):
+        with pytest.raises(ModelError, match="box bounds contain NaN"):
+            Polyhedron.box(lower, upper)
 
 
 def test_plan_shape_validation():
@@ -397,11 +411,11 @@ def test_infeasible_replan_keeps_old_plan():
     # a neighbor claiming the whole budget and more leaves agent 0 with an
     # empty feasible set only if it cannot go negative; pin z >= 0
     pinned = [
-        scalar_spec(x0=specs[i].model.x0[0], x_term=0.5, horizon=8, u_lim=1.0,
+        scalar_spec(x0=(0.2, 0.3)[i], x_term=0.5, horizon=8, u_lim=1.0,
                     x_lower=0.0, coupling=specs[i].coupling)
         for i in range(2)
     ]
-    plans = centralized_bootstrap(fresh_ocps(pinned), x_now=[np.array([0.2]), np.array([0.3])])
+    plans = centralized_bootstrap(fresh_ocps(pinned))
     huge = np.full((8, 1), 10.0)
     with pytest.warns(RuntimeWarning):
         new_plans, replanned = mpc_round(fresh_ocps(pinned), plans, turn=0,
@@ -522,7 +536,7 @@ def hand_spec():
                        x_ref=np.array([0.1, -0.0]), u_ref=np.array([0.0, 0.05])),
         x_set=Polyhedron(np.array([[1.0, 1.0], [-1.0, 0.3], [0.0, -1.0]]),
                          np.array([2.0, 1.5, 0.7])),
-        u_set=Box(np.array([-1.0, -np.inf]), np.array([0.8, 0.6])),
+        u_set=Polyhedron.box(np.array([-1.0, -np.inf]), np.array([0.8, 0.6])),
         coupling=Polyhedron(np.array([[1.0, 0.3], [-0.7, 0.5]]), np.array([2.0, 1.0])),
     )
 
@@ -537,7 +551,16 @@ GOLDEN_OCP_LPS = {
     "double_integrator": "5259ab56c9f835fe049f2074ac9dd92a2619ab4739a6fa80173d5bc4cee88474",
     "dependent_terminal": "9f87bf91ef1f66929981c80e10f17b099eb45351f5781f280cb75542d3d75f03",
     "hand": "ef42cb04324ae1b2649384590e19498bda47d0a2a267a5179ae6d73c16f34404",
+    "zero_bounds": "977dc9fbf29bfb278d6466d688e6b542a9701b11a4f2ce1776431119b72105bd",
 }
+
+
+def zero_bounds_spec():
+    """The default mpc agent with x >= 0 and -1 <= u <= 0: its state rows
+    -x <= -0.0 and its input epigraph rows put 16 entries of -0.0 in b."""
+    block = default_config("mpc", 4).params
+    block["agents"][0].update(x_min=[0.0], u_min=[-1.0], u_max=[0.0])
+    return ocp_specs(block)[0]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_OCP_LPS))
@@ -549,6 +572,7 @@ def test_local_ocp_lp_bytes_match_golden(name):
         "double_integrator": double_integrator_spec,
         "dependent_terminal": lambda: ocp_specs(dependent_terminal_mpc(1).params)[0],
         "hand": hand_spec,
+        "zero_bounds": zero_bounds_spec,
     }[name]()
     lp = build_local_ocp(spec).lp
     digest = hashlib.sha256(lp.A.tobytes() + lp.b.tobytes() + lp.c.tobytes()).hexdigest()
@@ -601,10 +625,10 @@ def test_bootstrap_requires_shared_horizon():
 
 
 def test_bootstrap_infeasible_start():
-    specs = coupled_pair()
     # both agents start above the budget and cannot fix stage 0
+    specs = coupled_pair(x0=(0.8, 0.9))
     with pytest.raises(FeasibilityError):
-        centralized_bootstrap(fresh_ocps(specs), x_now=[np.array([0.8]), np.array([0.9])])
+        centralized_bootstrap(fresh_ocps(specs))
 
 
 def test_coupling_residual_values():

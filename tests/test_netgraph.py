@@ -128,7 +128,7 @@ def test_erdos_renyi_require_connected():
 def test_erdos_renyi_connectivity_exhaustion():
     # p=0 can never produce a connected graph on two or more agents
     with pytest.raises(GraphError):
-        erdos_renyi(4, 0.0, 0, require_connected=True, max_attempts=5)
+        erdos_renyi(4, 0.0, 0, require_connected=True)
 
 
 def test_sample_active_deterministic():

@@ -61,11 +61,6 @@ def run_lockstep(agents, rounds, timeout=5.0):
 # -- spec validation ---------------------------------------------------------
 
 
-def test_spec_rejects_unknown_role():
-    with pytest.raises(RegistrationError):
-        Agent(si_spec(0, (0, 0), zero_law, role="observer"), comm=None)
-
-
 def test_spec_rejects_unknown_model():
     with pytest.raises(RegistrationError):
         Agent(si_spec(0, (0, 0), zero_law, model="quadrotor"), comm=None)

@@ -677,6 +677,7 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         (["rendezvous", "-n", "3", "--graph", "er:0.0"], "graph.er: "),
         (["rendezvous", "-n", "2", "--graph", str(loop)], "graph.matrix[0][0]: "),
         (["rendezvous", "-n", "2", "--graph", str(wide)], "graph.matrix: matrix is 2x3"),
+        (["mpc", "-n", "4", "--graph", "cycle"], "graph: the mpc engine needs a complete graph"),
         # model faults the OCP specs catch
         (mpc_fault("square", {"A": [[1.0, 0.0]]}), "mpc.agents[1]: A must be square"),
         (mpc_fault("u_min", {"u_min": [-1.0, -1.0]}), "mpc.agents[1]: box bounds"),
