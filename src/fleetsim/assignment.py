@@ -697,8 +697,8 @@ def agreed_result(agents) -> tuple[int, tuple[int, ...], float]:
     return results[0]
 
 
-def run_distributed_simplex(comm: Communicator, i: int, costs, n: int,
-                            graph: CommGraph | None = None) -> tuple[int, tuple[int, ...], float]:
+def run_distributed_simplex(comm: Communicator, i: int, costs,
+                            n: int) -> tuple[int, tuple[int, ...], float]:
     """Blocking per-agent protocol run over a live communicator.
 
     Intended for one thread per agent. Rounds are asynchronous: each round
@@ -706,10 +706,10 @@ def run_distributed_simplex(comm: Communicator, i: int, costs, n: int,
     then drains whatever arrived. The agent leaves once it and every
     in-neighbor have flagged halted (flags ride on the payloads), or raises
     NonConvergenceError after 50 n rounds. The halting margin is
-    :func:`default_margin` of ``graph`` (the communicator's by default).
+    :func:`default_margin` of the communicator's graph.
     """
-    base = graph if graph is not None else comm.graph
-    agent = DistributedSimplexAgent(i, costs, n, margin=default_margin(base, comm.config.drop_prob))
+    margin = default_margin(comm.graph, comm.config.drop_prob)
+    agent = DistributedSimplexAgent(i, costs, n, margin=margin)
     budget = 50 * n
     neighbor_halted = {j: False for j in comm.in_neighbors}
     for rnd in range(budget):
@@ -736,7 +736,8 @@ def solve_assignment_network(costs, graph, *, profile: str = "static",
     and receive goes through the bus, so drops, schedules and mailbox
     semantics all apply). Stops when every agent has flagged halted;
     returns (perm, objective, rounds). Raises NonConvergenceError on
-    budget exhaustion or a consensus mismatch.
+    budget exhaustion or a consensus mismatch. The bus clock never
+    advances, so a ``transport`` with latency raises ValueError.
 
     The raised error's traceback keeps its file and line entries, but the
     locals of the driver's finished frames are cleared: otherwise a held
@@ -759,6 +760,8 @@ def _solve_network(costs, graph, profile, transport, round_budget):
     base = graph.base if isinstance(graph, EdgeSchedule) else graph
     bus = MessageBus()
     tc = transport if transport is not None else TransportConfig()
+    if np.max(tc.latency) > 0:
+        raise ValueError("latency %r never elapses on the lockstep bus" % (tc.latency,))
     comms = [
         Communicator(bus, i, graph, profile=profile, config=tc)
         for i in range(n)

@@ -10,8 +10,9 @@ Three profiles cover the usual trade-offs:
   on inactive edges are silently skipped. Both endpoints evaluate the same
   activation, so receivers know which neighbors to expect.
 * ``best_effort``: time-varying and lossy. Only asynchronous receives are
-  available; mailboxes keep only the newest message per sender, and sends
-  may be dropped with ``drop_prob``.
+  available; mailboxes keep only the newest arrived message per sender
+  (messages in flight are kept too), and sends may be dropped with
+  ``drop_prob``. Free-running agents need this profile.
 
 Payloads are arbitrary structured values run through the codec; the
 envelope adds sender id, round tag and send timestamp.
@@ -45,13 +46,13 @@ class Communicator:
     bus : MessageBus
     agent_id : int
     graph : CommGraph or EdgeSchedule
-        Static profiles take the graph directly; time-varying profiles
-        accept an EdgeSchedule (a bare graph is wrapped in an
-        always-active schedule). Best-effort accepts either.
+        Static profiles take the graph directly; the other two accept an
+        EdgeSchedule too, and a bare graph keeps every edge active.
     profile : one of PROFILES
     config : TransportConfig
 
-    The mailbox depth is 1 on best_effort and unbounded otherwise.
+    The mailbox depth is 1 arrived message on best_effort and unbounded
+    otherwise.
     """
 
     def __init__(self, bus: MessageBus, agent_id: int, graph, profile: str = "static",
@@ -85,9 +86,6 @@ class Communicator:
     @property
     def round(self) -> int:
         return self._round
-
-    def set_round(self, r: int) -> None:
-        self._round = int(r)
 
     def _edge_active(self, src: int, dst: int, r: int) -> bool:
         if self.profile == "static" or self.schedule is None:
@@ -168,29 +166,28 @@ class Communicator:
 
     # -- synchronized exchange ----------------------------------------------
 
-    def exchange_send(self, value, out_n=None, round: int | None = None) -> None:
+    def exchange_send(self, value, round: int | None = None) -> None:
         """Broadcast half of :meth:`neighbors_exchange`."""
         r = self._round if round is None else int(round)
-        self.send(value, self.out_neighbors if out_n is None else out_n, round=r)
+        self.send(value, self.out_neighbors, round=r)
 
-    def exchange_collect(self, in_n=None, round: int | None = None,
+    def exchange_collect(self, round: int | None = None,
                          timeout: float | None = None) -> dict[int, object]:
         """Gather half of :meth:`neighbors_exchange`.
 
         Reliable profiles block until each expected in-neighbor's message
         for the round is in (expected = active in-edges on time-varying);
-        best-effort returns whatever is available right now.
+        best-effort returns the newest arrived payload per sender.
         """
         r = self._round if round is None else int(round)
-        senders = sorted(self.in_neighbors if in_n is None else in_n)
         got: dict[int, object] = {}
         if self.profile == "best_effort":
-            for j in senders:
+            for j in self.in_neighbors:
                 p = self.asynchronous_receive(j)
                 if p is not None:
                     got[j] = p
             return got
-        expected = [j for j in senders if self._edge_active(j, self.agent_id, r)]
+        expected = [j for j in self.in_neighbors if self._edge_active(j, self.agent_id, r)]
         deadline = None if timeout is None else time.monotonic() + timeout
         missing = []
         for j in expected:
@@ -208,7 +205,7 @@ class Communicator:
             )
         return got
 
-    def neighbors_exchange(self, value, in_n=None, out_n=None, round: int | None = None,
+    def neighbors_exchange(self, value, round: int | None = None,
                            timeout: float | None = None) -> dict[int, object]:
         """Send ``value`` to out-neighbors and gather one payload per in-neighbor.
 
@@ -220,8 +217,8 @@ class Communicator:
         """
         auto = round is None
         r = self._round if auto else int(round)
-        self.exchange_send(value, out_n=out_n, round=r)
-        got = self.exchange_collect(in_n=in_n, round=r, timeout=timeout)
+        self.exchange_send(value, round=r)
+        got = self.exchange_collect(round=r, timeout=timeout)
         if auto:
             self._round = r + 1
         return got

@@ -12,16 +12,17 @@ other only through the message bus; an agent object holds no reference to
 any other agent, so cross-agent state access is impossible by
 construction.
 
-Two driving modes:
+Two driving modes run the same step:
 
 * lockstep, for deterministic simulation: the caller runs the
   ``tick_publish(r)`` / ``tick_compute(r)`` halves across all agents with
   an explicit round index (the kinematic scenario engines in
   :mod:`fleetsim.simrunner` drive every robot this way);
-* free-running, via :meth:`Agent.start`: a thread loops at the configured
-  period, sampling the newest neighbor poses asynchronously (rounds are
-  not aligned across free-running agents, so pose exchange degrades to
-  state sampling there).
+* free-running, via :meth:`Agent.start`: a thread runs :meth:`Agent.tick`
+  once per period on a ``best_effort`` communicator, whose gather takes
+  the newest arrived pose of each neighbor (rounds are not aligned across
+  free-running agents, so pose exchange degrades to state sampling there).
+  An exception in the loop ends it and is kept on :attr:`Agent.error`.
 
 Long computations go through the optimization-job contract: at most one
 job runs per agent, a job sees a stop event for cooperative cancellation,
@@ -43,17 +44,18 @@ from typing import Callable
 
 import numpy as np
 
+from .communicator import Communicator
 from .control import SiToUniParams, si_to_unicycle
 from .dynamics import (
-    DoubleIntegratorState,
     IntegratorConfig,
     SingleIntegratorState,
     UnicycleState,
     VelocityInput,
     step,
 )
-from .errors import BusyError, JobError, RegistrationError, StaleJobError
-from .transport import MessageBus, TransportConfig
+from .errors import (BusyError, JobError, RegistrationError, StaleJobError,
+                     UnsupportedOperationError)
+from .transport import MessageBus
 
 __all__ = [
     "AgentSpec",
@@ -132,8 +134,6 @@ def _validate_spec(spec: AgentSpec) -> None:
             )
         if spec.si_params is not None:
             raise RegistrationError("si_params only applies to the unicycle model")
-    if isinstance(spec.initial_state, DoubleIntegratorState):
-        raise RegistrationError("no guidance law drives a double integrator here")
 
 
 class Agent:
@@ -141,7 +141,8 @@ class Agent:
 
     ``last_input`` is the input the last cycle handed to the dynamics:
     the velocity ``u`` for a single integrator, ``(v, omega)`` for a
-    unicycle.
+    unicycle. ``error`` holds the exception that ended the free-running
+    loop, if one did.
     """
 
     def __init__(self, spec: AgentSpec, comm):
@@ -151,6 +152,7 @@ class Agent:
         self.state = spec.initial_state
         self.last_neighbors: dict[int, np.ndarray] = {}
         self.last_input: np.ndarray | tuple[float, float] | None = None
+        self.error: BaseException | None = None
         self._cfg = IntegratorConfig(dt=spec.period, saturation=spec.saturation)
         self._round = 0
         self._stop = threading.Event()
@@ -198,14 +200,6 @@ class Agent:
         self.tick_publish(r)
         self.tick_compute(r, timeout=timeout)
 
-    def _sample_neighbors(self) -> dict[int, object]:
-        got = {}
-        for j in self.comm.in_neighbors:
-            v = self.comm.asynchronous_receive(j)
-            if v is not None:
-                got[j] = v
-        return got
-
     def _apply(self, raw: dict[int, object]) -> None:
         neighbors = {j: np.asarray(v, dtype=float) for j, v in raw.items()}
         self.last_neighbors = neighbors
@@ -221,34 +215,40 @@ class Agent:
     # -- free-running mode -----------------------------------------------------
 
     def start(self) -> "Agent":
-        """Run the guidance loop in a thread at ``spec.period`` seconds."""
+        """Run :meth:`tick` in a thread once every ``spec.period`` seconds, on
+        a ``best_effort`` communicator: free-running rounds do not align."""
+        if self.comm.profile != "best_effort":
+            raise UnsupportedOperationError(
+                "free-running agents need the best_effort profile, not %r" % self.comm.profile
+            )
         if self._thread is not None and self._thread.is_alive():
             raise RegistrationError("agent %d is already running" % self.agent_id)
         self._stop.clear()
+        self.error = None
         self._thread = threading.Thread(
             target=self._run_loop, name="agent-%d" % self.agent_id, daemon=True
         )
         self._thread.start()
         return self
 
-    def stop(self, timeout: float | None = 5.0) -> None:
+    def stop(self) -> None:
         self._stop.set()
         if self._thread is not None:
-            self._thread.join(timeout)
+            self._thread.join(5.0)
 
     @property
     def running(self) -> bool:
         return self._thread is not None and self._thread.is_alive()
 
     def _run_loop(self) -> None:
-        while not self._stop.is_set():
-            start = time.monotonic()
-            self._loop_starts.append(start)
-            self.tick_publish()
-            self._apply(self._sample_neighbors())
-            self._round += 1
-            elapsed = time.monotonic() - start
-            self._stop.wait(max(0.0, self.spec.period - elapsed))
+        try:
+            while not self._stop.is_set():
+                start = time.monotonic()
+                self._loop_starts.append(start)
+                self.tick()
+                self._stop.wait(max(0.0, self.spec.period - (time.monotonic() - start)))
+        except BaseException as exc:  # noqa: BLE001 - recorded on the agent
+            self.error = exc
 
     def measured_period(self) -> float:
         """Median spacing between recent loop iterations (free-running mode)."""
@@ -325,39 +325,32 @@ class Agent:
         with self._job_lock:
             self._hooks.append(hook)
 
-    def job_status(self, job_id: int) -> str:
+    def job_handle(self, job_id: int) -> OptimizationJob:
+        """The job's handle; an unknown id raises JobError."""
         with self._job_lock:
             job = self._jobs.get(job_id)
-            if job is None:
-                raise JobError("agent %d has no job %d" % (self.agent_id, job_id))
-            return job.status
+        if job is None:
+            raise JobError("agent %d has no job %d" % (self.agent_id, job_id))
+        return job
+
+    def job_status(self, job_id: int) -> str:
+        return self.job_handle(job_id).status
 
     def job_result(self, job_id: int):
+        job = self.job_handle(job_id)
         with self._job_lock:
-            job = self._jobs.get(job_id)
-            if job is None:
-                raise JobError("agent %d has no job %d" % (self.agent_id, job_id))
             if job.status != JOB_DONE:
                 raise JobError("job %d is %s, not done" % (job_id, job.status))
             return job.result
 
-    def job_handle(self, job_id: int) -> OptimizationJob:
-        with self._job_lock:
-            return self._jobs[job_id]
 
-
-def spawn_agent(spec: AgentSpec, bus: MessageBus, graph, profile: str = "static",
-                config: TransportConfig | None = None, start: bool = True) -> Agent:
-    """Create, register and (by default) start an agent.
+def spawn_agent(spec: AgentSpec, bus: MessageBus, graph, profile: str = "static") -> Agent:
+    """Create an agent and register its communicator; it does not run yet.
 
     A duplicate id, an unknown model, or a guidance/model mismatch
-    raises RegistrationError before anything runs.
+    raises RegistrationError, and a bad spec leaves the id unregistered.
+    Call :meth:`Agent.start` once every neighbor is registered, or drive
+    the agent in lockstep.
     """
-    from .communicator import Communicator
-
     _validate_spec(spec)
-    comm = Communicator(bus, spec.agent_id, graph, profile=profile, config=config)
-    agent = Agent(spec, comm)
-    if start:
-        agent.start()
-    return agent
+    return Agent(spec, Communicator(bus, spec.agent_id, graph, profile=profile))

@@ -76,11 +76,11 @@ def _log_poses(writer: TraceWriter, t: float, positions) -> None:
 
 def _agents(cfg: ScenarioConfig, bus: MessageBus, graph, profile: str, states, laws,
             **spec) -> list[Agent]:
-    """One runtime agent per robot, each on its own communicator, left
-    unstarted so the engine can drive it in lockstep."""
+    """One runtime agent per robot, each on its own communicator, for
+    the engine to drive in lockstep."""
     return [
         spawn_agent(AgentSpec(i, states[i], laws[i], period=cfg.dt, **spec), bus, graph,
-                    profile=profile, start=False)
+                    profile=profile)
         for i in range(cfg.n)
     ]
 
@@ -303,7 +303,9 @@ def _run_assignment(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
             elif rounds >= budget:
                 raise NonConvergenceError(
                     "assignment epoch %d exceeded %d rounds" % (epoch.number, budget),
-                    diagnostics={"epoch": epoch.number},
+                    diagnostics={"epoch": epoch.number, "rounds": rounds,
+                                 "objectives": [a.basis.objective for a in epoch.agents],
+                                 "halted": [a.halted for a in epoch.agents]},
                 )
 
         # phase C: task-directed driving
@@ -458,7 +460,8 @@ def run_scenario(cfg: ScenarioConfig, out_path: str) -> dict:
 
     ``out_path`` may be a directory (trace lands at ``<dir>/trace.jsonl``)
     or an explicit ``.jsonl`` file path. Returns the summary metrics; on
-    failure the partial trace is flushed before the error propagates.
+    failure the writer is closed before the error propagates, so the
+    partial trace stays readable (it has no summary record).
     """
     if out_path.endswith(".jsonl"):
         trace_path = out_path

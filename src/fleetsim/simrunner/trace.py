@@ -62,8 +62,9 @@ class TraceWriter:
     a record's floats is not finite (``%r`` writes ``nan`` where json
     writes ``NaN``), the record goes to :meth:`write` instead.
 
-    Records are flushed on close and on :meth:`flush`; engines call flush
-    in error paths so a failed run still leaves a readable partial trace.
+    Records are flushed on close; ``run_scenario`` closes the writer
+    when an engine fails too, so a failed run leaves a readable partial
+    trace.
     """
 
     def __init__(self, path: str, config: dict):
@@ -104,9 +105,6 @@ class TraceWriter:
     @property
     def count(self) -> int:
         return self._count
-
-    def flush(self) -> None:
-        self._fh.flush()
 
     def close(self) -> None:
         if not self._fh.closed:

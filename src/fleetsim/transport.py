@@ -12,9 +12,10 @@ payload.
 Delivery discipline per link is strict FIFO: a message becomes visible only
 once it is at the queue head and its delivery time has passed, so randomized
 latency cannot reorder a link. Queues are unbounded by default; a receiver
-registered with ``queue_depth=k`` keeps only the newest k messages per link
-(oldest dropped on overflow), which is how best-effort mailboxes get their
-depth-1 "latest wins" behavior.
+registered with ``queue_depth=k`` keeps only the newest k arrived messages
+per link (oldest dropped on overflow), which is how best-effort mailboxes
+get their depth-1 "latest wins" behavior. Messages still in flight never
+count toward the depth, so a delayed link delivers.
 """
 
 from __future__ import annotations
@@ -145,19 +146,23 @@ class MessageBus:
                 raise RegistrationError("agent id %d is not registered" % dst)
             link = self._link(src, dst)
             link.queue.append((at, env))
-            if link.depth is not None:
-                while len(link.queue) > link.depth:
-                    link.queue.popleft()
+            if link.depth is not None and len(link.queue) > link.depth:
+                self._deliverable(link)  # drops arrived messages beyond the depth
             self._conds[dst].notify_all()
 
     def _deliverable(self, link: _Link) -> int:
-        """Number of head-of-line messages whose delivery time has passed."""
+        """Number of head-of-line messages whose delivery time has passed;
+        a bounded link first drops the oldest of them beyond its depth."""
         now = self.clock.now()
         count = 0
         for at, _ in link.queue:
             if at > now:
                 break
             count += 1
+        if link.depth is not None and count > link.depth:
+            for _ in range(count - link.depth):
+                link.queue.popleft()
+            count = link.depth
         return count
 
     def pop_next(self, dst: int, src: int, round: int | None = None,

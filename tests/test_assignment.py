@@ -483,7 +483,7 @@ def test_threaded_protocol_run():
 
     def worker(i):
         try:
-            results[i] = run_distributed_simplex(comms[i], i, costs, n, graph)
+            results[i] = run_distributed_simplex(comms[i], i, costs, n)
         except Exception as exc:  # pragma: no cover
             errors.append((i, exc))
 
@@ -619,7 +619,7 @@ def test_threaded_protocol_agrees_on_tied_costs():
 
     def worker(i):
         try:
-            results[i] = run_distributed_simplex(comms[i], i, costs, n, graph)
+            results[i] = run_distributed_simplex(comms[i], i, costs, n)
         except Exception as exc:  # pragma: no cover
             errors.append((i, exc))
 
@@ -731,6 +731,16 @@ def test_margin_refuses_links_that_drop_everything():
     with pytest.raises(ValueError, match="drop_prob"):
         solve_assignment_network(np.eye(3), complete_graph(3), profile="best_effort",
                                  transport=TransportConfig(drop_prob=1.0))
+
+
+
+@pytest.mark.parametrize("latency", [0.01, (0.0, 0.01)])
+def test_network_solver_rejects_latency(latency):
+    """The lockstep driver never advances its bus clock, so a delayed
+    message would never arrive; it says so instead of running out of rounds."""
+    with pytest.raises(ValueError, match="latency"):
+        solve_assignment_network(np.eye(3), complete_graph(3),
+                                 transport=TransportConfig(latency=latency))
 
 
 # -- task cloud -----------------------------------------------------------------

@@ -18,6 +18,7 @@ from fleetsim.errors import (
     JobError,
     RegistrationError,
     StaleJobError,
+    UnsupportedOperationError,
 )
 from fleetsim.guidance import rendezvous_velocity
 from fleetsim.netgraph import graph_from_edges
@@ -29,7 +30,7 @@ from fleetsim.runtime import (
     AgentSpec,
     spawn_agent,
 )
-from fleetsim.transport import MessageBus, TransportConfig
+from fleetsim.transport import MessageBus, TransportConfig, WallClock
 
 
 def zero_law(own, neigh):
@@ -104,9 +105,9 @@ def test_si_spec_rejects_si_params():
 def test_duplicate_agent_id_rejected():
     g = graph_from_edges(2, [(0, 1)])
     bus = MessageBus()
-    spawn_agent(si_spec(0, (0, 0), zero_law), bus, g, start=False)
+    spawn_agent(si_spec(0, (0, 0), zero_law), bus, g)
     with pytest.raises(RegistrationError):
-        spawn_agent(si_spec(0, (1, 1), zero_law), bus, g, start=False)
+        spawn_agent(si_spec(0, (1, 1), zero_law), bus, g)
 
 
 # -- lockstep stepping ---------------------------------------------------------
@@ -211,7 +212,6 @@ def test_free_running_agents_converge():
             bus,
             g,
             profile="best_effort",
-            start=False,
         )
         for i, pos in enumerate(((1.0, 0.0), (-1.0, 0.0)))
     ]
@@ -235,10 +235,68 @@ def test_free_running_agents_converge():
     assert period == pytest.approx(0.002, abs=0.004)
 
 
+def test_free_running_pair_hears_over_delayed_links():
+    """With 4 ms links under a 2 ms period every pose is still in flight
+    when the next one is sent; the mailbox keeps it, so the pair meets."""
+    g = graph_from_edges(2, [(0, 1)])
+    bus = MessageBus(WallClock())
+    cfg = TransportConfig(latency=0.004)
+
+    def eager_law(own, neigh):
+        return 5.0 * rendezvous_velocity(own, neigh)
+
+    agents = [
+        Agent(si_spec(i, pos, eager_law, period=0.002),
+              Communicator(bus, i, g, profile="best_effort", config=cfg))
+        for i, pos in enumerate(((1.0, 0.0), (-1.0, 0.0)))
+    ]
+    try:
+        for a in agents:
+            a.start()
+        deadline = time.monotonic() + 30.0
+        while min(a.round for a in agents) < 300:
+            assert time.monotonic() < deadline, [a.round for a in agents]
+            assert not any(a.error for a in agents), [a.error for a in agents]
+            time.sleep(0.01)
+    finally:
+        for a in agents:
+            a.stop()
+    assert all(a.last_neighbors for a in agents)
+    assert np.linalg.norm(agents[0].pose - agents[1].pose) < 0.05
+
+
+@pytest.mark.parametrize("profile", ["static", "time_varying"])
+def test_start_needs_best_effort(profile):
+    """Reliable profiles wait for a round's messages; free-running rounds
+    do not align, so only best-effort agents may run free."""
+    g = graph_from_edges(1, [])
+    agent = spawn_agent(si_spec(0, (0, 0), zero_law), MessageBus(), g, profile=profile)
+    with pytest.raises(UnsupportedOperationError):
+        agent.start()
+    assert not agent.running
+
+
+def test_loop_error_is_recorded_and_ends_the_loop():
+    def explode(own, neigh):
+        raise ValueError("law went bad")
+
+    g = graph_from_edges(1, [])
+    agent = spawn_agent(si_spec(0, (0, 0), explode), MessageBus(), g,
+                        profile="best_effort").start()
+    deadline = time.monotonic() + 5.0
+    while agent.running:
+        assert time.monotonic() < deadline
+        time.sleep(0.005)
+    agent.stop()
+    assert isinstance(agent.error, ValueError)
+    assert agent.round == 0
+
+
 def test_start_twice_rejected():
     g = graph_from_edges(1, [])
     bus = MessageBus()
-    agent = spawn_agent(si_spec(0, (0, 0), zero_law, period=0.01), bus, g)
+    agent = spawn_agent(si_spec(0, (0, 0), zero_law, period=0.01), bus, g,
+                        profile="best_effort").start()
     try:
         with pytest.raises(RegistrationError):
             agent.start()
@@ -250,7 +308,8 @@ def test_loop_stays_responsive_during_job():
     """A background job must not stretch the guidance period beyond 2x."""
     g = graph_from_edges(1, [])
     bus = MessageBus()
-    agent = spawn_agent(si_spec(0, (0, 0), zero_law, period=0.02), bus, g)
+    agent = spawn_agent(si_spec(0, (0, 0), zero_law, period=0.02), bus, g,
+                        profile="best_effort").start()
     try:
         time.sleep(0.5)
         idle = agent.measured_period()
@@ -276,7 +335,7 @@ def test_loop_stays_responsive_during_job():
 def make_idle_agent():
     g = graph_from_edges(1, [])
     bus = MessageBus()
-    return spawn_agent(si_spec(0, (0, 0), zero_law), bus, g, start=False)
+    return spawn_agent(si_spec(0, (0, 0), zero_law), bus, g)
 
 
 def test_job_completes_and_hook_fires_once():
@@ -365,6 +424,12 @@ def test_job_status_unknown_id():
         agent.job_status(123)
     with pytest.raises(JobError):
         agent.job_result(123)
+
+
+def test_job_handle_unknown_id():
+    agent = make_idle_agent()
+    with pytest.raises(JobError):
+        agent.job_handle(123)
 
 
 def test_job_result_while_running_raises():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fleetsim.cli import main
-from fleetsim.errors import ConfigError, TraceError
+from fleetsim.errors import ConfigError, NonConvergenceError, TraceError
 from fleetsim.simrunner import (
     CONFIG_VERSION,
     SCHEMA_VERSION,
@@ -753,6 +753,41 @@ def test_cli_scenario_failures_exit_3(tmp_path, capsys):
     )
     assert code == 3
     assert "scenario error" in capsys.readouterr().err
+
+
+# the task cloud at n = 2 with a one-round budget: the first epoch fails
+TIGHT_ASSIGNMENT_YAML = """
+scenario: assignment
+n: 2
+duration: 1.0
+assignment:
+  task_positions: [[0.0, 0.0], [1.0, 1.0]]
+  round_budget: 1
+"""
+
+
+def test_assignment_budget_error_carries_diagnostics(tmp_path):
+    with pytest.raises(NonConvergenceError) as info:
+        run_scenario(parse_config(TIGHT_ASSIGNMENT_YAML), str(tmp_path))
+    diagnostics = info.value.diagnostics
+    assert diagnostics["epoch"] == 0
+    assert diagnostics["rounds"] == 1
+    assert diagnostics["halted"] == [False, False]
+    assert len(diagnostics["objectives"]) == 2
+    assert all(math.isfinite(v) for v in diagnostics["objectives"])
+
+
+def test_failed_run_leaves_readable_partial_trace(tmp_path):
+    """The engine raises during its first tick; the trace written so far
+    reads back: the header, the t = 0 reveals and poses, no summary."""
+    with pytest.raises(NonConvergenceError):
+        run_scenario(parse_config(TIGHT_ASSIGNMENT_YAML), str(tmp_path))
+    header, records = read_trace(str(tmp_path / "trace.jsonl"))
+    assert header["config"]["scenario"] == "assignment"
+    assert [(r["kind"], r["t"]) for r in records] == [("task_event", 0.0)] * 2 + [("pose", 0.0)] * 2
+    assert [r["task"] for r in records[:2]] == [0, 1]
+    assert all(r["event"] == "reveal" for r in records[:2])
+    assert [r["agent"] for r in records[2:]] == [0, 1]
 
 
 def test_cli_summarize_and_export(tmp_path, capsys):

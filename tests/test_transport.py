@@ -110,6 +110,22 @@ def test_queue_depth_per_link():
     assert bus.pending(2, 0) == 4
 
 
+
+def test_queue_depth_counts_only_arrived_messages():
+    """Messages in flight are never evicted; among arrived ones the newest
+    ``depth`` stay."""
+    clock = LockstepClock()
+    bus = make_bus(0, clock=clock)
+    bus.register(1, queue_depth=1)
+    bus.deliver(0, 1, Envelope(0, 0, b"0"))
+    bus.deliver(0, 1, Envelope(0, 1, b"1"), deliver_at=1.0)
+    bus.deliver(0, 1, Envelope(0, 2, b"2"), deliver_at=2.0)
+    assert bus.pending(1, 0) == 1
+    clock.advance(2.0)
+    assert bus.pending(1, 0) == 1
+    assert bus.pop_newest(1, 0).payload == b"2"
+    assert bus.pop_newest(1, 0) is None
+
 def test_latency_gating_with_lockstep_clock():
     """Messages stay invisible until the clock reaches their delivery time."""
     clock = LockstepClock()
