@@ -760,7 +760,7 @@ def _solve_network(costs, graph, profile, transport, round_budget):
     base = graph.base if isinstance(graph, EdgeSchedule) else graph
     bus = MessageBus()
     tc = transport if transport is not None else TransportConfig()
-    if np.max(tc.latency) > 0:
+    if tc.latency > 0:
         raise ValueError("latency %r never elapses on the lockstep bus" % (tc.latency,))
     comms = [
         Communicator(bus, i, graph, profile=profile, config=tc)

@@ -2,20 +2,20 @@
 
 Three profiles cover the usual trade-offs:
 
-* ``static``: fixed graph, reliable delivery, synchronous and asynchronous
-  receives.
+* ``static``: fixed graph, reliable delivery, synchronous receives.
 * ``time_varying``: reliable delivery over a per-round active subgraph of a
   base graph (see :class:`~fleetsim.netgraph.EdgeSchedule`). A message
   traverses edge (i, j) at round t only if that edge is active at t; sends
   on inactive edges are silently skipped. Both endpoints evaluate the same
   activation, so receivers know which neighbors to expect.
-* ``best_effort``: time-varying and lossy. Only asynchronous receives are
-  available; mailboxes keep only the newest arrived message per sender
-  (messages in flight are kept too), and sends may be dropped with
-  ``drop_prob``. Free-running agents need this profile.
+* ``best_effort``: time-varying and lossy. Only asynchronous (newest-only)
+  receives are available; mailboxes keep only the newest arrived message
+  per sender (messages in flight are kept too), and sends may be dropped
+  with ``drop_prob``. Free-running agents need this profile.
 
-Payloads are arbitrary structured values run through the codec; the
-envelope adds sender id, round tag and send timestamp.
+The reliable profiles never drop, so a ``drop_prob`` above 0 is refused
+off ``best_effort``. Payloads are arbitrary structured values run through
+the codec; the envelope adds the round tag, and the link names the sender.
 """
 
 from __future__ import annotations
@@ -71,11 +71,15 @@ class Communicator:
             self.schedule.activation_prob < 1.0 or self.schedule.round_fn is not None
         ):
             raise ValueError("static profile cannot take a varying schedule")
+        config = config if config is not None else TransportConfig()
+        if config.drop_prob > 0.0 and profile != "best_effort":
+            raise ValueError("drop_prob %r needs the best_effort profile; %r links are reliable"
+                             % (config.drop_prob, profile))
 
         self.bus = bus
         self.agent_id = int(agent_id)
         self.profile = profile
-        self.config = config if config is not None else TransportConfig()
+        self.config = config
         self.in_neighbors, self.out_neighbors = neighbor_sets(self.graph, self.agent_id)
         self._rng = np.random.default_rng([self.config.rng_seed, self.agent_id])
         self._round = 0
@@ -93,13 +97,6 @@ class Communicator:
         active = sample_active(self.schedule, r)
         return bool(active.adjacency[src, dst])
 
-    def _latency(self) -> float:
-        lat = self.config.latency
-        if isinstance(lat, tuple):
-            lo, hi = lat
-            return float(self._rng.uniform(lo, hi))
-        return float(lat)
-
     # -- sending -----------------------------------------------------------
 
     def send(self, value, to, round: int | None = None) -> None:
@@ -112,8 +109,8 @@ class Communicator:
         """
         recipients = [to] if isinstance(to, (int, np.integer)) else list(to)
         r = self._round if round is None else int(round)
-        payload = codec.encode(value)
-        now = self.bus.clock.now()
+        env = Envelope(r, codec.encode(value))
+        deliver_at = self.bus.clock.now() + self.config.latency
         for dst in recipients:
             dst = int(dst)
             if dst not in self.out_neighbors:
@@ -126,8 +123,7 @@ class Communicator:
                 continue
             if self.config.drop_prob > 0.0 and self._rng.random() < self.config.drop_prob:
                 continue
-            env = Envelope(self.agent_id, r, payload, sent_at=now)
-            self.bus.deliver(self.agent_id, dst, env, deliver_at=now + self._latency())
+            self.bus.deliver(self.agent_id, dst, env, deliver_at=deliver_at)
 
     # -- receiving ---------------------------------------------------------
 
@@ -152,7 +148,12 @@ class Communicator:
         return codec.decode(env.payload)
 
     def asynchronous_receive(self, frm: int):
-        """Newest undelivered payload from ``frm``, or None. Never blocks."""
+        """Newest undelivered payload from ``frm``, or None. Never blocks.
+        Best-effort only: a reliable link would keep every older message."""
+        if self.profile != "best_effort":
+            raise UnsupportedOperationError(
+                "newest-only receive is only available on the best_effort profile"
+            )
         env = self.bus.pop_newest(self.agent_id, int(frm))
         return None if env is None else codec.decode(env.payload)
 

@@ -92,9 +92,6 @@ class FormationSpec:
         """Each declared pair once, as (min, max)."""
         return sorted({(min(i, j), max(i, j)) for (i, j) in self.distances})
 
-    def agents(self) -> list[int]:
-        return sorted({i for (i, _) in self.distances})
-
 
 def hexagon_formation(side: float = 1.0) -> FormationSpec:
     """Regular hexagon on 6 robots: ring edges plus next-nearest bracing.

@@ -35,7 +35,7 @@ __all__ = [
 _ER_ATTEMPTS = 1000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CommGraph:
     """Static directed communication graph on ``n`` agents."""
 
@@ -61,14 +61,6 @@ class CommGraph:
     @property
     def symmetric(self) -> bool:
         return bool((self.adjacency == self.adjacency.T).all())
-
-    def __eq__(self, other):
-        if not isinstance(other, CommGraph):
-            return NotImplemented
-        return self.n == other.n and np.array_equal(self.adjacency, other.adjacency)
-
-    def __hash__(self):
-        return hash((self.n, self.adjacency.tobytes()))
 
 
 def neighbor_sets(graph: CommGraph, i: int) -> tuple[list[int], list[int]]:

@@ -47,6 +47,7 @@ import numpy as np
 from .communicator import Communicator
 from .control import SiToUniParams, si_to_unicycle
 from .dynamics import (
+    DoubleIntegratorState,
     IntegratorConfig,
     SingleIntegratorState,
     UnicycleState,
@@ -71,8 +72,6 @@ JOB_RUNNING = "running"
 JOB_DONE = "done"
 JOB_CANCELLED = "cancelled"
 
-MODELS = ("single_integrator", "unicycle", "double_integrator")
-
 
 @dataclass(frozen=True)
 class AgentSpec:
@@ -80,14 +79,14 @@ class AgentSpec:
 
     ``law`` is a guidance callable (own_position, {neighbor: position})
     -> velocity vector; every law in :mod:`fleetsim.guidance` fits. The
-    unicycle model additionally needs ``si_params`` so the velocity
-    command can be mapped to (v, omega).
+    type of ``initial_state`` is the model: a ``SingleIntegratorState``
+    or a ``UnicycleState``. A unicycle additionally needs ``si_params`` so
+    the velocity command can be mapped to (v, omega).
     """
 
     agent_id: int
     initial_state: object
     law: Callable[[np.ndarray, dict], np.ndarray]
-    model: str = "single_integrator"
     period: float = 0.01
     si_params: SiToUniParams | None = None
     saturation: object = None
@@ -111,29 +110,24 @@ class OptimizationJob:
 
 
 def _validate_spec(spec: AgentSpec) -> None:
-    if spec.model not in MODELS:
-        raise RegistrationError("unknown model %r" % (spec.model,))
     if spec.period <= 0:
         raise RegistrationError("period must be positive")
-    if spec.model == "double_integrator":
+    state = spec.initial_state
+    if isinstance(state, DoubleIntegratorState):
         raise RegistrationError(
             "velocity-command guidance cannot drive a double integrator; "
             "no acceleration-level law is available"
         )
-    if spec.model == "unicycle":
-        if not isinstance(spec.initial_state, UnicycleState):
-            raise RegistrationError("unicycle model needs a UnicycleState initial state")
+    if isinstance(state, UnicycleState):
         if spec.si_params is None:
             raise RegistrationError(
                 "unicycle model needs si_params to map velocity commands"
             )
-    if spec.model == "single_integrator":
-        if not isinstance(spec.initial_state, SingleIntegratorState):
-            raise RegistrationError(
-                "single_integrator model needs a SingleIntegratorState initial state"
-            )
+    elif isinstance(state, SingleIntegratorState):
         if spec.si_params is not None:
             raise RegistrationError("si_params only applies to the unicycle model")
+    else:
+        raise RegistrationError("no model for initial state type %s" % type(state).__name__)
 
 
 class Agent:
@@ -204,7 +198,7 @@ class Agent:
         neighbors = {j: np.asarray(v, dtype=float) for j, v in raw.items()}
         self.last_neighbors = neighbors
         u = np.asarray(self.spec.law(self.pose, neighbors), dtype=float)
-        if self.spec.model == "unicycle":
+        if isinstance(self.state, UnicycleState):
             inp = si_to_unicycle(u, self.state.theta, self.spec.si_params)
             self.last_input = (inp.v, inp.omega)
         else:
@@ -347,8 +341,9 @@ class Agent:
 def spawn_agent(spec: AgentSpec, bus: MessageBus, graph, profile: str = "static") -> Agent:
     """Create an agent and register its communicator; it does not run yet.
 
-    A duplicate id, an unknown model, or a guidance/model mismatch
-    raises RegistrationError, and a bad spec leaves the id unregistered.
+    A duplicate id, an initial state of an unsupported type, or
+    ``si_params`` that do not fit that state raise RegistrationError, and
+    a bad spec leaves the id unregistered.
     Call :meth:`Agent.start` once every neighbor is registered, or drive
     the agent in lockstep.
     """

@@ -328,7 +328,10 @@ def _parse_assignment(block, n: int, graph: CommGraph) -> dict:
         _fail(path + ".task_positions", "need exactly n=%d initial tasks, got %d" % (n, len(tasks)))
     hidden = _as_points(block.get("hidden_tasks", []), path + ".hidden_tasks")
     profile = block.get("profile", "static")
-    if profile not in ("static", "time_varying", "best_effort"):
+    if profile == "time_varying":
+        _fail(path + ".profile", "the assignment scenario has no activation schedule, "
+              "so time_varying would keep every edge active; use static or best_effort")
+    if profile not in ("static", "best_effort"):
         _fail(path + ".profile", "unknown communicator profile %r" % (profile,))
     drop = _as_num(block.get("drop_prob", 0.0), path + ".drop_prob")
     if not 0.0 <= drop < 1.0:

@@ -164,8 +164,7 @@ def _run_formation(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
         params = SiToUniParams(
             lookahead=p["lookahead"], v_max=p["v_max"], omega_max=p["omega_max"]
         )
-        agents = _agents(cfg, bus, cfg.graph, "static", states, laws,
-                         model="unicycle", si_params=params)
+        agents = _agents(cfg, bus, cfg.graph, "static", states, laws, si_params=params)
     else:
         agents = _agents(cfg, bus, cfg.graph, "static",
                          [SingleIntegratorState(x) for x in pos], laws)

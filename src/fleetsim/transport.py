@@ -6,16 +6,16 @@ single-threaded in lockstep (send sweep, then receive sweep), where the
 blocking paths are never exercised.
 
 The bus passes :class:`Envelope` objects, never packed bytes: an envelope
-carries the sender id, round tag and send time beside the codec-encoded
-payload.
+carries the round tag beside the codec-encoded payload, and the (src, dst)
+link it is queued on names the sender.
 
 Delivery discipline per link is strict FIFO: a message becomes visible only
-once it is at the queue head and its delivery time has passed, so randomized
-latency cannot reorder a link. Queues are unbounded by default; a receiver
-registered with ``queue_depth=k`` keeps only the newest k arrived messages
-per link (oldest dropped on overflow), which is how best-effort mailboxes
-get their depth-1 "latest wins" behavior. Messages still in flight never
-count toward the depth, so a delayed link delivers.
+once it is at the queue head and its delivery time has passed. Queues are
+unbounded by default; a receiver registered with ``queue_depth=k`` keeps
+only the newest k arrived messages per link (oldest dropped on overflow),
+which is how best-effort mailboxes get their depth-1 "latest wins" behavior.
+Messages still in flight never count toward the depth, so a delayed link
+delivers.
 """
 
 from __future__ import annotations
@@ -34,33 +34,29 @@ __all__ = ["Envelope", "TransportConfig", "LockstepClock", "WallClock", "Message
 class Envelope:
     """One message on the wire."""
 
-    sender: int
     round: int
     payload: bytes
-    sent_at: float = 0.0
 
 
 @dataclass(frozen=True)
 class TransportConfig:
     """Link quality knobs applied on the sending side.
 
-    ``latency`` is seconds, either a float or a (lo, hi) pair sampled
-    uniformly per message. Drops and latency draws come from a generator
-    seeded with ``rng_seed`` and the sender id, so a run is reproducible
-    whenever sends happen in a deterministic order.
+    ``latency`` is the one delay in seconds every message on the link
+    takes. Drops come from a generator seeded with ``rng_seed`` and the
+    sender id, so a run is reproducible whenever sends happen in a
+    deterministic order.
     """
 
     drop_prob: float = 0.0
-    latency: float | tuple[float, float] = 0.0
+    latency: float = 0.0
     rng_seed: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.drop_prob <= 1.0:
             raise ValueError("drop_prob %r outside [0, 1]" % (self.drop_prob,))
-        lat = self.latency
-        lo, hi = (lat, lat) if not isinstance(lat, tuple) else lat
-        if lo < 0 or hi < lo:
-            raise ValueError("bad latency spec %r" % (lat,))
+        if not self.latency >= 0.0:  # NaN fails this too
+            raise ValueError("latency %r is not a nonnegative number" % (self.latency,))
 
 
 class LockstepClock:
@@ -121,10 +117,6 @@ class MessageBus:
                 raise RegistrationError("agent id %d already registered" % agent_id)
             self._conds[agent_id] = threading.Condition(self._lock)
             self._depths[agent_id] = queue_depth
-
-    def registered(self, agent_id: int) -> bool:
-        with self._lock:
-            return agent_id in self._conds
 
     def _wake_all(self) -> None:
         with self._lock:

@@ -157,6 +157,26 @@ def test_drop_is_seed_reproducible():
     assert 0 < len(runs[0]) < 50
 
 
+@pytest.mark.parametrize("profile", ["static", "time_varying"])
+def test_reliable_profiles_refuse_drop(profile):
+    """A reliable link that dropped would leave a round-tagged receive
+    waiting for a message that never comes."""
+    with pytest.raises(ValueError, match="best_effort"):
+        make_pair(profile=profile, config=TransportConfig(drop_prob=0.5, rng_seed=0))
+
+
+@pytest.mark.parametrize("profile", ["static", "time_varying"])
+def test_newest_only_receive_is_best_effort_only(profile):
+    """A reliable link keeps every message, so a newest-only read would
+    leave all the older ones queued."""
+    bus, a, b = make_pair(profile=profile)
+    for k in range(3):
+        a.send(k, to=1)
+    with pytest.raises(UnsupportedOperationError):
+        b.asynchronous_receive(0)
+    assert bus.pending(1, 0) == 3
+
+
 def test_send_to_non_neighbor():
     g = graph_from_edges(3, [(0, 1)])
     bus = MessageBus()

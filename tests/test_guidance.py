@@ -139,7 +139,6 @@ def test_formation_spec_from_pairs_errors():
 def test_formation_spec_queries():
     spec = FormationSpec.from_pairs([(2, 0, 1.0), (1, 2, 2.0)])
     assert spec.edges() == [(0, 2), (1, 2)]
-    assert spec.agents() == [0, 1, 2]
     assert spec.has(0, 2) and spec.has(2, 0)
     assert not spec.has(0, 1)
     assert spec.distance(2, 1) == 2.0

@@ -157,6 +157,26 @@ def test_sample_active_symmetric_joint_activation():
         assert sample_active(sched, r).symmetric
 
 
+def test_sample_active_directed_base_activates_arcs_independently():
+    """A non-symmetric base draws each arc on its own: some round keeps
+    (i, j) without (j, i), a (seed, round) pair always gives the same
+    draw, and every active arc is in the base."""
+    arcs = [(i, j) for i in range(5) for j in range(5) if i != j and (i, j) != (0, 1)]
+    base = graph_from_edges(5, arcs, undirected=False)
+    assert not base.symmetric
+    adj = base.adjacency.astype(bool)
+    both = adj & adj.T
+    one_way = False
+    for r in range(20):
+        act = sample_active(EdgeSchedule(base, activation_prob=0.5, rng_seed=4), r)
+        again = sample_active(EdgeSchedule(base, activation_prob=0.5, rng_seed=4), r)
+        assert np.array_equal(act.adjacency, again.adjacency)
+        kept = act.adjacency.astype(bool)
+        assert not (kept & ~adj).any()
+        one_way |= bool((kept & ~kept.T & both).any())
+    assert one_way
+
+
 def test_sample_active_prob_one_returns_base():
     base = ring(5)
     sched = EdgeSchedule(base, activation_prob=1.0, rng_seed=0)

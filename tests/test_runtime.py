@@ -64,7 +64,7 @@ def run_lockstep(agents, rounds, timeout=5.0):
 
 def test_spec_rejects_unknown_model():
     with pytest.raises(RegistrationError):
-        Agent(si_spec(0, (0, 0), zero_law, model="quadrotor"), comm=None)
+        Agent(AgentSpec(0, np.zeros(2), zero_law), comm=None)
 
 
 def test_spec_rejects_bad_period():
@@ -77,7 +77,6 @@ def test_spec_rejects_double_integrator():
         0,
         DoubleIntegratorState(np.zeros(2), np.zeros(2)),
         zero_law,
-        model="double_integrator",
     )
     with pytest.raises(RegistrationError):
         Agent(spec, comm=None)
@@ -86,13 +85,13 @@ def test_spec_rejects_double_integrator():
 def test_unicycle_spec_needs_matching_state_and_params():
     with pytest.raises(RegistrationError):
         Agent(
-            AgentSpec(0, SingleIntegratorState(np.zeros(2)), zero_law, model="unicycle",
+            AgentSpec(0, SingleIntegratorState(np.zeros(2)), zero_law,
                       si_params=SiToUniParams()),
             comm=None,
         )
     with pytest.raises(RegistrationError):
         Agent(
-            AgentSpec(0, UnicycleState(0.0, 0.0, 0.0), zero_law, model="unicycle"),
+            AgentSpec(0, UnicycleState(0.0, 0.0, 0.0), zero_law),
             comm=None,
         )
 
@@ -146,7 +145,6 @@ def test_unicycle_agent_drives_forward():
         0,
         UnicycleState(0.0, 0.0, 0.0),
         lambda own, neigh: np.array([1.0, 0.0]),
-        model="unicycle",
         period=0.01,
         si_params=SiToUniParams(lookahead=0.05),
     )

@@ -182,6 +182,21 @@ def test_assignment_block_errors():
         )
 
 
+def test_assignment_config_refuses_time_varying(tmp_path, capsys):
+    """The engine has no activation schedule, so time_varying would run
+    exactly as static; the parser says so instead of running it."""
+    raw = default_config("assignment", 3).raw
+    raw["assignment"]["profile"] = "time_varying"
+    with pytest.raises(ConfigError, match=r"assignment\.profile.*activation schedule"):
+        parse_config(raw)
+    path = tmp_path / "tv.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["run", "assignment", "--config", str(path), "--out", str(out)]) == 2
+    assert "assignment.profile" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_mpc_block_errors():
     agent = {
         "A": [[1.0]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]],
