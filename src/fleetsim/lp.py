@@ -17,13 +17,11 @@ above holds. It is diagonal, so phase 1 starts from its exact inverse
 diag(1/a) instead of a dense factorization.
 
 ``solve_lp`` also takes a warm start: the optimal basis of an earlier
-solve of an LP with the same A and c. When the basis is nonsingular and
-still primal feasible for the new b, phase 1 is skipped and phase 2 runs
-from it, which is how an MPC replan re-solves its OCP after only b has
-moved (Ferreau, Bock & Diehl, IJRNC 2008). The basis is factored once,
-and phase 2 starts from that inverse. Any other basis falls back to the
-two-phase path, so a warm start can change the work done but never the
-status.
+solve of an LP with the same A and c, dual feasible for any b, from which
+a dual simplex (Lemke 1954) restores B^-1 b >= -tol when b has moved, as
+in an MPC replan (Ferreau, Bock & Diehl, IJRNC 2008). A basis that is
+unusable or not dual feasible falls back to the two-phase path, so a warm
+start can change the work done but never the status.
 
 The solver keeps the basis inverse B^-1 explicitly (the product form of
 Dantzig and Orchard-Hays): each pivot applies a rank-1 eta update in
@@ -36,6 +34,7 @@ oracle.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +44,7 @@ from .errors import LpError
 __all__ = [
     "StandardLP",
     "LpSolution",
+    "WarmBasis",
     "AssignmentProblem",
     "solve_lp",
     "simplex_from_basis",
@@ -90,9 +90,16 @@ class StandardLP:
                 raise LpError("%s contains NaN or inf" % name)
         for name, arr in (("A", A), ("b", b), ("c", c)):
             arr.setflags(write=False)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+            object.__setattr__(self, name, arr)
+
+    def with_rhs(self, b) -> "StandardLP":
+        """This LP with right-hand side ``b``; A and c are not checked again."""
+        lp = copy.copy(self)
+        object.__setattr__(lp, "b", np.asarray(b, dtype=float).ravel())
+        if lp.b.shape != self.b.shape or not np.all(np.isfinite(lp.b)):
+            raise LpError("b must hold %d finite entries" % self.m)
+        lp.b.setflags(write=False)
+        return lp
 
     @property
     def m(self) -> int:
@@ -103,13 +110,22 @@ class StandardLP:
         return self.A.shape[1]
 
 
+class WarmBasis(list):
+    """A basis of the LP with arrays A and c, and its B^-1 (or None) under ``flip``."""
+
+    def __init__(self, cols, A, c, flip, Binv):
+        super().__init__(cols)
+        self.A, self.c, self.flip, self.Binv = A, c, flip, Binv
+
+
 @dataclass
 class LpSolution:
     """Solver output.
 
     ``basis`` lists the basic column indices in row order; ``y`` are the
     duals of the final basis (aligned with the rows actually used, see
-    ``kept_rows`` when redundant rows were dropped in phase 1).
+    ``kept_rows`` when redundant rows were dropped in phase 1); ``warm``,
+    None when a row was dropped, is ``basis`` as a :class:`WarmBasis`.
     """
 
     status: str
@@ -119,6 +135,7 @@ class LpSolution:
     y: np.ndarray | None = None
     kept_rows: list[int] | None = None
     iterations: int = 0
+    warm: WarmBasis | None = None
 
 
 def _pivot_inverse(Binv, d, r):
@@ -130,7 +147,7 @@ def _pivot_inverse(Binv, d, r):
     Binv[r] = prow
 
 
-def _simplex(A, b, c, basis, *, Binv=None):
+def _simplex(A, b, c, basis, *, Binv=None, dual=False):
     """Revised simplex from a feasible basis with an explicit basis inverse.
 
     B^-1 is computed from scratch, at O(m^3), on entry (unless the caller
@@ -138,6 +155,10 @@ def _simplex(A, b, c, basis, *, Binv=None):
     ``_REFACTOR_EVERY`` pivots; in between,
     each pivot updates it with a rank-1 eta step, so a pivot costs
     O(m^2 + mn).
+    With ``dual`` a dual feasible start may be primal infeasible: dual
+    pivots take the most negative basic value out, by the lowest-index
+    minimum ratio, until B^-1 b >= -tol. Status None (no pivot made) means
+    neither feasibility held at the start, INFEASIBLE a dual ray.
     Returns (basis, xB, y, Binv, status, iters), where ``y`` are the duals
     and ``Binv`` the inverse at the final basis.
     """
@@ -156,25 +177,41 @@ def _simplex(A, b, c, basis, *, Binv=None):
         y = c[basis] @ Binv
         rc = c - y @ A
         rc[basis] = 0.0
-        if stall >= _BLAND_AFTER:
-            neg = np.flatnonzero(rc < -_TOL)
-            enter = int(neg[0]) if neg.size else -1
+        short = np.flatnonzero(xB < -_TOL) if dual else ()
+        dual = len(short) > 0
+        if dual:
+            if it == 0 and rc.min() < -_TOL:
+                return basis, xB, y, Binv, None, 0
+            leave_row = (min(short, key=basis.__getitem__) if stall >= _BLAND_AFTER
+                         else int(np.argmin(xB)))
+            alpha = Binv[leave_row] @ A
+            alpha[basis] = 0.0
+            cand = np.flatnonzero(alpha < -_TOL)
+            if not cand.size:
+                return basis, xB, y, Binv, INFEASIBLE, it
+            ratios = np.maximum(rc[cand], 0.0) / -alpha[cand]
+            rmin = float(ratios.min())
+            enter = int(cand[np.argmax(ratios <= rmin + _TOL * (1.0 + rmin))])
+            d = Binv @ A[:, enter]
         else:
-            enter = int(np.argmin(rc))
-            if rc[enter] >= -_TOL:
-                enter = -1
-        if enter < 0:
-            return basis, xB, y, Binv, OPTIMAL, it
-        d = Binv @ A[:, enter]
-        pos = d > _TOL
-        if not pos.any():
-            return basis, xB, y, Binv, UNBOUNDED, it
-        safe_xb = np.maximum(xB, 0.0)
-        ratios = np.full(m, np.inf)
-        ratios[pos] = safe_xb[pos] / d[pos]
-        rmin = float(ratios.min())
-        ties = np.flatnonzero(ratios <= rmin + _TOL * (1.0 + abs(rmin)))
-        leave_row = min(ties, key=lambda r: basis[r])
+            if stall >= _BLAND_AFTER:
+                neg = np.flatnonzero(rc < -_TOL)
+                enter = int(neg[0]) if neg.size else -1
+            else:
+                enter = int(np.argmin(rc))
+                if rc[enter] >= -_TOL:
+                    enter = -1
+            if enter < 0:
+                return basis, xB, y, Binv, OPTIMAL, it
+            d = Binv @ A[:, enter]
+            pos = d > _TOL
+            if not pos.any():
+                return basis, xB, y, Binv, UNBOUNDED, it
+            ratios = np.full(m, np.inf)
+            ratios[pos] = np.maximum(xB[pos], 0.0) / d[pos]
+            rmin = float(ratios.min())
+            ties = np.flatnonzero(ratios <= rmin + _TOL * (1.0 + abs(rmin)))
+            leave_row = min(ties, key=lambda r: basis[r])
         stall = stall + 1 if rmin <= _TOL else 0
         basis[leave_row] = enter
         _pivot_inverse(Binv, d, leave_row)
@@ -196,15 +233,13 @@ def simplex_from_basis(A, b, c, basis):
     return final, x, float(c @ x), status
 
 
-def _warm_inverse(A, b, basis):
+def _warm_inverse(A, basis):
     """B^-1 of a warm-start basis, factored afresh, or None unless the
-    basis names one in-range column per row, is nonsingular and well
-    conditioned, and is primal feasible for ``b`` (B^-1 b >= -tol)."""
-    m, n = A.shape
-    if basis is None or len(basis) != m:
-        return None
-    cols = np.asarray(basis)
-    if cols.dtype.kind not in "iu" or cols.min() < 0 or cols.max() >= n:
+    basis names one in-range column per row and is nonsingular and well
+    conditioned."""
+    cols = np.asarray([] if basis is None else basis)
+    if (cols.shape != A.shape[:1] or cols.dtype.kind not in "iu" or cols.min() < 0
+            or cols.max() >= A.shape[1]):
         return None
     B = A[:, cols]
     try:
@@ -214,8 +249,6 @@ def _warm_inverse(A, b, basis):
     # infinity-norm condition number, O(m^2) from the inverse at hand
     cond = np.abs(B).sum(axis=1).max() * np.abs(Binv).sum(axis=1).max()
     if not np.isfinite(cond) or cond > _WARM_MAX_COND:
-        return None
-    if (Binv @ b).min() < -_TOL:
         return None
     return Binv
 
@@ -273,24 +306,23 @@ def _phase1(A, b):
 
 
 def solve_lp(problem: StandardLP, basis=None) -> LpSolution:
-    """Two-phase revised simplex, or phase 2 alone from a warm basis.
+    """Two-phase revised simplex, or a warm re-solve from a dual feasible basis.
 
     Phase 1 minimizes artificial infeasibility from the crash basis: the
     lowest-index positive singleton column of each row that has one, an
     artificial on every other row. Redundant rows discovered there are
     dropped before phase 2.
 
-    ``basis`` is an optional warm start, typically the ``basis`` of an
-    earlier solve of an LP with the same A and c but another b. When it
-    has one column per row, is nonsingular and B^-1 b >= -tol, phase 1 is
-    skipped and phase 2 starts from it. Any other basis (infeasible for
-    this b, singular, or one entry short after a dropped row) is ignored
-    and the two-phase path runs as if none were given. The warm basis is
-    factored once, for both the feasibility check and phase 2.
+    ``basis`` is an optional warm start, typically the ``warm`` basis of an
+    earlier solve of an LP with the same A and c but another b. If it has
+    one column per row and is nonsingular and dual feasible, phase 1 is
+    skipped and a dual simplex restores B^-1 b >= -tol if needed; any other
+    basis is ignored. A plain list is factored once. A :class:`WarmBasis`
+    of this A and c under the same row flips brings its factor, and inside
+    its critical region (Bemporad, Borrelli & Morari, IEEE TAC 2002) the
+    solve returns with no factorization and no pricing.
     """
-    A = problem.A.copy()
-    b = problem.b.copy()
-    c = problem.c.copy()
+    A, b, c = problem.A.copy(), problem.b.copy(), problem.c
     m, n = A.shape
     # Rows with b < 0 are negated; that leaves B^-1 b, and so the
     # feasibility of a warm basis, unchanged, as (DB)^-1 Db = B^-1 b.
@@ -298,35 +330,41 @@ def solve_lp(problem: StandardLP, basis=None) -> LpSolution:
     A[flip] *= -1.0
     b[flip] *= -1.0
 
-    Binv = _warm_inverse(A, b, basis)
-    if Binv is not None:
-        start, kept, iters = list(basis), list(range(m)), 0
-    else:
-        start, kept, iters = _phase1(A, b)
+    # it1, iters: pivots of phase 1 and of the last simplex run (none: Binv is fresh)
+    kept, status, iters, it1 = list(range(m)), None, 0, 0
+    hit = (isinstance(basis, WarmBasis) and basis.Binv is not None and basis.A is problem.A
+           and basis.c is c and np.array_equal(basis.flip, flip))
+    Binv = basis.Binv if hit else _warm_inverse(A, basis)
+    if hit and (xB := Binv @ b).min() >= -_TOL:
+        final, y, status = list(basis), c[basis] @ Binv, OPTIMAL
+    elif Binv is not None:  # a copy, as pivots must leave a kept factor as it was
+        final, xB, y, Binv, status, iters = _simplex(A, b, c, basis, Binv=Binv.copy(), dual=True)
+    if status is None:
+        start, kept, it1 = _phase1(A, b)
         if start is None:
-            return LpSolution(status=INFEASIBLE, iterations=iters)
-    dropped = len(kept) < m
-    if dropped:
-        A = A[kept]
-        b = b[kept]
-
-    basis, xB, y, _, status, it2 = _simplex(A, b, c, start, Binv=Binv)
-    iters += it2
-    if status == UNBOUNDED:
-        return LpSolution(status=UNBOUNDED, basis=basis, iterations=iters)
+            return LpSolution(status=INFEASIBLE, iterations=it1)
+        if len(kept) < m:
+            A = A[kept]
+            b = b[kept]
+        final, xB, y, Binv, status, iters = _simplex(A, b, c, start)
+    if status != OPTIMAL:  # unbounded, or infeasible by a dual ray
+        return LpSolution(status=status, basis=final, iterations=it1 + iters)
     x = np.zeros(n)
-    x[basis] = np.maximum(xB, 0.0)
+    x[final] = np.maximum(xB, 0.0)
     # express the duals against the caller's row orientation, not the
     # sign-normalized one used internally
     y[flip[kept]] *= -1.0
+    dropped = len(kept) < m
     return LpSolution(
         status=OPTIMAL,
         x=x,
         objective=float(c @ x),
-        basis=basis,
+        basis=final,
         y=y,
         kept_rows=kept if dropped else None,
-        iterations=iters,
+        iterations=it1 + iters,
+        warm=None if dropped else WarmBasis(final, problem.A, problem.c, flip,
+                                            Binv if iters == 0 else None),
     )
 
 

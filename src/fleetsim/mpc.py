@@ -21,14 +21,13 @@ Each agent's local OCP is built once per episode (:func:`build_local_ocp`)
 and kept in a :class:`LocalOcp`. Between two replans of one agent only
 the right-hand side moves, namely the current state and the coupling
 bounds left by the others' plans, so a replan rewrites just those entries
-of b and re-solves from the agent's last optimal basis, falling back to a
-cold two-phase solve when that basis is infeasible for the new b. This is
-the online re-solve of Ferreau, Bock & Diehl (IJRNC 18(8), 2008), and the
-only way this module replans. :func:`centralized_bootstrap` builds its
-joint LP from these OCPs, starts it from their own optima, and hands each
-OCP its block of the joint optimal basis when the coupling rows are slack
-there, so on the default configs no replan, the first included, is cold;
-an OCP without a basis solves cold.
+of b and re-solves from the agent's last optimal basis, dual feasible
+for every b: in one matrix-vector product with its kept factor while
+B^-1 b >= 0 (a critical region), else by dual simplex. This is the online
+re-solve of Ferreau, Bock & Diehl (IJRNC 18(8), 2008), and the only way
+this module replans. :func:`centralized_bootstrap` builds its joint LP
+from these OCPs and hands each a dual feasible basis, so no replan runs
+phase 1; an OCP without a basis solves cold.
 
 The closed loop is fully deterministic: the plant here is the model
 itself, so applying the first planned input lands exactly on the plan's
@@ -306,7 +305,8 @@ class LocalOcp:
     A replan rewrites only the entries of ``lp.b`` that hold ``x_now`` and
     the coupling right-hand sides (:meth:`set_rhs`), while A and c stay
     shared and read-only. ``basis`` is the last optimal basis, the warm
-    start of the next solve, or None before the first one.
+    start of the next solve (that solve's ``warm`` basis, with its factor),
+    or None before the first one.
     """
 
     def __init__(self, spec: OcpSpec, lp: StandardLP, x_rows, coupling_rows):
@@ -329,16 +329,13 @@ class LocalOcp:
         b = self.lp.b.copy()
         b[self._x_rows] = x_now
         if spec.coupling is not None:
-            if others_sum is None:
-                others = np.zeros((T, r))
-            else:
-                others = np.atleast_2d(np.asarray(others_sum, dtype=float))
-                if others.shape != (T, r):
-                    raise ModelError(
-                        "others_sum shape %s, expected (%d, %d)" % (others.shape, T, r))
+            others = np.atleast_2d(np.zeros((T, r)) if others_sum is None
+                                   else np.asarray(others_sum, dtype=float))
+            if others.shape != (T, r):
+                raise ModelError("others_sum shape %s, expected (%d, %d)" % (others.shape, T, r))
             H, h = spec.coupling.G, spec.coupling.g
             b[self._coupling_rows] = np.concatenate([h - H @ others[t] for t in range(T)])
-        self.lp = StandardLP(self.lp.A, b, self.lp.c)
+        self.lp = self.lp.with_rhs(b)
 
     def extract_plan(self, x_solution: np.ndarray) -> Plan:
         """The plan in a solution of ``lp``, or of any LP whose leading
@@ -426,17 +423,15 @@ def replan_local(ocp: LocalOcp, x_now, others_sum=None):
     summed outputs. Returns (plan, cost) or (None, None) if infeasible.
 
     Only the OCP's b is rewritten, and the solve warm-starts from its last
-    optimal basis; an OCP with no basis yet solves cold.
+    optimal basis, which an infeasible solve keeps; with none it is cold.
     """
     ocp.set_rhs(x_now, others_sum)
     sol = solve_lp(ocp.lp, basis=ocp.basis)
-    # a basis that lost a dependent row has no place in the full LP
-    keep = sol.status == OPTIMAL and sol.kept_rows is None
-    ocp.basis = sol.basis if keep else None
     if sol.status == INFEASIBLE:
         return None, None
     if sol.status != OPTIMAL:
         raise LpError("local OCP solve ended %s" % sol.status)
+    ocp.basis = sol.warm  # None after a dropped row: it fits only the cut LP
     plan = ocp.extract_plan(sol.x)
     return plan, plan_cost(plan, ocp.spec)
 
@@ -555,31 +550,30 @@ def centralized_bootstrap(ocps: list[LocalOcp]) -> list[Plan]:
     The joint LP is block-angular: each agent's own rows and columns, as
     its OCP holds them, on the diagonal, tied only by the T coupling rows
     H sum_i z_i(t) <= h, each with one slack. Each agent first solves its
-    own OCP cold with the others at zero output. When the coupling rows
-    are slack at those local optima, the blocks' solutions already form
-    the joint optimum (Dantzig & Wolfe, Operations Research 8(1), 1960),
-    so the joint solve starts from the union of the local optimal bases
-    plus the coupling slacks and takes no pivot. When that start is
-    infeasible, as under a binding budget, ``solve_lp`` falls back to its
-    two-phase path, so the result never depends on the start.
+    own OCP with the others at zero output. When the coupling rows are
+    slack at those local optima, the blocks' solutions already form the
+    joint optimum (Dantzig & Wolfe, Operations Research 8(1), 1960), so
+    the joint solve starts from the union of the local optimal bases plus
+    the coupling slacks and takes no pivot. That start is dual feasible, so
+    an overspent budget costs dual pivots; with a local coupling slack
+    nonbasic there is no start, and both phases run.
 
-    When every coupling slack is basic at the joint optimum and no row was
+    The first OCP of each distinct A and c solves cold, and the others,
+    which differ from it only in b, re-solve from its optimal basis. When
+    every coupling slack is basic at the joint optimum and no row was
     dropped, each OCP's ``basis`` is set to its block of that basis plus
     its own coupling slacks, an optimal basis for its first replan against
-    the other plans; otherwise it is set to None. On the default ``mpc``
-    configs at n = 2, 3, 4, 6 and 8, seeds 0-11, the joint solve always
-    starts warm and takes no pivot, and no replan is cold. A seed can still
-    be infeasible once the agent's state and the others' plans have moved:
-    at n = 4, 19 of the 48 first replans and 26 of all 360 replans fall
-    back to two phases. Under the binding budget of the tests (four scalar
-    integrators sharing sum u <= 0.5) the local optima overspend the
-    budget, so the joint solve runs both phases, no OCP gets a seed, and
-    the four first replans solve cold; 4 of the other 20 fall back.
+    the other plans; otherwise to the OCP's own optimal basis, which is
+    dual feasible for any b of that OCP. Over the default ``mpc`` configs
+    at n = 2, 3, 4, 6 and 8, seeds 0-11, phase 1 runs once per bootstrap
+    and in no replan: the 216 re-solves take a median of 1 dual pivot (at
+    most 4), the joint solve none, 1334 of the 1800 replans reuse their
+    kept factor, and 155 take one dual pivot. Under the binding budget of
+    the tests (four scalar integrators sharing sum u <= 0.5) the joint
+    solve runs both phases.
     """
     specs = [ocp.spec for ocp in ocps]
-    T = specs[0].horizon
-    r = specs[0].model.r
-    coupling = specs[0].coupling
+    T, r, coupling = specs[0].horizon, specs[0].model.r, specs[0].coupling
     for s in specs:
         if s.horizon != T:
             raise ModelError("bootstrap requires a shared horizon")
@@ -589,10 +583,12 @@ def centralized_bootstrap(ocps: list[LocalOcp]) -> list[Plan]:
             raise ModelError("coupled agents must share the output dimension")
 
     # each agent alone, at its x0 with the others at zero output
-    local = []
+    local, first = [], {}
     for ocp in ocps:
         ocp.set_rhs()
-        local.append(solve_lp(ocp.lp))
+        key = (ocp.lp.A.tobytes(), ocp.lp.c.tobytes())
+        local.append(solve_lp(ocp.lp, basis=first.get(key)))
+        first.setdefault(key, local[-1].warm)
 
     # the stacked LP: own blocks on the diagonal, then the coupling rows
     k = len(ocps[0]._coupling_rows)
@@ -617,20 +613,16 @@ def centralized_bootstrap(ocps: list[LocalOcp]) -> list[Plan]:
 
     # the joint coupling slacks plus the local optimal bases less their own
     # coupling slacks: a basis of the stacked LP when every local coupling
-    # slack was basic, which solve_lp then uses only if it is feasible
-    start = None
-    if all(sol.status == OPTIMAL and sol.kept_rows is None for sol in local):
-        start = slacks + [col + j for sol, n_i, col in zip(local, own_n, col_at)
-                          for j in sol.basis if j < n_i]
-        if len(start) != M + k:
-            start = None
-    sol = solve_lp(StandardLP(A, b, c), basis=start)
+    # slack was basic, and of another length otherwise
+    start = slacks + [col + j for sol, n_i, col in zip(local, own_n, col_at)
+                      for j in sol.warm or () if j < n_i]
+    sol = solve_lp(StandardLP(A, b, c), basis=start if len(start) == M + k else None)
     if sol.status != OPTIMAL:
         raise FeasibilityError("no jointly feasible initial plan exists (%s)" % sol.status)
 
     seed = sol.kept_rows is None and set(slacks) <= set(sol.basis)
-    for ocp, n_i, col in zip(ocps, own_n, col_at):
-        ocp.basis = None
+    for ocp, alone, n_i, col in zip(ocps, local, own_n, col_at):
+        ocp.basis = alone.warm
         if seed:
             ocp.basis = ([j - col for j in sol.basis if col <= j < col + n_i]
                          + list(range(n_i, n_i + k)))

@@ -615,6 +615,8 @@ def test_warm_start_mpc_local_lps_match_cold(tmp_path):
 
 
 def test_warm_basis_infeasible_for_new_rhs_falls_back():
+    """An optimal basis that the new b makes infeasible is still dual
+    feasible: the dual simplex re-solves from it to the cold optimum."""
     rng = np.random.default_rng(8)
     found = 0
     for _ in range(200):
@@ -623,8 +625,9 @@ def test_warm_basis_infeasible_for_new_rhs_falls_back():
         new = StandardLP(old.A, old.A @ rng.random(8), old.c)
         if np.min(np.linalg.solve(new.A[:, basis], new.b)) >= -1e-6:
             continue
-        assert_fell_back(new, basis)
-        assert_kkt(new, solve_lp(new, basis=basis))
+        warm = solve_lp(new, basis=basis)
+        assert_same_solve(warm, solve_lp(new))
+        assert_kkt(new, warm)
         found += 1
     assert found >= 10
 
@@ -665,7 +668,7 @@ def test_infeasible_lp_with_warm_basis_reports_infeasible():
     infeasible = StandardLP(feasible.A, [1.0, 0.5, 3.0], feasible.c)
     sol = solve_lp(infeasible, basis=basis)
     assert sol.status == INFEASIBLE and sol.x is None
-    assert_fell_back(infeasible, basis)
+    assert_same_solve(sol, solve_lp(infeasible))
 
 
 def test_warm_start_factors_its_basis_once(monkeypatch, tmp_path):
@@ -688,3 +691,169 @@ def test_warm_start_factors_its_basis_once(monkeypatch, tmp_path):
     assert again.basis == first.basis
     assert again.x.tobytes() == first.x.tobytes()
     assert_kkt(lp, again)
+
+
+# -- dual simplex re-solves and reused factors ---------------------------------
+
+
+def phase1_spy(monkeypatch):
+    """Count the phase-1 runs of every solve."""
+    runs = []
+    real = lp_module._phase1
+
+    def spy(A, b):
+        runs.append(A.shape)
+        return real(A, b)
+
+    monkeypatch.setattr(lp_module, "_phase1", spy)
+    return runs
+
+
+def inv_spy(monkeypatch):
+    """Record the shape of every np.linalg.inv call."""
+    calls = []
+    real = np.linalg.inv
+
+    def spy(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "inv", spy)
+    return calls
+
+
+def assert_dual_resolve(monkeypatch, lp, basis):
+    """``basis`` is infeasible for ``lp.b``: the warm solve runs no phase 1,
+    pivots fewer times than the cold solve and reaches its objective, the
+    HiGHS optimum and KKT."""
+    assert np.min(np.linalg.solve(lp.A[:, basis], lp.b)) < -1e-6
+    runs = phase1_spy(monkeypatch)
+    warm = solve_lp(lp, basis=basis)
+    assert runs == []
+    cold = solve_lp(lp)
+    assert len(runs) == 1
+    monkeypatch.undo()
+    assert_same_solve(warm, cold)
+    assert_matches_highs(lp, warm)
+    assert 0 < warm.iterations < cold.iterations
+
+
+def test_dual_simplex_resolves_random_lps(monkeypatch):
+    rng = np.random.default_rng(31)
+    found = 0
+    while found < 15:
+        m = int(rng.integers(4, 9))
+        old = random_feasible_lp(rng, m, 2 * m)
+        basis = solve_lp(old).basis
+        new = StandardLP(old.A, old.A @ rng.random(2 * m), old.c)
+        if np.min(np.linalg.solve(new.A[:, basis], new.b)) >= -1e-6:
+            continue
+        if solve_lp(new).iterations < 2:
+            continue  # a one-pivot cold solve leaves nothing to beat
+        assert_dual_resolve(monkeypatch, new, basis)
+        found += 1
+
+
+def test_dual_simplex_resolves_mpc_local_lps(monkeypatch, tmp_path):
+    """Each local OCP LP of a default run, re-solved from its own optimal
+    basis after its initial state is mirrored (row 0 holds x_now), which
+    makes that basis infeasible but leaves it dual feasible."""
+    lps = captured_mpc_lps(lambda: run_scenario(default_config("mpc", 4), str(tmp_path)))
+    local = [lp for lp in lps if lp.m == lps[0].m]
+    assert len(local) >= 30
+    for lp in local:
+        b = lp.b.copy()
+        b[0] = -b[0] if b[0] else 0.3
+        assert_dual_resolve(monkeypatch, lp.with_rhs(b), solve_lp(lp).basis)
+
+
+def test_dual_ray_reports_infeasible(monkeypatch):
+    """x0 + x1 = 1 with x0, x1 <= 0.4 has no solution. From the basis
+    optimal for x0 + x1 = 0.5, B^-1 b is infeasible, and its pivot row has
+    no entering column: the dual simplex stops on that ray without phase 1."""
+    rows = [("le", [1.0, 0.0], 0.4), ("le", [0.0, 1.0], 0.4), ("eq", [1.0, 1.0], 0.5)]
+    feasible = _rows_lp(rows, [1.0, 2.0])
+    basis = solve_lp(feasible).basis
+    infeasible = StandardLP(feasible.A, [0.4, 0.4, 1.0], feasible.c)
+    runs = phase1_spy(monkeypatch)
+    sol = solve_lp(infeasible, basis=basis)
+    assert runs == []
+    assert sol.status == INFEASIBLE and sol.x is None
+    ref = linprog(infeasible.c, A_eq=infeasible.A, b_eq=infeasible.b, bounds=(0, None),
+                  method="highs")
+    assert ref.status == 2
+    assert solve_lp(infeasible).status == INFEASIBLE
+
+
+def mpc_local_lp_and_optimum(tmp_path):
+    """A default two-agent local OCP LP, with rows b < 0, and its warm
+    re-solve from its own optimum."""
+    lp = captured_mpc_lps(lambda: run_scenario(default_config("mpc", 2), str(tmp_path)))[1]
+    assert np.any(lp.b < 0)
+    return lp, solve_lp(lp, basis=solve_lp(lp).basis)
+
+
+def test_factor_hit_skips_inv_and_matches_a_fresh_factor(monkeypatch, tmp_path):
+    lp, fresh = mpc_local_lp_and_optimum(tmp_path)
+    assert fresh.warm.Binv is not None and fresh.iterations == 0
+    moved = lp.with_rhs(lp.b * 1.001)  # the same flips, still inside the region
+    calls = inv_spy(monkeypatch)
+    hit = solve_lp(moved, basis=fresh.warm)
+    again = solve_lp(moved, basis=list(fresh.warm))
+    assert calls == [(lp.m, lp.m)]  # the plain list alone was factored
+    assert hit.iterations == again.iterations == 0
+    assert hit.basis == again.basis
+    assert hit.x.tobytes() == again.x.tobytes()
+    assert hit.y.tobytes() == again.y.tobytes()
+    assert hit.objective == again.objective
+    assert hit.warm.Binv is fresh.warm.Binv
+    assert_kkt(moved, hit)
+
+
+def test_changed_flip_mask_factors_afresh(monkeypatch, tmp_path):
+    lp, fresh = mpc_local_lp_and_optimum(tmp_path)
+    b = lp.b.copy()
+    row = int(np.flatnonzero(b < 0)[0])
+    b[row] = 0.0  # the row is no longer flipped
+    moved = lp.with_rhs(b)
+    calls = inv_spy(monkeypatch)
+    warm = solve_lp(moved, basis=fresh.warm)
+    assert calls == [(lp.m, lp.m)]
+    monkeypatch.undo()
+    assert_same_solve(warm, solve_lp(moved))
+    assert_kkt(moved, warm)
+
+
+def test_factor_of_another_lp_is_not_reused(monkeypatch, tmp_path):
+    """A factor is tied to the A and c arrays it was made for: an equal
+    copy of them is factored afresh."""
+    lp, fresh = mpc_local_lp_and_optimum(tmp_path)
+    copy = StandardLP(lp.A.copy(), lp.b, lp.c.copy())
+    calls = inv_spy(monkeypatch)
+    sol = solve_lp(copy, basis=fresh.warm)
+    assert calls == [(lp.m, lp.m)]
+    assert sol.x.tobytes() == fresh.x.tobytes()
+
+
+def test_dual_pivots_leave_the_cached_factor_as_it_was(tmp_path):
+    lp, fresh = mpc_local_lp_and_optimum(tmp_path)
+    kept = fresh.warm.Binv.copy()
+    x_rows = np.flatnonzero(lp.b < 0)
+    b = lp.b.copy()
+    b[x_rows] *= 3.0  # the same flips, outside the region
+    moved = lp.with_rhs(b)
+    assert np.min(fresh.warm.Binv @ np.abs(moved.b)) < 0
+    sol = solve_lp(moved, basis=fresh.warm)
+    assert sol.iterations > 0 and sol.warm.Binv is None
+    assert fresh.warm.Binv.tobytes() == kept.tobytes()
+    assert_matches_highs(moved, sol)
+
+
+def test_with_rhs_checks_only_b():
+    lp = random_feasible_lp(np.random.default_rng(3), 3, 5)
+    moved = lp.with_rhs([1.0, 2.0, 3.0])
+    assert moved.A is lp.A and moved.c is lp.c
+    assert not moved.b.flags.writeable
+    for bad in ([1.0, np.nan, 3.0], [1.0, np.inf, 3.0], [1.0, 2.0]):
+        with pytest.raises(LpError):
+            lp.with_rhs(bad)

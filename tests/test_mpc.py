@@ -12,7 +12,8 @@ import pytest
 from scipy.optimize import linprog
 
 from fleetsim import mpc
-from fleetsim.errors import FeasibilityError, ModelError, PlanError
+from fleetsim import lp as lp_module
+from fleetsim.errors import FeasibilityError, LpError, ModelError, PlanError
 from fleetsim.mpc import (
     LinearAgentModel,
     OcpSpec,
@@ -504,6 +505,23 @@ def test_warm_replans_match_cold_under_a_binding_budget(monkeypatch):
     assert len(rewrites) == 24
 
 
+@pytest.mark.parametrize("bad", ["x_now nan", "x_now inf", "others nan", "others -inf"])
+def test_set_rhs_refuses_non_finite_input_and_keeps_the_ocp(bad):
+    specs = binding_budget_specs()
+    ocp = build_local_ocp(specs[0])
+    replan_local(ocp, np.array([0.1]))
+    lp, basis = ocp.lp, ocp.basis
+    x_now, others = np.array([0.1]), np.zeros((8, 1))
+    value = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}[bad.split()[1]]
+    if bad.startswith("x_now"):
+        x_now[0] = value
+    else:
+        others[3, 0] = value
+    with pytest.raises(LpError):
+        ocp.set_rhs(x_now, others)
+    assert ocp.lp is lp and ocp.basis is basis
+
+
 def test_build_local_ocp_rewrites_only_b():
     specs = binding_budget_specs()
     ocp = build_local_ocp(specs[0])
@@ -599,8 +617,9 @@ def test_mpc_step_warm_starts_and_the_oracle_stays_cold(monkeypatch):
     specs = coupled_pair()
     ocps = fresh_ocps(specs)
     plans = centralized_bootstrap(ocps)
-    # each agent's own OCP solves cold, then the stacked LP starts warm
-    assert warm == [False, False, True]
+    # the first agent's OCP solves cold, the second's from its optimum,
+    # then the stacked LP starts warm
+    assert warm == [False, True, True]
     warm.clear()
     for t in range(30):
         plans = mpc_step(ocps, plans, t).plans
@@ -656,13 +675,15 @@ def solve_spy(monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_bootstrap_starts_warm_and_seeds_every_first_replan(monkeypatch, tmp_path, n):
-    """On the default config the budget rows are slack at the agents' own
-    optima: the stacked LP starts from their bases and takes no pivot,
-    and every replan of the run, the first ones included, is warm."""
+    """On the default config the agents share A and c, so only the first
+    OCP solves cold and the others re-solve from its optimum. The budget
+    rows are slack at the agents' own optima: the stacked LP starts from
+    their bases and takes no pivot, and every replan of the run, the first
+    ones included, is warm."""
     calls = solve_spy(monkeypatch)
     ocps = fresh_ocps(ocp_specs(default_config("mpc", n).params))
     centralized_bootstrap(ocps)
-    assert [warm for _, warm, _ in calls] == [False] * n + [True]
+    assert [warm for _, warm, _ in calls] == [False] + [True] * n
     assert calls[-1][2].iterations == 0
     assert all(ocp.basis is not None for ocp in ocps)
 
@@ -675,16 +696,16 @@ def test_bootstrap_starts_warm_and_seeds_every_first_replan(monkeypatch, tmp_pat
 
 def test_bootstrap_under_a_binding_budget_falls_back(monkeypatch):
     """Under the binding budget the agents' own optima overspend it: the
-    stacked LP solves in two phases, reaches the HiGHS joint optimum and
-    seeds no basis, so the closed loop equals one run on OCPs the
-    bootstrap never saw."""
+    stacked LP solves in two phases and reaches the HiGHS joint optimum.
+    Its basis cannot seed the OCPs, so each keeps its own optimal basis,
+    and the closed loop equals one run on OCPs the bootstrap never saw."""
     specs = binding_budget_specs()
     calls = solve_spy(monkeypatch)
     ocps = fresh_ocps(specs)
     plans = centralized_bootstrap(ocps)
     joint, _, sol = calls[-1]
     assert sol.iterations > 0
-    assert all(ocp.basis is None for ocp in ocps)
+    assert [ocp.basis for ocp in ocps] == [alone.basis for _, _, alone in calls[:-1]]
     ref = linprog(joint.c, A_eq=joint.A, b_eq=joint.b, bounds=(0, None), method="highs")
     assert ref.status == 0 and sol.objective == pytest.approx(ref.fun, rel=1e-9)
     assert sum(plan_cost(p, s) for p, s in zip(plans, specs)) == pytest.approx(ref.fun)
@@ -716,3 +737,38 @@ def test_bootstrap_requires_a_shared_coupling():
     specs[1] = scalar_spec(x0=-0.4, x_term=0.5, horizon=8, u_lim=1.0)
     with pytest.raises(ModelError):
         centralized_bootstrap(fresh_ocps(specs))
+
+
+def test_phase1_census(monkeypatch, tmp_path):
+    """No replan runs phase 1: each re-solves from a dual feasible basis.
+    The bootstrap runs it at most once per distinct (A, c) of its OCPs,
+    plus once for the stacked LP."""
+    where = ["bootstrap"]
+    runs = {"bootstrap": 0, "replan": 0}
+    real_phase1, real_replan = lp_module._phase1, mpc.replan_local
+
+    def phase1(A, b):
+        runs[where[0]] += 1
+        return real_phase1(A, b)
+
+    def replan(*args):
+        where[0] = "replan"
+        try:
+            return real_replan(*args)
+        finally:
+            where[0] = "bootstrap"
+
+    monkeypatch.setattr(lp_module, "_phase1", phase1)
+    monkeypatch.setattr(mpc, "replan_local", replan)
+    for n in (2, 4, 8):
+        for seed in (0, 1, 2):
+            runs["bootstrap"] = 0
+            run_scenario(default_config("mpc", n, seed=seed), str(tmp_path))
+            assert runs == {"bootstrap": 1, "replan": 0}, (n, seed)
+    specs = binding_budget_specs()
+    ocps = fresh_ocps(specs)
+    runs["bootstrap"] = 0
+    plans = centralized_bootstrap(ocps)
+    for t in range(24):
+        plans = mpc_step(ocps, plans, t).plans
+    assert runs["bootstrap"] <= 2 and runs["replan"] == 0
