@@ -25,9 +25,11 @@ of b and re-solves from the agent's last optimal basis, dual feasible
 for every b: in one matrix-vector product with its kept factor while
 B^-1 b >= 0 (a critical region), else by dual simplex. This is the online
 re-solve of Ferreau, Bock & Diehl (IJRNC 18(8), 2008), and the only way
-this module replans. :func:`centralized_bootstrap` builds its joint LP
-from these OCPs and hands each a dual feasible basis, so no replan runs
-phase 1; an OCP without a basis solves cold.
+this module replans. :func:`centralized_bootstrap` starts from these
+OCPs' own optima, builds their joint LP only when those break the shared
+budget, and hands each a dual feasible basis, so no replan runs phase 1;
+an OCP without a basis solves cold. A plan is validated once, where it
+enters the loop, and a shift checks only the step it appends.
 
 The closed loop is fully deterministic: the plant here is the model
 itself, so applying the first planned input lands exactly on the plan's
@@ -37,7 +39,8 @@ second state.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -62,6 +65,7 @@ __all__ = [
     "mpc_step",
     "StepResult",
     "centralized_bootstrap",
+    "check_terminal_coupling",
 ]
 
 _DYN_TOL = 1e-9
@@ -234,18 +238,25 @@ class OcpSpec:
     def u_ref(self) -> np.ndarray:
         return self.cost.u_ref if self.cost.u_ref is not None else self.terminal_input
 
-    @property
+    @cached_property
     def terminal_output(self) -> np.ndarray:
-        return self.model.C @ self.terminal_state + self.model.D @ self.terminal_input
+        z = self.model.C @ self.terminal_state + self.model.D @ self.terminal_input
+        z.setflags(write=False)
+        return z
 
 
 @dataclass(frozen=True)
 class Plan:
-    """An open-loop trajectory: states (T+1, n), inputs (T, m), outputs (T, r)."""
+    """An open-loop trajectory: states (T+1, n), inputs (T, m), outputs (T, r).
+
+    ``valid_for`` is the spec the plan last passed :func:`validate_plan`
+    against, or None; such a plan's arrays are read-only, so it stays valid.
+    """
 
     states: np.ndarray
     inputs: np.ndarray
     outputs: np.ndarray
+    valid_for: OcpSpec | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         states = np.atleast_2d(np.asarray(self.states, dtype=float))
@@ -273,22 +284,42 @@ class Plan:
         return cls(states, inputs, outputs)
 
 
+def _mark_valid(plan: Plan, spec: OcpSpec, copy: bool) -> None:
+    """Record that ``plan`` is valid for ``spec`` and make its arrays
+    read-only, as copies with ``copy`` so no alias can change them later."""
+    for name in ("states", "inputs", "outputs"):
+        arr = getattr(plan, name)
+        if copy:
+            arr = arr.copy()
+            object.__setattr__(plan, name, arr)
+        arr.setflags(write=False)
+    object.__setattr__(plan, "valid_for", spec)
+
+
 def validate_plan(plan: Plan, spec: OcpSpec) -> None:
     """Raise PlanError unless the plan follows the model dynamics and ends
-    at the terminal state."""
+    at the terminal state; a NaN anywhere fails the check it reaches.
+
+    A plan that passes is marked valid for ``spec`` (``Plan.valid_for``),
+    with read-only copies of its arrays, and is not checked again against
+    that spec.
+    """
+    if plan.valid_for is spec:
+        return
     mdl = spec.model
     if plan.horizon != spec.horizon:
         raise PlanError("plan horizon %d does not match spec %d" % (plan.horizon, spec.horizon))
     pred = plan.states[:-1] @ mdl.A.T + plan.inputs @ mdl.B.T
     worst = float(np.max(np.abs(pred - plan.states[1:]))) if plan.horizon else 0.0
-    if worst > _DYN_TOL:
+    if not worst <= _DYN_TOL:
         raise PlanError("plan violates dynamics by %.2e" % worst)
     zerr = float(np.max(np.abs(plan.states[:-1] @ mdl.C.T + plan.inputs @ mdl.D.T - plan.outputs)))
-    if zerr > _DYN_TOL:
+    if not zerr <= _DYN_TOL:
         raise PlanError("plan outputs inconsistent by %.2e" % zerr)
     term = float(np.max(np.abs(plan.states[-1] - spec.terminal_state)))
-    if term > 1e-6:
+    if not term <= 1e-6:
         raise PlanError("plan does not end at the terminal state (off by %.2e)" % term)
+    _mark_valid(plan, spec, copy=True)
 
 
 def plan_cost(plan: Plan, spec: OcpSpec) -> float:
@@ -439,19 +470,28 @@ def replan_local(ocp: LocalOcp, x_now, others_sum=None):
 def shift_plan(plan: Plan, spec: OcpSpec) -> Plan:
     """Advance one step: drop stage 0, append the terminal equilibrium.
 
-    The input plan is validated first; a dynamically inconsistent plan
-    raises PlanError rather than silently producing garbage.
+    The input plan must be valid for ``spec``: one marked so by
+    :func:`validate_plan` is taken as it is, any other is validated in
+    full, and a dynamically inconsistent plan raises PlanError rather than
+    silently producing garbage. The shift then checks only the step it
+    appends, and returns a plan marked valid for ``spec``.
     """
     validate_plan(plan, spec)
     mdl = spec.model
-    states = np.vstack([plan.states[1:], spec.terminal_state])
-    inputs = np.vstack([plan.inputs[1:], spec.terminal_input])
-    outputs = np.vstack([plan.outputs[1:], spec.terminal_output])
+    states = np.concatenate([plan.states[1:], spec.terminal_state[None]])
+    inputs = np.concatenate([plan.inputs[1:], spec.terminal_input[None]])
+    outputs = np.concatenate([plan.outputs[1:], spec.terminal_output[None]])
     new = Plan(states, inputs, outputs)
-    # the appended step must itself follow the dynamics
-    tail = mdl.A @ states[-2] + mdl.B @ inputs[-1]
-    if float(np.max(np.abs(tail - states[-1]))) > _DYN_TOL:
-        raise PlanError("shifted plan violates dynamics at the appended step")
+    # the appended step must itself follow the dynamics and the output map;
+    # from exactly xbar it is the equilibrium step that OcpSpec checked
+    if not (states[-2] == states[-1]).all():
+        tail = mdl.A @ states[-2] + mdl.B @ inputs[-1]
+        if float(np.max(np.abs(tail - states[-1]))) > _DYN_TOL:
+            raise PlanError("shifted plan violates dynamics at the appended step")
+        zerr = mdl.C @ states[-2] + mdl.D @ inputs[-1] - outputs[-1]
+        if float(np.max(np.abs(zerr))) > _DYN_TOL:
+            raise PlanError("shifted plan outputs inconsistent at the appended step")
+    _mark_valid(new, spec, copy=False)
     return new
 
 
@@ -541,36 +581,82 @@ def mpc_step(ocps: list[LocalOcp], plans: list[Plan], t: int) -> StepResult:
     )
 
 
+def check_terminal_coupling(specs: list[OcpSpec]) -> None:
+    """Raise ModelError unless the agents' terminal equilibria, summed,
+    keep the shared coupling: sum_i H (C_i xbar_i + D_i ubar_i) <= h, to
+    1e-9. Each shift appends those equilibria as the plans' last step, so
+    recursive feasibility needs them inside the budget (Richards & How,
+    Int. J. Control 80(9), 2007)."""
+    coupling = specs[0].coupling if specs else None
+    if coupling is None:
+        return
+    over = float(np.max(coupling.G @ sum(s.terminal_output for s in specs) - coupling.g))
+    if over > _DYN_TOL:
+        raise ModelError("the terminal equilibria overspend the coupling by %.3g "
+                         "(sum_i H z_i must be <= h at the terminal pairs)" % over)
+
+
+def _stacked_lp(ocps: list[LocalOcp]) -> tuple[StandardLP, list[int]]:
+    """The joint LP of the OCPs at their current b, and each agent's first
+    column in it (plus the total count of own columns).
+
+    The joint LP is block-angular: each agent's own rows and columns, as
+    its OCP holds them, on the diagonal, tied only by the T coupling rows
+    H sum_i z_i(t) <= h, each with one slack, last.
+    """
+    k = len(ocps[0]._coupling_rows)
+    own_m = [ocp.lp.m - k for ocp in ocps]
+    col_at = list(accumulate((ocp.lp.n - k for ocp in ocps), initial=0))
+    M, N = sum(own_m), col_at[-1]
+    A = np.zeros((M + k, N + k))
+    b = np.zeros(M + k)
+    c = np.zeros(N + k)
+    row = 0
+    for ocp, m_i, col, end in zip(ocps, own_m, col_at, col_at[1:]):
+        A[row:row + m_i, col:end] = ocp.lp.A[:m_i, :end - col]
+        A[M:, col:end] = ocp.lp.A[m_i:, :end - col]
+        b[row:row + m_i] = ocp.lp.b[:m_i]
+        c[col:end] = ocp.lp.c[:end - col]
+        row += m_i
+    A[M:, N:] = np.eye(k)
+    coupling = ocps[0].spec.coupling
+    if coupling is not None:
+        b[M:] = np.tile(coupling.g, ocps[0].spec.horizon)
+    return StandardLP(A, b, c), col_at
+
+
 def centralized_bootstrap(ocps: list[LocalOcp]) -> list[Plan]:
     """Jointly feasible (and jointly optimal) initial plans from the agents'
     episode-long OCPs. Test and startup scaffolding: the closed loop itself
     stays distributed, this only seeds it with a feasible joint plan at
-    t = 0, at the models' x0.
+    t = 0, at the models' x0. Terminal equilibria that overspend the
+    coupling raise ModelError (:func:`check_terminal_coupling`).
 
-    The joint LP is block-angular: each agent's own rows and columns, as
-    its OCP holds them, on the diagonal, tied only by the T coupling rows
-    H sum_i z_i(t) <= h, each with one slack. Each agent first solves its
-    own OCP with the others at zero output. When the coupling rows are
-    slack at those local optima, the blocks' solutions already form the
-    joint optimum (Dantzig & Wolfe, Operations Research 8(1), 1960), so
-    the joint solve starts from the union of the local optimal bases plus
-    the coupling slacks and takes no pivot. That start is dual feasible, so
-    an overspent budget costs dual pivots; with a local coupling slack
-    nonbasic there is no start, and both phases run.
-
+    Each agent first solves its own OCP with the others at zero output.
     The first OCP of each distinct A and c solves cold, and the others,
-    which differ from it only in b, re-solve from its optimal basis. When
-    every coupling slack is basic at the joint optimum and no row was
-    dropped, each OCP's ``basis`` is set to its block of that basis plus
-    its own coupling slacks, an optimal basis for its first replan against
-    the other plans; otherwise to the OCP's own optimal basis, which is
-    dual feasible for any b of that OCP. Over the default ``mpc`` configs
-    at n = 2, 3, 4, 6 and 8, seeds 0-11, phase 1 runs once per bootstrap
-    and in no replan: the 216 re-solves take a median of 1 dual pivot (at
-    most 4), the joint solve none, 1334 of the 1800 replans reuse their
-    kept factor, and 155 take one dual pivot. Under the binding budget of
-    the tests (four scalar integrators sharing sum u <= 0.5) the joint
-    solve runs both phases.
+    which differ from it only in b, re-solve from its optimal basis.
+
+    The joint LP (:func:`_stacked_lp`) is block-angular, so the local
+    optima certify themselves (Dantzig & Wolfe, Operations Research 8(1),
+    1960). When every local solve is optimal with every own coupling slack
+    basic, each agent's optimum has zero coupling duals and so is optimal
+    for its blocks alone; if the stacked optima then keep every coupling
+    row (slack >= 0, checked exactly), they are the joint optimum. They
+    are returned as they are, with no stacked LP built, and each OCP's
+    ``basis`` is seeded with its local basis less its coupling slacks,
+    then those slacks: the basis the joint solve would hand it, optimal
+    for its first replan against the other plans.
+
+    Otherwise the stacked LP is solved, from the union of the local bases
+    plus the joint coupling slacks when that has one column per row (a
+    dual feasible start, so an overspent budget costs dual pivots) and in
+    two phases when not. When every coupling slack is basic at the joint
+    optimum and no row was dropped, each OCP's ``basis`` is set to its
+    block of that basis plus its own coupling slacks; otherwise to the
+    OCP's own optimal basis, which is dual feasible for any b of that OCP.
+    On the default ``mpc`` configs the certificate holds; under the
+    binding budget of the tests (four scalar integrators sharing
+    sum u <= 0.5) the stacked LP runs both phases.
     """
     specs = [ocp.spec for ocp in ocps]
     T, r, coupling = specs[0].horizon, specs[0].model.r, specs[0].coupling
@@ -581,6 +667,7 @@ def centralized_bootstrap(ocps: list[LocalOcp]) -> list[Plan]:
             raise ModelError("either every agent or none carries the coupling")
         if coupling is not None and s.model.r != r:
             raise ModelError("coupled agents must share the output dimension")
+    check_terminal_coupling(specs)
 
     # each agent alone, at its x0 with the others at zero output
     local, first = [], {}
@@ -590,42 +677,33 @@ def centralized_bootstrap(ocps: list[LocalOcp]) -> list[Plan]:
         local.append(solve_lp(ocp.lp, basis=first.get(key)))
         first.setdefault(key, local[-1].warm)
 
-    # the stacked LP: own blocks on the diagonal, then the coupling rows
+    # each optimal local basis less its own coupling slacks, the last k columns
     k = len(ocps[0]._coupling_rows)
-    own_m = [ocp.lp.m - k for ocp in ocps]
-    own_n = [ocp.lp.n - k for ocp in ocps]
-    col_at = list(accumulate(own_n, initial=0))
-    M, N = sum(own_m), col_at[-1]
-    A = np.zeros((M + k, N + k))
-    b = np.zeros(M + k)
-    c = np.zeros(N + k)
-    row = 0
-    for ocp, m_i, n_i, col in zip(ocps, own_m, own_n, col_at):
-        A[row:row + m_i, col:col + n_i] = ocp.lp.A[:m_i, :n_i]
-        A[M:, col:col + n_i] = ocp.lp.A[m_i:, :n_i]
-        b[row:row + m_i] = ocp.lp.b[:m_i]
-        c[col:col + n_i] = ocp.lp.c[:n_i]
-        row += m_i
-    A[M:, N:] = np.eye(k)
-    slacks = list(range(N, N + k))
-    if coupling is not None:
-        b[M:] = np.tile(coupling.g, T)
+    own = [None if sol.status != OPTIMAL or sol.warm is None
+           else [j for j in sol.warm if j < ocp.lp.n - k] for ocp, sol in zip(ocps, local)]
+    if all(o is not None and len(o) == ocp.lp.m - k for o, ocp in zip(own, ocps)):
+        plans = [ocp.extract_plan(sol.x) for ocp, sol in zip(ocps, local)]
+        if coupling_residual(plans, coupling) == 0.0:
+            for ocp, basis in zip(ocps, own):
+                n_i = ocp.lp.n - k
+                ocp.basis = basis + list(range(n_i, n_i + k))
+            return plans
 
-    # the joint coupling slacks plus the local optimal bases less their own
-    # coupling slacks: a basis of the stacked LP when every local coupling
-    # slack was basic, and of another length otherwise
-    start = slacks + [col + j for sol, n_i, col in zip(local, own_n, col_at)
-                      for j in sol.warm or () if j < n_i]
-    sol = solve_lp(StandardLP(A, b, c), basis=start if len(start) == M + k else None)
+    # the joint coupling slacks plus the local bases: a basis of the stacked
+    # LP when every local coupling slack was basic, and of another length
+    # otherwise
+    lp, col_at = _stacked_lp(ocps)
+    slacks = list(range(col_at[-1], col_at[-1] + k))
+    start = slacks + [col + j for o, col in zip(own, col_at) for j in o or ()]
+    sol = solve_lp(lp, basis=start if len(start) == lp.m else None)
     if sol.status != OPTIMAL:
         raise FeasibilityError("no jointly feasible initial plan exists (%s)" % sol.status)
 
     seed = sol.kept_rows is None and set(slacks) <= set(sol.basis)
-    for ocp, alone, n_i, col in zip(ocps, local, own_n, col_at):
+    for ocp, alone, col, end in zip(ocps, local, col_at, col_at[1:]):
         ocp.basis = alone.warm
         if seed:
-            ocp.basis = ([j - col for j in sol.basis if col <= j < col + n_i]
-                         + list(range(n_i, n_i + k)))
-    return [ocp.extract_plan(sol.x[col:col + n_i])
-            for ocp, n_i, col in zip(ocps, own_n, col_at)]
-
+            ocp.basis = ([j - col for j in sol.basis if col <= j < end]
+                         + list(range(end - col, end - col + k)))
+    return [ocp.extract_plan(sol.x[col:end])
+            for ocp, col, end in zip(ocps, col_at, col_at[1:])]

@@ -33,7 +33,7 @@ import yaml
 
 from ..errors import ConfigError, FormationError, GraphError, ModelError
 from ..guidance import FormationSpec, hexagon_formation
-from ..mpc import LinearAgentModel, OcpSpec, Polyhedron, StageCost
+from ..mpc import LinearAgentModel, OcpSpec, Polyhedron, StageCost, check_terminal_coupling
 from ..netgraph import CommGraph, erdos_renyi, graph_from_edges, graph_from_matrix
 
 __all__ = ["ScenarioConfig", "load_document", "parse_config", "default_config",
@@ -357,7 +357,8 @@ def _parse_assignment(block, n: int, graph: CommGraph) -> dict:
 
 
 def ocp_specs(block: dict) -> list[OcpSpec]:
-    """The agents' local OCP specs a normalized mpc block declares."""
+    """The agents' local OCP specs a normalized mpc block declares; a
+    coupling that the terminal equilibria overspend raises ModelError."""
     cp = block.get("coupling")
     coupling = None if cp is None else Polyhedron(cp["H"], cp["h"])
     specs = []
@@ -373,6 +374,7 @@ def ocp_specs(block: dict) -> list[OcpSpec]:
         specs.append(OcpSpec(model, block["horizon"], blk["terminal_state"],
                              blk["terminal_input"], StageCost(blk["w_x"], blk["w_u"]),
                              x_set, u_set, coupling))
+    check_terminal_coupling(specs)
     return specs
 
 

@@ -150,10 +150,13 @@ def captured_mpc_lps(run):
 
 
 def mpc_bootstrap_lp(n=4):
-    """The stacked LP that ``centralized_bootstrap`` solves for the default
-    n-agent MPC config."""
+    """The stacked LP of ``centralized_bootstrap`` for the default n-agent
+    MPC config, which the agents' own optima certify without solving it:
+    n blocks of 58 own rows and 98 own columns, and 8 coupling rows."""
     ocps = [mpc.build_local_ocp(s) for s in ocp_specs(default_config("mpc", n).params)]
-    return captured_mpc_lps(lambda: mpc.centralized_bootstrap(ocps))[-1]
+    lp, _ = mpc._stacked_lp(ocps)
+    assert (lp.m, lp.n) == (58 * n + 8, 98 * n + 8)
+    return lp
 
 
 @pytest.mark.parametrize("m", [40, 120, 240, "mpc bootstrap", "mpc bootstrap n=8"])

@@ -215,6 +215,19 @@ def test_validate_plan_catches_dynamics_violation():
         validate_plan(bad, spec)
 
 
+def test_validate_plan_refuses_nan():
+    spec = scalar_spec(horizon=2, x0=1.0)
+    states, inputs = np.array([[1.0], [0.5], [0.0]]), np.array([[-0.5], [-0.5]])
+    outputs = np.array([[1.0], [0.5]])
+    for arrays in ((np.where(states == 0.5, np.nan, states), inputs, outputs),
+                   (states, inputs, np.where(outputs == 0.5, np.nan, outputs)),
+                   (np.where(states == 0.0, np.nan, states), inputs, outputs)):
+        plan = Plan(*arrays)
+        with pytest.raises(PlanError):
+            validate_plan(plan, spec)
+        assert plan.valid_for is None
+
+
 def test_validate_plan_horizon_and_terminal():
     spec = scalar_spec(horizon=3)
     short = Plan(np.zeros((3, 1)), np.zeros((2, 1)), np.zeros((2, 1)))
@@ -298,6 +311,48 @@ def test_shift_plan_rejects_corrupted_input():
     broken = Plan(plan.states + 0.5, plan.inputs, plan.outputs)
     with pytest.raises(PlanError):
         shift_plan(broken, spec)
+
+
+def test_a_valid_plan_is_marked_read_only_and_not_checked_again(monkeypatch):
+    spec = scalar_spec(horizon=3, x0=0.6)
+    plan, _ = replan_local(build_local_ocp(spec), np.array([0.6]))
+    assert plan.valid_for is None and plan.states.flags.writeable
+    validate_plan(plan, spec)
+    assert plan.valid_for is spec
+    for arr in (plan.states, plan.inputs, plan.outputs):
+        with pytest.raises(ValueError):
+            arr[0] = 9.0
+    # the mark holds for this spec only, and a copy of the arrays carries none
+    other = scalar_spec(horizon=3, x0=0.6)
+    validate_plan(plan, other)
+    assert plan.valid_for is other
+    assert Plan(plan.states, plan.inputs, plan.outputs).valid_for is None
+
+    checked = []
+    real = mpc._mark_valid
+
+    def spy(plan, spec, copy):
+        checked.append(copy)
+        real(plan, spec, copy)
+
+    monkeypatch.setattr(mpc, "_mark_valid", spy)
+    shifted = shift_plan(plan, other)
+    assert checked == [False]  # the marked input is not checked again
+    assert shifted.valid_for is other and not shifted.states.flags.writeable
+    validate_plan(shifted, other)
+    assert checked == [False]
+
+
+def test_shift_plan_checks_the_output_of_its_appended_step():
+    """A plan that ends within the terminal tolerance but not at the
+    terminal state gets an appended output its state does not give."""
+    spec = scalar_spec(horizon=2, x0=1.0, a=0.0)
+    end = 5e-7  # x(T) is free of the dynamics here, as A = 0
+    plan = Plan(np.array([[1.0], [end], [end]]), np.array([[end], [end]]),
+                np.array([[1.0], [end]]))
+    validate_plan(plan, spec)
+    with pytest.raises(PlanError, match="outputs inconsistent at the appended step"):
+        shift_plan(plan, spec)
 
 
 # -- oracle -------------------------------------------------------------------------
@@ -617,9 +672,9 @@ def test_mpc_step_warm_starts_and_the_oracle_stays_cold(monkeypatch):
     specs = coupled_pair()
     ocps = fresh_ocps(specs)
     plans = centralized_bootstrap(ocps)
-    # the first agent's OCP solves cold, the second's from its optimum,
-    # then the stacked LP starts warm
-    assert warm == [False, True, True]
+    # the first agent's OCP solves cold and the second's from its optimum;
+    # their optima keep the budget, so no stacked LP is solved
+    assert warm == [False, True]
     warm.clear()
     for t in range(30):
         plans = mpc_step(ocps, plans, t).plans
@@ -650,6 +705,17 @@ def test_bootstrap_infeasible_start():
         centralized_bootstrap(fresh_ocps(specs))
 
 
+def test_bootstrap_refuses_terminal_equilibria_that_overspend_the_budget():
+    """Each shift appends the terminal outputs, so their sum must keep the
+    budget; coupled_pair's sums to exactly h, which is allowed."""
+    specs = coupled_pair()
+    assert float(sum(s.terminal_output for s in specs)[0]) == specs[0].coupling.g[0]
+    centralized_bootstrap(fresh_ocps(specs))
+    tight = Polyhedron(np.array([[1.0]]), np.array([0.9]))
+    with pytest.raises(ModelError, match="terminal equilibria overspend the coupling by 0.1"):
+        centralized_bootstrap(fresh_ocps([replace(s, coupling=tight) for s in specs]))
+
+
 def test_coupling_residual_values():
     specs = coupled_pair()
     plans = centralized_bootstrap(fresh_ocps(specs))
@@ -677,33 +743,37 @@ def solve_spy(monkeypatch):
 def test_bootstrap_starts_warm_and_seeds_every_first_replan(monkeypatch, tmp_path, n):
     """On the default config the agents share A and c, so only the first
     OCP solves cold and the others re-solve from its optimum. The budget
-    rows are slack at the agents' own optima: the stacked LP starts from
-    their bases and takes no pivot, and every replan of the run, the first
+    rows are slack at the agents' own optima, so they certify the joint
+    optimum with no stacked LP, and every replan of the run, the first
     ones included, is warm."""
     calls = solve_spy(monkeypatch)
     ocps = fresh_ocps(ocp_specs(default_config("mpc", n).params))
     centralized_bootstrap(ocps)
-    assert [warm for _, warm, _ in calls] == [False] + [True] * n
-    assert calls[-1][2].iterations == 0
+    assert [warm for _, warm, _ in calls] == [False] + [True] * (n - 1)
     assert all(ocp.basis is not None for ocp in ocps)
 
     calls.clear()
     run_scenario(default_config("mpc", n), str(tmp_path / "trace.jsonl"))
-    replans = calls[n + 1:]
+    replans = calls[n:]
     assert len(replans) == default_config("mpc", n).params["steps"]
     assert all(warm for _, warm, _ in replans)
 
 
 def test_bootstrap_under_a_binding_budget_falls_back(monkeypatch):
     """Under the binding budget the agents' own optima overspend it: the
-    stacked LP solves in two phases and reaches the HiGHS joint optimum.
-    Its basis cannot seed the OCPs, so each keeps its own optimal basis,
-    and the closed loop equals one run on OCPs the bootstrap never saw."""
+    stacked LP (``mpc._stacked_lp``) solves in two phases and reaches the
+    HiGHS joint optimum. Its basis cannot seed the OCPs, so each keeps its
+    own optimal basis, and the closed loop equals one run on OCPs the
+    bootstrap never saw."""
     specs = binding_budget_specs()
     calls = solve_spy(monkeypatch)
     ocps = fresh_ocps(specs)
     plans = centralized_bootstrap(ocps)
+    assert len(calls) == len(specs) + 1
     joint, _, sol = calls[-1]
+    stacked, _ = mpc._stacked_lp(fresh_ocps(specs))
+    assert [a.tobytes() for a in (joint.A, joint.b, joint.c)] == \
+        [a.tobytes() for a in (stacked.A, stacked.b, stacked.c)]
     assert sol.iterations > 0
     assert [ocp.basis for ocp in ocps] == [alone.basis for _, _, alone in calls[:-1]]
     ref = linprog(joint.c, A_eq=joint.A, b_eq=joint.b, bounds=(0, None), method="highs")
@@ -717,6 +787,87 @@ def test_bootstrap_under_a_binding_budget_falls_back(monkeypatch):
         a, b = mpc_step(ocps, seeded, t), mpc_step(other, unseen, t)
         seeded, unseen = a.plans, b.plans
         assert [x.tobytes() for x in a.states] == [x.tobytes() for x in b.states], t
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_slack_budget_certifies_the_local_optima_without_a_stacked_lp(monkeypatch, n):
+    """The agents' own optima keep the default budget: the bootstrap
+    returns them and builds no stacked LP. Denied the certificate, it
+    solves the stacked LP, which returns the same plans and seeds the same
+    bases, each its own optimal basis with its coupling slacks last."""
+    specs = ocp_specs(default_config("mpc", n).params)
+    stacked = []
+    real = mpc._stacked_lp
+    monkeypatch.setattr(mpc, "_stacked_lp", lambda ocps: stacked.append(1) or real(ocps))
+    calls = solve_spy(monkeypatch)
+    certified = fresh_ocps(specs)
+    plans = centralized_bootstrap(certified)
+    assert stacked == [] and len(calls) == n
+    assert all(problem.m == ocp.lp.m for (problem, _, _), ocp in zip(calls, certified))
+    k = len(certified[0]._coupling_rows)
+    for ocp, (_, _, alone) in zip(certified, calls):
+        n_i = ocp.lp.n - k
+        assert ocp.basis == [j for j in alone.warm if j < n_i] + list(range(n_i, n_i + k))
+
+    monkeypatch.setattr(mpc, "coupling_residual", lambda plans, coupling: np.inf)
+    calls.clear()
+    joint = fresh_ocps(specs)
+    joint_plans = centralized_bootstrap(joint)
+    assert stacked == [1] and calls[-1][2].iterations == 0
+    assert [ocp.basis for ocp in joint] == [ocp.basis for ocp in certified]
+    for p, q in zip(plans, joint_plans):
+        assert [a.tobytes() for a in (p.states, p.inputs, p.outputs)] == \
+            [a.tobytes() for a in (q.states, q.inputs, q.outputs)]
+
+
+def test_own_optima_held_back_by_the_budget_are_not_certified():
+    """Agent 0 alone would spend 1.0 at once but the budget sum u <= 0.5
+    holds it to 0.5; agent 1 gives 0.5 back at t = 0. The stacked own
+    optima keep the budget, yet agent 0's binds there, so they are not the
+    joint optimum: the bootstrap solves the stacked LP and reaches HiGHS."""
+    coupling = Polyhedron(np.array([[1.0]]), np.array([0.5]))
+
+    def integrator(x0, x_end):
+        model = LinearAgentModel(A=np.eye(1), B=np.eye(1), C=np.zeros((1, 1)),
+                                 D=np.eye(1), x0=np.array([x0]))
+        return OcpSpec(model=model, horizon=4, terminal_state=np.array([x_end]),
+                       terminal_input=np.zeros(1),
+                       cost=StageCost(w_x=np.array([1.0]), w_u=np.array([0.1])),
+                       coupling=coupling)
+
+    specs = [integrator(-0.5, 0.5), integrator(0.25, -0.25)]
+    alone = [replan_local(build_local_ocp(s), s.model.x0) for s in specs]
+    assert coupling_residual([p for p, _ in alone], coupling) == 0.0
+    plans = centralized_bootstrap(fresh_ocps(specs))
+    joint, _ = mpc._stacked_lp(fresh_ocps(specs))
+    ref = linprog(joint.c, A_eq=joint.A, b_eq=joint.b, bounds=(0, None), method="highs")
+    cost = sum(plan_cost(p, s) for p, s in zip(plans, specs))
+    assert cost == pytest.approx(ref.fun, rel=1e-9)
+    assert cost < sum(c for _, c in alone) - 0.1
+    assert coupling_residual(plans, coupling) <= 1e-9
+
+
+def test_each_plan_is_fully_validated_once(monkeypatch, tmp_path):
+    """On the default n = 4 run a plan is checked in full where it enters
+    the loop, from the bootstrap or from a replan, and never again: at
+    most steps + n full checks, where checking every plan every step
+    took (n + 1) steps."""
+    n = 4
+    cfg = default_config("mpc", n)
+    full, total = [], []
+    real = mpc.validate_plan
+
+    def spy(plan, spec):
+        total.append(1)
+        if plan.valid_for is not spec:
+            full.append(1)
+        real(plan, spec)
+
+    monkeypatch.setattr(mpc, "validate_plan", spy)
+    run_scenario(cfg, str(tmp_path))
+    steps = cfg.params["steps"]
+    assert len(total) == (n + 1) * steps
+    assert len(full) <= steps + n
 
 
 def test_bootstrap_of_uncoupled_agents_with_different_shapes():

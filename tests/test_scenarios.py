@@ -699,6 +699,9 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         (mpc_fault("terminal", {"terminal_input": [0.1]}),
          "mpc.agents[1]: terminal pair is not an equilibrium"),
         (mpc_fault("coupling", coupling={"H": [[1.0, 1.0]]}), "mpc.coupling: coupling: "),
+        # the terminal outputs sum to 0.5, so every shift would overspend h
+        (mpc_fault("budget", coupling={"h": [0.3]}),
+         "mpc.coupling: the terminal equilibria overspend the coupling by 0.2"),
     ]:
         out = tmp_path / "faults"
         out.mkdir()
