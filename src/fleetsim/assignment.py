@@ -5,13 +5,15 @@ initially nothing else. Agents repeatedly broadcast their current basis
 columns to neighbors, merge whatever arrives into a column pool, re-solve
 the restricted assignment LP over that pool, and keep the optimal basis.
 Columns travel and pool as (k, 3) float arrays of [robot, task, cost] rows.
-A lockstep round decodes and parses each distinct payload once and shares
-the result among its receivers; a payload that fails to decode or parse
-is skipped like a lost message. ``parse`` validates the columns, and
-``_gather`` hands them on marked as checked, so ``absorb`` and
-``simplex_round`` validate only columns that arrive any other way. Objectives
-never increase. The scheme tolerates asynchrony, time-varying edges and
-packet loss, so it runs over reliable or best-effort communicators alike.
+An agent encodes its payload once per basis and halt flag and re-sends
+those bytes while both stay the same. A solve decodes and parses each
+payload once, for all its receivers and every round that re-sends it; a
+payload that fails to decode or parse is skipped like a lost message.
+``parse`` validates the columns, and ``_gather`` hands them on marked as
+checked, so ``absorb`` and ``simplex_round`` validate only columns that
+arrive any other way. Objectives never increase. The scheme tolerates
+asynchrony, time-varying edges and packet loss, so it runs over reliable
+or best-effort communicators alike.
 
 A basis of the restricted LP is a spanning tree of the robot-task network,
 and each agent pivots on its tree by network simplex (Cunningham, "A
@@ -41,10 +43,13 @@ connected network. Two exact rules make it so, with no number perturbed:
 Potentials count big-M units apart from the real part, so rounding at the
 scale of M does not pile up down the tree. A pivot recomputes them only
 over the re-hung subtree, each node from its parent, so prices depend on
-the tree alone, bit for bit. A round prices before it pivots: received
-columns against the current tree, own and artificial ones once per basis.
-If none enters, the round keeps the basis and only advances the halt
-counter.
+the tree alone, bit for bit. A round prices before it pivots, and only what
+it has not priced against the current tree: the columns of each payload
+whose bytes differ from the ones last priced from that sender. Own and
+artificial columns never enter, since they are in every pool and the tree
+is optimal for the last one. If none enters, the round keeps the basis and
+only advances the halt counter; if one does, it solves over every column
+received and forgets what it priced.
 
 Halting is a heuristic: an agent flags itself done after its basis survives
 ``margin`` consecutive rounds unchanged (in both drivers ``default_margin``:
@@ -61,6 +66,7 @@ from __future__ import annotations
 import bisect
 import functools
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -440,6 +446,15 @@ def artificial_columns(n: int) -> np.ndarray:
     return np.column_stack((np.full_like(rows, -1.0), rows, np.full_like(rows, DEFAULT_BIG_M)))
 
 
+@functools.lru_cache(maxsize=None)
+def _artificials(n: int) -> np.ndarray:
+    """``artificial_columns(n)``, made once and read-only: every pool holds
+    them."""
+    cols = artificial_columns(n)
+    cols.flags.writeable = False
+    return cols
+
+
 def initial_basis(n: int) -> SimplexBasis:
     """The all-artificial starting basis: every robot's unit goes to the
     root and every task's comes from it, all flows 1."""
@@ -490,7 +505,7 @@ def simplex_round(state: SimplexBasis, own: np.ndarray, received: np.ndarray,
     are not checked again.
     """
     received = _checked(received, n)
-    cols = np.concatenate((state.columns, own, received, artificial_columns(n)))
+    cols = np.concatenate((state.columns, own, received, _artificials(n)))
     key, first = np.unique(_column_keys(cols, n), return_index=True)
     cols = cols[first]
     pool = _Arcs(cols, n, key)
@@ -542,10 +557,15 @@ class DistributedSimplexAgent:
         self.margin = int(margin)
         self.unchanged = 0
         self.rounds = 0
-        # the own and artificial columns, in every pool, and whether one of
-        # them enters the current basis; None when stale
-        self._local = _Arcs(np.concatenate((self.own, artificial_columns(self.n))), self.n)
-        self._local_enters: bool | None = None
+        # (basis, halt flag, bytes) of the last encoded payload; the basis
+        # is held weakly, so that a replaced one is freed at once
+        self._wire: tuple | None = None
+        # per in-neighbor, the payload bytes last priced against the
+        # current tree with no column entering
+        self._priced: dict[int, bytes] = {}
+        # what ``_gather`` last handed on: (received columns, the fresh
+        # ones among them, each sender's last payload bytes)
+        self._gathered: tuple | None = None
 
     @property
     def halted(self) -> bool:
@@ -554,6 +574,16 @@ class DistributedSimplexAgent:
     def payload(self) -> dict:
         """Wire form of the current basis plus the halt flag."""
         return {"cols": self.basis.columns, "halted": self.halted}
+
+    def encoded_payload(self) -> bytes:
+        """:meth:`payload` through the codec, encoded again only when the
+        basis object or the halt flag has changed since the last call."""
+        halted = self.halted
+        wire = self._wire
+        if wire is None or wire[0]() is not self.basis or wire[1] != halted:
+            wire = self._wire = (weakref.ref(self.basis), halted,
+                                 codec.encode(self.payload()))
+        return wire[2]
 
     def parse(self, payload) -> tuple[np.ndarray, bool]:
         """Decode a neighbor payload; malformed data raises ProtocolError.
@@ -591,24 +621,37 @@ class DistributedSimplexAgent:
     def absorb(self, received: np.ndarray) -> bool:
         """Run one simplex round; returns True if the basis changed.
 
-        The round first prices the candidate columns against the potentials
+        The round first prices the received columns against the potentials
         of the current basis tree. If none enters, the pivots would stop at
         the start tree, so the round keeps the basis (and its objective)
-        without solving. Malformed columns raise ProtocolError; columns
-        that ``_gather`` collected from ``parse``, which validated them,
-        are not checked again.
+        without solving. Own and artificial columns need no pricing: the
+        round that made the tree found none of them entering, and they are
+        in every pool.
+
+        When ``received`` is what ``_gather`` just returned, only its fresh
+        columns are priced: the others came in payloads already priced
+        against this tree with none entering, and whether a column enters
+        depends on that column and the tree alone. If one enters, the round
+        solves over every received column and forgets what it priced.
+        Malformed columns raise ProtocolError; columns that ``_gather``
+        collected from ``parse``, which validated them, are not checked
+        again.
         """
-        received = _checked(received, self.n)
-        if self._local_enters is None:
-            self._local_enters = self._enters(self._local)
+        gathered, self._gathered = self._gathered, None
+        if gathered is not None and gathered[0] is received:
+            _, fresh, latest = gathered
+        else:
+            received = _checked(received, self.n)
+            # priced as a plain array: ufuncs on a subclass cost more
+            fresh, latest = received.view(np.ndarray), {}
         changed = False
-        # priced as a plain array: ufuncs on a subclass cost more
-        if self._local_enters or self._enters(_Arcs(received.view(np.ndarray), self.n)):
+        if len(fresh) and self._enters(_Arcs(fresh, self.n)):
             new = simplex_round(self.basis, self.own, received, self.n)
             changed = not np.array_equal(new.columns, self.basis.columns)
             self.basis = new
-            if changed:
-                self._local_enters = None
+            self._priced.clear()
+        else:
+            self._priced.update(latest)
         self.unchanged = 0 if changed else self.unchanged + 1
         self.rounds += 1
         return changed
@@ -646,20 +689,30 @@ def _gather(agent: DistributedSimplexAgent, comm: Communicator,
     skipped, as a lost message would be.
 
     ``parsed`` maps (payload bytes, n) to the parse of that payload,
-    or to ``_SKIP``. A sender encodes once, so all its recipients hold the
-    same bytes; sharing one map across the agents of a round decodes and
-    parses each distinct payload once. ``parse`` depends only on those
-    two, so a shared entry is exactly what each receiver would compute.
+    or to ``_SKIP``. A sender encodes once per basis and halt flag, so all
+    its recipients hold the same bytes, round after round; the drivers keep
+    one map for a whole solve, so a payload is decoded and parsed once
+    however many agents receive it and rounds re-send it. ``parse``
+    depends only on those two, so a shared entry is exactly what each
+    receiver would compute.
+
+    A payload whose bytes equal the ones the agent last priced from the
+    same sender is left out of the fresh columns that ``absorb`` prices,
+    but its columns and its halt flag are read as any other's.
     """
     received = [_NO_COLUMNS]
+    fresh = []
     flags: dict[int, bool] = {}
+    latest: dict[int, bytes] = {}
+    priced, drain, me, n = agent._priced, comm.bus.drain, comm.agent_id, agent.n
     for j in comm.in_neighbors:
-        for env in comm.bus.drain(comm.agent_id, j):
-            key = (env.payload, agent.n)
+        for env in drain(me, j):
+            data = env.payload
+            key = (data, n)
             hit = parsed.get(key)
             if hit is None:
                 try:
-                    hit = agent.parse(codec.decode(env.payload))
+                    hit = agent.parse(codec.decode(data))
                 except (DecodeError, ProtocolError):
                     hit = _SKIP
                 parsed[key] = hit
@@ -667,18 +720,39 @@ def _gather(agent: DistributedSimplexAgent, comm: Communicator,
                 continue
             cols, flags[j] = hit
             received.append(cols)
-    return np.concatenate(received).view(_Parsed), flags
+            if priced.get(j) != data:
+                fresh.append(cols)
+            latest[j] = data
+    out = np.concatenate(received).view(_Parsed)
+    agent._gathered = (out, np.concatenate(fresh) if fresh else _NO_COLUMNS, latest)
+    return out, flags
 
 
 def lockstep_round(agents: list[DistributedSimplexAgent], comms: list[Communicator],
-                   rnd: int) -> None:
+                   rnd: int, parsed: dict | None = None) -> None:
     """One synchronous protocol round over real communicators: every agent
     broadcasts its basis to its out-neighbors, then every agent gathers
-    what arrived and re-optimizes. The round decodes and parses each
-    distinct payload once, however many agents receive it."""
-    for agent, comm in zip(agents, comms):
-        comm.send(agent.payload(), comm.out_neighbors, round=rnd)
-    parsed: dict = {}
+    what arrived and re-optimizes.
+
+    A round pays only for what changed. An agent re-sends the bytes it
+    last encoded while its basis and halt flag stay the same. The round
+    decodes and parses each distinct payload once, however many agents
+    receive it, and so do later rounds that re-send it when the caller
+    passes one ``parsed`` map for the whole solve (see ``_gather``); the
+    round drops the map's entries for payloads no longer sent. Each agent
+    prices only the payloads it has not already priced against its
+    current tree."""
+    sent = [agent.encoded_payload() for agent in agents]
+    for data, comm in zip(sent, comms):
+        comm.send_bytes(data, comm.out_neighbors, round=rnd)
+    if parsed is None:
+        parsed = {}
+    else:
+        # a lockstep bus has no latency, so only this round's payloads can
+        # arrive: the parses of older ones would only take up memory
+        live = set(sent)
+        for key in [key for key in parsed if key[0] not in live]:
+            del parsed[key]
     for agent, comm in zip(agents, comms):
         agent.absorb(_gather(agent, comm, parsed)[0])
 
@@ -712,14 +786,15 @@ def run_distributed_simplex(comm: Communicator, i: int, costs,
     agent = DistributedSimplexAgent(i, costs, n, margin=margin)
     budget = 50 * n
     neighbor_halted = {j: False for j in comm.in_neighbors}
+    parsed: dict = {}
     for rnd in range(budget):
-        comm.send(agent.payload(), comm.out_neighbors, round=rnd)
+        comm.send_bytes(agent.encoded_payload(), comm.out_neighbors, round=rnd)
         time.sleep(_PACE)
-        received, flags = _gather(agent, comm, {})
+        received, flags = _gather(agent, comm, parsed)
         neighbor_halted.update(flags)
         agent.absorb(received)
         if agent.halted and all(neighbor_halted.values()):
-            comm.send(agent.payload(), comm.out_neighbors, round=rnd + 1)
+            comm.send_bytes(agent.encoded_payload(), comm.out_neighbors, round=rnd + 1)
             return agent.result()
     raise NonConvergenceError(
         "agent %d: no convergence in %d rounds" % (i, budget),
@@ -769,8 +844,9 @@ def _solve_network(costs, graph, profile, transport, round_budget):
     margin = default_margin(base, tc.drop_prob)
     agents = [DistributedSimplexAgent(i, costs, n, margin=margin) for i in range(n)]
     budget = round_budget if round_budget is not None else 50 * n
+    parsed: dict = {}
     for rnd in range(budget):
-        lockstep_round(agents, comms, rnd)
+        lockstep_round(agents, comms, rnd, parsed)
         if all(a.halted for a in agents):
             _, perm, objective = agreed_result(agents)
             return perm, objective, rnd + 1

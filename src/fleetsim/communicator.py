@@ -100,25 +100,31 @@ class Communicator:
     # -- sending -----------------------------------------------------------
 
     def send(self, value, to, round: int | None = None) -> None:
-        """Encode ``value`` and queue it for each recipient in ``to``.
+        """Encode ``value`` and queue it for each recipient in ``to``, as
+        :meth:`send_bytes` does with the encoded bytes."""
+        self.send_bytes(codec.encode(value), to, round=round)
+
+    def send_bytes(self, data: bytes, to, round: int | None = None) -> None:
+        """Queue the already encoded ``data`` for each recipient in ``to``.
 
         Never blocks. Recipients must be out-neighbors in the base graph;
-        reliable profiles raise TopologyError otherwise, best-effort skips
-        silently. On the time-varying profiles an edge inactive at this
-        round is skipped without error.
+        reliable profiles raise TopologyError otherwise, before anything is
+        queued, and best-effort skips them silently. On the time-varying
+        profiles an edge inactive at this round is skipped without error.
         """
-        recipients = [to] if isinstance(to, (int, np.integer)) else list(to)
+        recipients = [int(to)] if isinstance(to, (int, np.integer)) else [int(d) for d in to]
+        if self.profile != "best_effort":
+            for dst in recipients:
+                if dst not in self.out_neighbors:
+                    raise TopologyError(
+                        "agent %d is not an out-neighbor of %d" % (dst, self.agent_id)
+                    )
         r = self._round if round is None else int(round)
-        env = Envelope(r, codec.encode(value))
+        env = Envelope(r, data)
         deliver_at = self.bus.clock.now() + self.config.latency
         for dst in recipients:
-            dst = int(dst)
             if dst not in self.out_neighbors:
-                if self.profile == "best_effort":
-                    continue
-                raise TopologyError(
-                    "agent %d is not an out-neighbor of %d" % (dst, self.agent_id)
-                )
+                continue
             if not self._edge_active(self.agent_id, dst, r):
                 continue
             if self.config.drop_prob > 0.0 and self._rng.random() < self.config.drop_prob:

@@ -199,6 +199,7 @@ class _AssignmentEpoch:
         self.agents = [
             DistributedSimplexAgent(i, costs, n, margin=margin) for i in range(n)
         ]
+        self.parsed: dict = {}  # the payload parses of the epoch's rounds
 
 
 def _run_assignment(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
@@ -274,7 +275,7 @@ def _run_assignment(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
             epoch = _AssignmentEpoch(epoch_count, live_ids, costs, margin)
             epoch_count += 1
         if epoch is not None:
-            lockstep_round(epoch.agents, peer_comms, k)
+            lockstep_round(epoch.agents, peer_comms, k, epoch.parsed)
             rounds = epoch.agents[0].rounds
             if all(a.halted for a in epoch.agents):
                 _, perm, objective = agreed_result(epoch.agents)

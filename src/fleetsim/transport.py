@@ -108,6 +108,8 @@ class MessageBus:
         self._conds: dict[int, threading.Condition] = {}
         self._links: dict[tuple[int, int], _Link] = {}
         self._depths: dict[int, int | None] = {}
+        # threads blocked in ``pop_next``, counted under ``_lock``
+        self._waiting = 0
         self.clock._subscribe(self._wake_all)
 
     def register(self, agent_id: int, queue_depth: int | None = None) -> None:
@@ -131,7 +133,8 @@ class MessageBus:
         return link
 
     def deliver(self, src: int, dst: int, env: Envelope, deliver_at: float | None = None) -> None:
-        """Queue a message on the (src, dst) link and wake the receiver."""
+        """Queue a message on the (src, dst) link and wake the receiver if
+        some thread is blocked in ``pop_next``."""
         at = self.clock.now() if deliver_at is None else deliver_at
         with self._lock:
             if dst not in self._conds:
@@ -140,7 +143,8 @@ class MessageBus:
             link.queue.append((at, env))
             if link.depth is not None and len(link.queue) > link.depth:
                 self._deliverable(link)  # drops arrived messages beyond the depth
-            self._conds[dst].notify_all()
+            if self._waiting:
+                self._conds[dst].notify_all()
 
     def _deliverable(self, link: _Link) -> int:
         """Number of head-of-line messages whose delivery time has passed;
@@ -184,13 +188,16 @@ class MessageBus:
                         for _ in range(hit):
                             link.queue.popleft()
                         return link.queue.popleft()[1]
+                remaining = None
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         return None
+                self._waiting += 1
+                try:
                     cond.wait(remaining)
-                else:
-                    cond.wait()
+                finally:
+                    self._waiting -= 1
 
     def pop_newest(self, dst: int, src: int) -> Envelope | None:
         """Newest deliverable envelope from ``src`` without blocking.

@@ -3,12 +3,14 @@
 No module of fleetsim calls these, so they live beside the tests and the
 library's public surface holds only what its engines use: the dense
 assignment LP, with its 2n-1 rows of full rank, that the dense simplex is
-checked on; a joint feasibility test of coupled plans; and a cold
-receding-horizon loop for single-agent MPC.
+checked on; a lockstep assignment round with no memory between rounds; a
+joint feasibility test of coupled plans; and a cold receding-horizon loop
+for single-agent MPC.
 """
 
 import numpy as np
 
+from fleetsim.assignment import simplex_round
 from fleetsim.errors import FeasibilityError, PlanError
 from fleetsim.lp import AssignmentProblem, StandardLP
 from fleetsim.mpc import (
@@ -46,6 +48,30 @@ def build_assignment_lp(p: AssignmentProblem) -> StandardLP:
         for k in range(n):
             A[:, i * n + k] = assignment_column(i, k, n)
     return StandardLP(A=A, b=np.ones(m), c=p.cost.ravel().copy())
+
+
+def reference_round(agents, comms, rnd: int) -> None:
+    """One lockstep assignment round that remembers nothing between rounds.
+
+    Every agent encodes its payload afresh and sends it with
+    ``Communicator.send``; every agent then drains, decodes and parses each
+    payload that arrived and solves ``simplex_round`` over all of them, so
+    every received column is priced every round. Only the agents' state
+    (basis, unchanged count, round count) is used, never ``absorb``; the
+    agents must be honest, since a payload that fails to parse raises.
+    """
+    for agent, comm in zip(agents, comms):
+        comm.send(agent.payload(), comm.out_neighbors, round=rnd)
+    for agent, comm in zip(agents, comms):
+        received = [np.empty((0, 3))]
+        for j in comm.in_neighbors:
+            for _, payload in comm.drain(j):
+                received.append(agent.parse(payload)[0])
+        new = simplex_round(agent.basis, agent.own, np.concatenate(received), agent.n)
+        changed = not np.array_equal(new.columns, agent.basis.columns)
+        agent.basis = new
+        agent.unchanged = 0 if changed else agent.unchanged + 1
+        agent.rounds += 1
 
 
 def joint_feasible(specs, plans) -> bool:

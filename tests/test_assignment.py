@@ -9,6 +9,7 @@ import gc
 import struct
 import threading
 import traceback
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,6 +38,7 @@ from fleetsim.errors import CloudError, NonConvergenceError, ProtocolError
 from fleetsim.lp import AssignmentProblem, assignment_cost, hungarian
 from fleetsim.netgraph import erdos_renyi, graph_from_edges, graph_from_matrix
 from fleetsim.transport import Envelope, MessageBus, TransportConfig
+from oracles import reference_round
 
 
 def complete_graph(n):
@@ -386,6 +388,33 @@ def test_round_decodes_and_parses_each_payload_once(monkeypatch):
     assert sum(r["decode"] for r in rounds) < sum(r["deliveries"] for r in rounds) / 2
 
 
+def test_solve_decodes_each_payload_once_and_keeps_only_live_parses(monkeypatch):
+    """Over a whole lossy solve, each payload is decoded once however many
+    rounds re-send it, and after each round the solve holds at most one
+    parse per agent."""
+    n = 12
+    costs = np.random.default_rng(5).random((n, n))
+    graph = erdos_renyi(n, 0.4, 1205, require_connected=True)
+    decoded, kept = [], []
+    decode, step = codec.decode, lockstep_round
+
+    def recorded(data):
+        decoded.append(data)
+        return decode(data)
+
+    def round_(agents, comms, rnd, parsed):
+        step(agents, comms, rnd, parsed)
+        kept.append(len(parsed))
+
+    monkeypatch.setattr("fleetsim.codec.decode", recorded)
+    monkeypatch.setattr("fleetsim.assignment.lockstep_round", round_)
+    _, _, rounds = solve_assignment_network(
+        costs, graph, profile="best_effort",
+        transport=TransportConfig(drop_prob=0.3, rng_seed=1))
+    assert len(kept) == rounds and max(kept) <= n
+    assert len(decoded) == len(set(decoded)) < rounds * n / 2
+
+
 def _drain_problem():
     """The first drain-shaped problem of the assign_solve benchmark: G(12,
     0.4) with only the first ``live`` task columns real, the rest zero."""
@@ -576,6 +605,123 @@ def test_price_before_solve_counts(monkeypatch):
     assert calls["absorb"] == rounds * n
     # solving every round would take one call per absorb plus one per agent init
     assert calls["simplex_round"] < calls["absorb"] / 2 + n
+
+
+# -- rounds that pay only for what changed ------------------------------------------
+
+
+@pytest.mark.parametrize("profile", ["static", "best_effort"])
+@pytest.mark.parametrize("n", [4, 8, 12])
+@pytest.mark.parametrize("kind", ["continuous", "tied", "zero_padded"])
+def test_own_artificial_and_remembered_columns_never_enter(kind, n, profile, monkeypatch):
+    """After every absorb, no own or artificial column enters the basis
+    tree, so a round prices only what it received; and no column of a
+    payload the agent remembers as priced enters either, so a round prices
+    only the payloads it has not priced against this tree."""
+    costs = _price_costs(kind, n, np.random.default_rng([n, len(kind), 7]))
+    graph = erdos_renyi(n, 0.4, 90 + n + len(kind), require_connected=True)
+    tc = TransportConfig(drop_prob=0.3 if profile == "best_effort" else 0.0, rng_seed=5)
+    absorb = DistributedSimplexAgent.absorb
+    checked = []
+
+    def probed(agent, received):
+        changed = absorb(agent, received)
+        local = np.concatenate((agent.own, artificial_columns(n)))
+        assert not agent._enters(assignment._Arcs(local, n))
+        for data in agent._priced.values():
+            cols, _ = agent.parse(codec.decode(data))
+            assert not agent._enters(assignment._Arcs(cols, n))
+        checked.append(changed)
+        return changed
+
+    monkeypatch.setattr(DistributedSimplexAgent, "absorb", probed)
+    solve_assignment_network(costs, graph, profile=profile, transport=tc)
+    assert any(checked) and not all(checked)
+
+
+@pytest.mark.parametrize("profile", ["static", "best_effort"])
+@pytest.mark.parametrize("n", [4, 8, 12])
+@pytest.mark.parametrize("kind", ["continuous", "tied", "zero_padded"])
+def test_rounds_match_the_memory_free_reference(kind, n, profile, monkeypatch):
+    """After every round of ``solve_assignment_network``, each agent holds
+    the basis columns, halt flag and round count of a reference round that
+    encodes every payload and prices every column (``oracles``)."""
+    rng = np.random.default_rng([n, len(kind), len(profile), 22])
+    costs = _price_costs(kind, n, rng)
+    graph = erdos_renyi(n, 0.4, 60 * n + len(kind), require_connected=True)
+    tc = TransportConfig(drop_prob=0.3 if profile == "best_effort" else 0.0, rng_seed=n)
+    seen = []
+    step = lockstep_round
+
+    def recorded(agents, *args):
+        step(agents, *args)
+        seen.append([(a.basis.columns.tobytes(), a.halted, a.rounds) for a in agents])
+
+    monkeypatch.setattr("fleetsim.assignment.lockstep_round", recorded)
+    _, _, rounds = solve_assignment_network(costs, graph, profile=profile, transport=tc)
+    assert len(seen) == rounds
+    bus = MessageBus()
+    comms = [Communicator(bus, i, graph, profile=profile, config=tc) for i in range(n)]
+    margin = default_margin(graph, tc.drop_prob)
+    reference = [DistributedSimplexAgent(i, costs, n, margin=margin) for i in range(n)]
+    for rnd, states in enumerate(seen):
+        reference_round(reference, comms, rnd)
+        assert [(a.basis.columns.tobytes(), a.halted, a.rounds) for a in reference] == states
+
+
+def test_halt_flag_flip_forces_a_fresh_encode(monkeypatch):
+    """An agent re-sends its last bytes while its basis and halt flag stay
+    put, and encodes afresh when only the flag flips; its neighbor reads
+    the new flag and prices the new bytes."""
+    costs = np.array([[1.0, 2.0], [2.0, 1.0]])
+    bus = MessageBus()
+    comms = [Communicator(bus, i, complete_graph(2)) for i in range(2)]
+    agents = [DistributedSimplexAgent(i, costs, 2, margin=3) for i in range(2)]
+    encodes = []
+    encode = codec.encode
+
+    def counted(value):
+        encodes.append(value)
+        return encode(value)
+
+    monkeypatch.setattr("fleetsim.codec.encode", counted)
+    rnd = 0
+    while not agents[0].halted:
+        wire, basis = agents[0].encoded_payload(), agents[0].basis
+        lockstep_round(agents, comms, rnd)
+        rnd += 1
+        if agents[0].basis is basis and not agents[0].halted:
+            assert agents[0].encoded_payload() is wire
+    assert agents[0].basis is basis
+    count = len(encodes)
+    fresh = agents[0].encoded_payload()
+    assert len(encodes) == count + 1 and fresh != wire
+    before, after = codec.decode(wire), codec.decode(fresh)
+    assert not before["halted"] and after["halted"]
+    assert np.array_equal(before["cols"], after["cols"])
+    flags = {}
+    gather = assignment._gather
+
+    def read(agent, comm, parsed):
+        received, flags[agent.i] = gather(agent, comm, parsed)
+        return received, flags[agent.i]
+
+    monkeypatch.setattr(assignment, "_gather", read)
+    lockstep_round(agents, comms, rnd)
+    assert flags[1] == {0: True} and agents[1]._priced[0] == fresh
+
+
+def test_cached_payload_keeps_no_replaced_basis_alive():
+    """The cached payload holds its basis weakly: once a round replaces
+    the basis, the old one is freed, and the next payload is encoded
+    afresh."""
+    agent = DistributedSimplexAgent(0, np.array([[1.0, 2.0], [2.0, 1.0]]), 2)
+    wire = agent.encoded_payload()
+    old = weakref.ref(agent.basis)
+    assert agent.absorb(np.array([[1.0, 1.0, 1.0]]))
+    gc.collect()
+    assert old() is None
+    assert agent.encoded_payload() != wire
 
 
 # -- ties and the lexicographic rule -------------------------------------------------

@@ -186,6 +186,19 @@ def test_send_to_non_neighbor():
         a.send(1, to=2)
 
 
+def test_send_with_a_non_neighbor_queues_nothing():
+    """A reliable send that names a non-neighbor raises before it queues a
+    message for any recipient, the valid ones included."""
+    g = graph_from_edges(3, [(0, 1), (1, 2)])
+    bus = MessageBus()
+    a = Communicator(bus, 0, g)
+    Communicator(bus, 1, g)
+    Communicator(bus, 2, g)
+    with pytest.raises(TopologyError):
+        a.send(1.0, [1, 2])
+    assert bus.pending(1, 0) == 0 and bus.pending(2, 0) == 0
+
+
 def test_best_effort_skips_non_neighbor():
     g = graph_from_edges(3, [(0, 1)])
     bus = MessageBus()

@@ -1,6 +1,8 @@
 """Message bus, envelopes, and clock tests."""
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -175,6 +177,58 @@ def test_blocking_pop_wakes_on_deliver():
     t.join(timeout=5.0)
     assert not t.is_alive()
     assert out[0].payload == b"ping"
+
+
+def test_deliver_wakes_a_thread_already_blocked_in_pop_next():
+    """``deliver`` notifies only when some thread waits; a thread that is
+    already blocked in ``pop_next`` must still be woken by a deliver from
+    another thread, long before its timeout."""
+    bus = make_bus(0, 1)
+    out = []
+    t = threading.Thread(target=lambda: out.append(bus.pop_next(1, 0, timeout=30.0)))
+    t.start()
+    deadline = time.monotonic() + 10.0
+    while not bus._waiting and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert bus._waiting == 1
+    start = time.monotonic()
+    bus.deliver(0, 1, Envelope(0, b"ping"))
+    t.join(timeout=10.0)
+    assert not t.is_alive() and time.monotonic() - start < 10.0
+    assert out[0].payload == b"ping" and bus._waiting == 0
+
+
+def test_blocked_receivers_all_wake_under_fast_thread_switching():
+    """Eight receiver threads block in ``pop_next`` while eight sender
+    threads deliver to them; with the interpreter switching threads as
+    often as it can, no wake-up is lost and the waiter count returns to 0."""
+    senders, messages = 8, 50
+    bus = make_bus(*range(2 * senders))
+    got = {dst: [] for dst in range(senders, 2 * senders)}
+
+    def receive(dst):
+        for _ in range(messages):
+            got[dst].append(bus.pop_next(dst, dst - senders, timeout=20.0))
+
+    def send(src):
+        for k in range(messages):
+            bus.deliver(src, src + senders, Envelope(k, b"m"))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=receive, args=(d,)) for d in got]
+        threads += [threading.Thread(target=send, args=(s,)) for s in range(senders)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for envs in got.values():
+        assert [e.round for e in envs] == list(range(messages))
+    assert bus._waiting == 0
 
 
 def test_pop_next_timeout_returns_none():
