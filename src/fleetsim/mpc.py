@@ -31,9 +31,10 @@ budget, and hands each a dual feasible basis, so no replan runs phase 1;
 an OCP without a basis solves cold. A plan is validated once, where it
 enters the loop, and a shift checks only the step it appends.
 
-The closed loop is fully deterministic: the plant here is the model
-itself, so applying the first planned input lands exactly on the plan's
-second state.
+:func:`mpc_step` is the one closed loop: the ``mpc`` scenario engine
+runs it each step and adds only the bus exchange of the plans and the
+trace. It is fully deterministic: the plant here is the model itself, so
+applying the first planned input lands exactly on the plan's second state.
 """
 
 from __future__ import annotations
@@ -495,15 +496,17 @@ def shift_plan(plan: Plan, spec: OcpSpec) -> Plan:
     return new
 
 
+def _overspend(total: np.ndarray, coupling: Polyhedron) -> float:
+    """Worst violation max(H z - h, 0) over the rows z of a summed-output
+    array, or over one such row."""
+    return float(max(np.max(total @ coupling.G.T - coupling.g), 0.0))
+
+
 def coupling_residual(plans: list[Plan], coupling: Polyhedron | None) -> float:
     """Worst violation of H sum_i z_i(t) <= h over the common horizon (>= 0)."""
     if coupling is None:
         return 0.0
-    total = plans[0].outputs.copy()
-    for p in plans[1:]:
-        total = total + p.outputs
-    slack = total @ coupling.G.T - coupling.g
-    return float(max(np.max(slack), 0.0))
+    return _overspend(sum(p.outputs for p in plans), coupling)
 
 
 def mpc_round(ocps: list[LocalOcp], plans: list[Plan], turn: int,
@@ -553,31 +556,45 @@ def mpc_round(ocps: list[LocalOcp], plans: list[Plan], turn: int,
 
 @dataclass
 class StepResult:
+    """The plans shifted to start at t+1; each agent's next state and
+    applied input; at the applied step, the coupling violation and summed
+    stage cost; the plans' costs before the shift; and whether the turn
+    agent adopted a new plan."""
+
     plans: list[Plan]
     states: list[np.ndarray]
+    inputs: list[np.ndarray]
     applied_residual: float
+    stage_cost: float
+    costs: list[float]
+    replanned: bool
 
 
-def mpc_step(ocps: list[LocalOcp], plans: list[Plan], t: int) -> StepResult:
+def mpc_step(ocps: list[LocalOcp], plans: list[Plan], t: int,
+             others_outputs=None) -> StepResult:
     """One closed-loop step over the agents' episode-long OCPs:
     round-robin replan, apply, shift.
 
-    The turn at time t is t mod N. Applied states come straight off the
-    plans (the plant is the model), and the returned plans are shifted so
-    they start at t+1. ``applied_residual`` is the coupling violation at
-    the applied step.
+    The turn at time t is t mod N; ``others_outputs`` goes to
+    :func:`mpc_round` as it is. Applied states come straight off the
+    plans (the plant is the model).
     """
-    plans, _ = mpc_round(ocps, plans, t % len(ocps))
+    plans, replanned = mpc_round(ocps, plans, t % len(ocps), others_outputs)
     specs = [ocp.spec for ocp in ocps]
     coupling = specs[0].coupling
-    applied_residual = 0.0
-    if coupling is not None:
-        slack = coupling.G @ sum(p.outputs[0] for p in plans) - coupling.g
-        applied_residual = float(max(np.max(slack), 0.0))
+    stage = 0.0
+    for spec, p in zip(specs, plans):
+        stage += float(np.abs(p.states[0] - spec.x_ref) @ spec.cost.w_x)
+        stage += float(np.abs(p.inputs[0] - spec.u_ref) @ spec.cost.w_u)
     return StepResult(
         plans=[shift_plan(p, s) for p, s in zip(plans, specs)],
         states=[p.states[1].copy() for p in plans],
-        applied_residual=applied_residual,
+        inputs=[p.inputs[0].copy() for p in plans],
+        applied_residual=0.0 if coupling is None
+        else _overspend(sum(p.outputs[0] for p in plans), coupling),
+        stage_cost=stage,
+        costs=[plan_cost(p, s) for p, s in zip(plans, specs)],
+        replanned=replanned,
     )
 
 
@@ -590,7 +607,7 @@ def check_terminal_coupling(specs: list[OcpSpec]) -> None:
     coupling = specs[0].coupling if specs else None
     if coupling is None:
         return
-    over = float(np.max(coupling.G @ sum(s.terminal_output for s in specs) - coupling.g))
+    over = _overspend(sum(s.terminal_output for s in specs), coupling)
     if over > _DYN_TOL:
         raise ModelError("the terminal equilibria overspend the coupling by %.3g "
                          "(sum_i H z_i must be <= h at the terminal pairs)" % over)

@@ -40,23 +40,19 @@ from ..dynamics import SingleIntegratorState, UnicycleState
 from ..errors import NonConvergenceError
 from ..guidance import containment_law, formation_law
 from ..lp import AssignmentProblem, hungarian
-from ..mpc import (
-    centralized_bootstrap,
-    mpc_round,
-    plan_cost,
-    shift_plan,
-)
+from ..mpc import centralized_bootstrap
 from ..netgraph import EdgeSchedule, graph_from_edges
 from ..runtime import Agent, AgentSpec, spawn_agent
 from ..transport import MessageBus, TransportConfig
 from .config import ScenarioConfig, formation_spec, ocp_specs
 from .trace import TraceWriter
 
-# unused here (runtime.Agent and guidance.formation_law call them), kept
-# only because perfbench/spans.py looks these names up on this module
+# unused here (Agent, formation_law and mpc_step call them), kept only
+# because perfbench/spans.py looks these names up on this module
 from ..control import si_to_unicycle  # noqa: F401
 from ..dynamics import step  # noqa: F401
 from ..guidance import formation_velocity  # noqa: F401
+from ..mpc import mpc_round, shift_plan  # noqa: F401
 
 __all__ = ["run_scenario"]
 
@@ -381,13 +377,11 @@ def _run_assignment(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
 def _run_mpc(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
     p = cfg.params
     n = cfg.n
-    specs = ocp_specs(p)
-    coupling = specs[0].coupling
     # one OCP per agent for the episode; the bootstrap starts from their
     # optima and seeds their bases, and each replan rewrites its b and
-    # warm-starts. Looked up on the module so that a wrapper installed
-    # there, such as a perfbench span, sees the builds.
-    ocps = [mpc.build_local_ocp(spec) for spec in specs]
+    # warm-starts. The builds and the steps are looked up on the module so
+    # that a wrapper installed there, such as a perfbench span, sees them.
+    ocps = [mpc.build_local_ocp(spec) for spec in ocp_specs(p)]
     plans = centralized_bootstrap(ocps)
 
     # each step the other agents send their plans to the agent whose turn
@@ -412,30 +406,18 @@ def _run_mpc(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
                     comms[i].send({"z": plans[i].outputs}, turn, round=k)
             gathered = comms[turn].exchange_collect(round=k)
             others = sum(np.asarray(v["z"], dtype=float) for v in gathered.values())
-        plans, replanned = mpc_round(ocps, plans, turn, others_outputs=others)
-
-        if coupling is not None:
-            z_now = sum(pl.outputs[0] for pl in plans)
-            residual = float(max(np.max(coupling.G @ z_now - coupling.g), 0.0))
-        else:
-            residual = 0.0
-        max_residual = max(max_residual, residual)
-
-        stage = 0.0
-        for spec, pl in zip(specs, plans):
-            stage += float(np.abs(pl.states[0] - spec.x_ref) @ spec.cost.w_x)
-            stage += float(np.abs(pl.inputs[0] - spec.u_ref) @ spec.cost.w_u)
-        closed_loop_cost += stage
-
+        step = mpc.mpc_step(ocps, plans, k, others_outputs=others)
+        plans = step.plans
+        max_residual = max(max_residual, step.applied_residual)
+        closed_loop_cost += step.stage_cost
         writer.write({
-            "kind": "mpc_residual", "t": float(k), "residual": residual,
-            "stage_cost": stage, "turn": turn, "replanned": bool(replanned),
-            "costs": [plan_cost(pl, spec) for pl, spec in zip(plans, specs)],
+            "kind": "mpc_residual", "t": float(k), "residual": step.applied_residual,
+            "stage_cost": step.stage_cost, "turn": turn, "replanned": step.replanned,
+            "costs": step.costs,
         })
         for i in range(n):
-            writer.input(k, i, plans[i].inputs[0])
-            writer.pose(k + 1, i, plans[i].states[1])
-        plans = [shift_plan(pl, spec) for pl, spec in zip(plans, specs)]
+            writer.input(k, i, step.inputs[i])
+            writer.pose(k + 1, i, step.states[i])
         bus.clock.advance(cfg.dt)
 
     return {

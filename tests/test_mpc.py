@@ -5,6 +5,7 @@ round-robin loop, recursive feasibility, and the validation surface.
 """
 
 import hashlib
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +31,7 @@ from fleetsim.mpc import (
     shift_plan,
     validate_plan,
 )
-from fleetsim.simrunner import default_config, run_scenario
+from fleetsim.simrunner import default_config, parse_config, read_trace, run_scenario
 from fleetsim.simrunner.config import ocp_specs
 from oracles import receding_horizon_oracle
 
@@ -487,6 +488,8 @@ def test_corrupted_plan_refused():
     with pytest.raises(FeasibilityError):
         mpc_round(fresh_ocps(specs), [broken, plans[1]], turn=0,
                   others_outputs=plans[1].outputs)
+    with pytest.raises(FeasibilityError):
+        mpc_step(fresh_ocps(specs), [broken, plans[1]], 0, others_outputs=plans[1].outputs)
 
 
 # -- episode-long OCPs and warm replans -----------------------------------------
@@ -506,6 +509,15 @@ def binding_budget_specs(horizon=8):
                 coupling=coupling)
         for _ in range(4)
     ]
+
+
+def binding_budget_config(steps=12):
+    """The scenario of binding_budget_specs: the one engine run whose
+    bootstrap solves the stacked LP."""
+    agent = {"A": [[1.0]], "B": [[1.0]], "C": [[0.0]], "D": [[1.0]], "x0": [-0.25],
+             "terminal_state": [0.25], "terminal_input": [0.0], "w_x": [1.0], "w_u": [0.1]}
+    return parse_config({"scenario": "mpc", "n": 4, "seed": 0, "mpc": {
+        "steps": steps, "coupling": {"H": [[1.0]], "h": [0.5]}, "agents": [agent] * 4}})
 
 
 def test_warm_replans_match_cold_under_a_binding_budget(monkeypatch):
@@ -923,3 +935,133 @@ def test_phase1_census(monkeypatch, tmp_path):
     for t in range(24):
         plans = mpc_step(ocps, plans, t).plans
     assert runs["bootstrap"] <= 2 and runs["replan"] == 0
+
+
+# -- the engine's closed loop ------------------------------------------------------
+
+
+@pytest.mark.parametrize("make, n_stacked", [(lambda: default_config("mpc", 4, seed=2), 0),
+                                              (binding_budget_config, 1)],
+                         ids=["default", "binding"])
+def test_the_engine_runs_mpc_step_once_per_step(monkeypatch, tmp_path, make, n_stacked):
+    """The mpc engine's closed loop is mpc.mpc_step: one call per step, fed
+    the bitwise sum of the other agents' output plans as they came over
+    the bus, and every record of a step is that step's result. Only the
+    binding run's bootstrap builds the stacked LP; both keep the budget
+    and warn of no infeasible solve."""
+    cfg = make()
+    n, steps = cfg.n, cfg.params["steps"]
+    calls, stacked = [], []
+    real, real_stacked = mpc.mpc_step, mpc._stacked_lp
+
+    def spy(ocps, plans, t, others_outputs=None):
+        sent = sum(p.outputs for j, p in enumerate(plans) if j != t % n)
+        assert others_outputs.tobytes() == sent.tobytes(), t
+        calls.append(real(ocps, plans, t, others_outputs))
+        return calls[-1]
+
+    monkeypatch.setattr(mpc, "mpc_step", spy)
+    monkeypatch.setattr(mpc, "_stacked_lp", lambda ocps: stacked.append(1) or real_stacked(ocps))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        summary = run_scenario(cfg, str(tmp_path))
+    _, records = read_trace(summary["trace"])
+    assert len(calls) == steps and len(stacked) == n_stacked
+    assert summary["max_coupling_residual"] == max(r.applied_residual for r in calls) == 0.0
+    kinds = {kind: [r for r in records if r["kind"] == kind]
+             for kind in ("mpc_residual", "input", "pose")}
+    for t, step in enumerate(calls):
+        assert kinds["mpc_residual"][t] == {
+            "kind": "mpc_residual", "t": float(t), "residual": step.applied_residual,
+            "stage_cost": step.stage_cost, "turn": t % n, "replanned": step.replanned,
+            "costs": step.costs}
+        for i in range(n):
+            assert kinds["input"][t * n + i] == {
+                "kind": "input", "t": float(t), "agent": i, "u": step.inputs[i].tolist()}
+            assert kinds["pose"][(t + 1) * n + i] == {
+                "kind": "pose", "t": float(t + 1), "agent": i, "pos": step.states[i].tolist()}
+
+
+@pytest.mark.parametrize("bad, error", [(np.zeros((9, 1)), ModelError),
+                                        (np.zeros((8, 2)), ModelError),
+                                        (np.full((8, 1), np.nan), LpError)],
+                         ids=["long", "wide", "nan"])
+def test_a_bad_bus_input_leaves_the_turn_agent_and_the_plans_as_they_were(bad, error):
+    """others_outputs comes off the bus: one of the wrong shape or with a
+    NaN raises before the turn agent's OCP or any plan changes."""
+    specs = binding_budget_specs()
+    ocps = fresh_ocps(specs)
+    plans = centralized_bootstrap(ocps)
+    plans = mpc_step(ocps, plans, 0).plans
+    turn = 1
+    b, basis = ocps[turn].lp.b.tobytes(), list(ocps[turn].basis)
+    before = [[a.tobytes() for a in (p.states, p.inputs, p.outputs)] for p in plans]
+    with pytest.raises(error):
+        mpc_step(ocps, plans, turn, others_outputs=bad)
+    assert ocps[turn].lp.b.tobytes() == b and ocps[turn].basis == basis
+    assert [[a.tobytes() for a in (p.states, p.inputs, p.outputs)] for p in plans] == before
+
+
+# -- seeded sweep ------------------------------------------------------------------
+
+SWEEP_FAMILIES = ["inputs", "outputs", "double_inputs"]
+
+
+def sweep_specs(family, n, rng, horizon=8):
+    """n agents of one family steering from random starts to random
+    equilibria under the budget sum z <= h, with h the summed terminal
+    outputs plus a slack drawn from [0, 2]: scalar integrators coupled on
+    their inputs or on their outputs, or double integrators coupled on
+    their inputs."""
+    slack = rng.uniform(0.0, 2.0)
+    specs = []
+    for _ in range(n):
+        x0, x_end = rng.uniform(-1.0, 1.0, size=2)
+        if family == "double_inputs":
+            model = LinearAgentModel(A=[[1.0, 1.0], [0.0, 1.0]], B=[[0.5], [1.0]],
+                                     C=[[0.0, 0.0]], D=[[1.0]], x0=[x0, 0.0])
+            x_end, w_x = [x_end, 0.0], [1.0, 0.5]
+        else:
+            C, D = ([[0.0]], [[1.0]]) if family == "inputs" else ([[1.0]], [[0.0]])
+            model = LinearAgentModel(A=[[1.0]], B=[[1.0]], C=C, D=D, x0=[x0])
+            x_end, w_x = [x_end], [1.0]
+        specs.append(OcpSpec(model, horizon, x_end, [0.0], StageCost(w_x, [0.1])))
+    h = float(sum(s.terminal_output for s in specs)[0]) + slack
+    return [replace(s, coupling=Polyhedron([[1.0]], [h])) for s in specs]
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("family", SWEEP_FAMILIES)
+def test_seeded_sweep_keeps_the_budget_and_never_raises_the_cost(family, n):
+    """Sequential DMPC's promises on random draws, 12 steps of mpc_step
+    each: every plan keeps the shared budget, no local solve is infeasible
+    (no RuntimeWarning) and the summed plan cost never rises (Richards &
+    How, Int. J. Control 80(9), 2007). A draw with no jointly feasible
+    start is skipped and counted; each cell runs at least 3. The LP's
+    roundoff leaves overspends of up to about 1e-15 where the budget
+    binds, so residuals are held to 1e-9, the overspend that
+    check_terminal_coupling admits, and costs to the acceptance tolerance
+    of 1e-9 per step."""
+    ran, skipped = 0, 0
+    for seed in range(6):
+        specs = sweep_specs(family, n, np.random.default_rng([SWEEP_FAMILIES.index(family), n, seed]))
+        coupling = specs[0].coupling
+        ocps = fresh_ocps(specs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                plans = centralized_bootstrap(ocps)
+            except FeasibilityError:
+                skipped += 1
+                continue
+            residuals = [coupling_residual(plans, coupling)]
+            cost = sum(plan_cost(p, s) for p, s in zip(plans, specs))
+            for t in range(12):
+                step = mpc_step(ocps, plans, t)
+                plans = step.plans
+                residuals += [step.applied_residual, coupling_residual(plans, coupling)]
+                assert sum(step.costs) <= cost + 1e-9, (seed, t)
+                cost = sum(step.costs)
+        assert max(residuals) <= 1e-9, seed
+        ran += 1
+    assert ran >= 3, "%d of 6 draws had no feasible start" % skipped

@@ -429,6 +429,11 @@ def _golden_config(name):
         # a full default run: the backlog drains, so zero-padded tied
         # columns pass through the simplex pool's dedupe and sort
         return default_config(scenario, 6, seed=0)
+    if variant == "binding":
+        # the one engine run whose bootstrap solves the stacked LP
+        from test_mpc import binding_budget_config
+
+        return binding_budget_config()
     if variant == "n12":
         # two-digit agent ids
         return default_config(scenario, 12, seed=1, duration=0.5)
@@ -454,6 +459,7 @@ GOLDEN_TRACES = {
     "assignment": "e6ef5406f0e14d8f3e0f4eec6828ba6ace259f3224ea305ecdbaa4064124f90a",
     "assignment_drained": "1fef37f2f35ecc876db170c13d6395821f8c2ac243e9724e991c24b95e5aa01e",
     "mpc": "f63e43f34885a71ea36d12a403821e3a73f2a5d94717fbe7144698affbd22049",
+    "mpc_binding": "ce4b5622d4f7a0b2d12864ee307c8820021af3c28004e14f0f9601504ca89332",
 }
 
 
