@@ -47,12 +47,17 @@ _HEAD = struct.Struct("<BI")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 _U32 = struct.Struct("<I")
+_LE_F8 = np.dtype("<f8")
 
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
 
 def encode(value) -> bytes:
     """Serialize a supported value to bytes."""
+    if (type(value) is np.ndarray and value.dtype == _LE_F8 and value.ndim == 1
+            and value.nbytes <= 0xFFFFFFFF):
+        # a bare float64 vector (the pose payload) is one VEC item
+        return _HEAD.pack(_VEC, value.nbytes) + value.tobytes()
     out = bytearray()
     _encode_into(value, out)
     return bytes(out)
@@ -117,6 +122,11 @@ def _encode_array(arr: np.ndarray, out: bytearray) -> None:
 
 def decode(data: bytes):
     """Parse bytes produced by :func:`encode`. Raises DecodeError otherwise."""
+    if type(data) is bytes and len(data) >= _HEAD.size:
+        tag, length = _HEAD.unpack_from(data)
+        if tag == _VEC and length == len(data) - _HEAD.size and not length % 8:
+            # one whole VEC item: a fresh writable copy, as the walk returns
+            return np.frombuffer(data, _LE_F8, offset=_HEAD.size).copy()
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise DecodeError("decode needs bytes, got %r" % type(data).__name__)
     buf = memoryview(bytes(data))

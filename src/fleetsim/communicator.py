@@ -91,11 +91,12 @@ class Communicator:
     def round(self) -> int:
         return self._round
 
-    def _edge_active(self, src: int, dst: int, r: int) -> bool:
+    def _active_edges(self, r: int):
+        """The adjacency active at round ``r``, or None when every base
+        edge is (a static profile, or no schedule)."""
         if self.profile == "static" or self.schedule is None:
-            return True
-        active = sample_active(self.schedule, r)
-        return bool(active.adjacency[src, dst])
+            return None
+        return sample_active(self.schedule, r).adjacency
 
     # -- sending -----------------------------------------------------------
 
@@ -113,7 +114,9 @@ class Communicator:
         profiles an edge inactive at this round is skipped without error.
         """
         recipients = [int(to)] if isinstance(to, (int, np.integer)) else [int(d) for d in to]
-        if self.profile != "best_effort":
+        if self.profile == "best_effort":
+            recipients = [dst for dst in recipients if dst in self.out_neighbors]
+        else:
             for dst in recipients:
                 if dst not in self.out_neighbors:
                     raise TopologyError(
@@ -122,12 +125,12 @@ class Communicator:
         r = self._round if round is None else int(round)
         env = Envelope(r, data)
         deliver_at = self.bus.clock.now() + self.config.latency
+        active = self._active_edges(r)
+        drop = self.config.drop_prob
         for dst in recipients:
-            if dst not in self.out_neighbors:
+            if active is not None and not active[self.agent_id, dst]:
                 continue
-            if not self._edge_active(self.agent_id, dst, r):
-                continue
-            if self.config.drop_prob > 0.0 and self._rng.random() < self.config.drop_prob:
+            if drop > 0.0 and self._rng.random() < drop:
                 continue
             self.bus.deliver(self.agent_id, dst, env, deliver_at=deliver_at)
 
@@ -194,7 +197,9 @@ class Communicator:
                 if p is not None:
                     got[j] = p
             return got
-        expected = [j for j in self.in_neighbors if self._edge_active(j, self.agent_id, r)]
+        active = self._active_edges(r)
+        expected = self.in_neighbors if active is None else [
+            j for j in self.in_neighbors if active[j, self.agent_id]]
         deadline = None if timeout is None else time.monotonic() + timeout
         missing = []
         for j in expected:

@@ -50,9 +50,10 @@ def si_to_unicycle(u: np.ndarray, theta: float, params: SiToUniParams) -> Unicyc
     u = np.asarray(u, dtype=float)
     if u.shape != (2,):
         raise ModelError("si_to_unicycle expects a 2-d velocity, got shape %s" % (u.shape,))
+    ux, uy = u.tolist()
     c, s = math.cos(theta), math.sin(theta)
-    v = c * u[0] + s * u[1]
-    omega = (-s * u[0] + c * u[1]) / params.lookahead
+    v = c * ux + s * uy
+    omega = (-s * ux + c * uy) / params.lookahead
     v = min(max(v, -params.v_max), params.v_max)
     omega = min(max(omega, -params.omega_max), params.omega_max)
     return UnicycleInput(v, omega)

@@ -114,15 +114,18 @@ def formation_velocity(own, neigh: Mapping[int, np.ndarray], spec: FormationSpec
     u = sum_j (||x_own - x_j||^2 - d_ij^2) (x_j - x_own), the negative
     gradient of the quartic shape potential restricted to this robot.
     A neighbor without a declared distance is a wiring bug and raises.
+
+    One stacked ``matmul`` takes every squared norm: for vector·vector it
+    calls the BLAS ``ddot`` that ``diff @ diff`` calls, which OpenBLAS
+    contracts to ``fma(dy, dy, dx * dx)`` in 2-d. The terms are then
+    summed in neighbor order from +0.0. The golden formation traces depend
+    on both, so a BLAS whose ``ddot`` rounds differently changes them.
     """
     own = np.asarray(own, dtype=float)
-    u = np.zeros_like(own)
-    for j, xj in neigh.items():
-        d = spec.distance(self_id, j)
-        diff = np.asarray(xj, dtype=float) - own
-        err = float(diff @ diff) - d * d
-        u += err * diff
-    return u
+    d = np.array([spec.distance(self_id, j) for j in neigh], dtype=float)
+    diff = np.array(list(neigh.values()), dtype=float).reshape(-1, own.size) - own
+    err = np.matmul(diff[:, None, :], diff[:, :, None]).reshape(-1) - d * d
+    return np.add.reduce(err[:, None] * diff, axis=0, initial=0.0)
 
 
 def containment_law(is_leader: bool, gain: float = 1.0) -> Law:

@@ -144,6 +144,7 @@ class Agent:
         self.spec = spec
         self.comm = comm
         self.state = spec.initial_state
+        self._pose: tuple[object, np.ndarray | None] = (None, None)
         self.last_neighbors: dict[int, np.ndarray] = {}
         self.last_input: np.ndarray | tuple[float, float] | None = None
         self.error: BaseException | None = None
@@ -166,7 +167,15 @@ class Agent:
 
     @property
     def pose(self) -> np.ndarray:
-        return np.asarray(self.state.pos, dtype=float)
+        """The position of the current state, as a read-only copy built
+        once per state."""
+        state, pose = self._pose
+        if state is not self.state:
+            state = self.state
+            pose = np.array(state.pos, dtype=float)
+            pose.setflags(write=False)
+            self._pose = (state, pose)
+        return pose
 
     @property
     def round(self) -> int:

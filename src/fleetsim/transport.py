@@ -169,10 +169,16 @@ class MessageBus:
         round and discards older-round envelopes queued ahead of it. Returns
         None on timeout (timeout=0 polls without blocking).
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
         with self._lock:
             cond = self._conds[dst]
             link = self._link(src, dst)
+            queue = link.queue
+            # the lockstep case: an unbounded link whose head has arrived
+            # and carries the round is answered without a scan or a wait
+            if (link.depth is None and queue and queue[0][0] <= self.clock.now()
+                    and (round is None or queue[0][1].round == round)):
+                return queue.popleft()[1]
+            deadline = None if timeout is None else time.monotonic() + timeout
             while True:
                 ready = self._deliverable(link)
                 if round is None:

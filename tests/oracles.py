@@ -4,8 +4,8 @@ No module of fleetsim calls these, so they live beside the tests and the
 library's public surface holds only what its engines use: the dense
 assignment LP, with its 2n-1 rows of full rank, that the dense simplex is
 checked on; a lockstep assignment round with no memory between rounds; a
-joint feasibility test of coupled plans; and a cold receding-horizon loop
-for single-agent MPC.
+joint feasibility test of coupled plans; a cold receding-horizon loop
+for single-agent MPC; and the formation law one neighbor at a time.
 """
 
 import numpy as np
@@ -113,3 +113,16 @@ def receding_horizon_oracle(spec: OcpSpec, steps: int,
         states.append(x.copy())
         plan = shift_plan(plan, spec)
     return np.array(states), np.array(inputs)
+
+
+def formation_velocity_loop(own, neigh, spec, self_id: int) -> np.ndarray:
+    """The distance-based formation law summed one neighbor at a time:
+    ``u += (diff @ diff - d*d) * diff`` from +0.0, in neighbor order."""
+    own = np.asarray(own, dtype=float)
+    u = np.zeros_like(own)
+    for j, xj in neigh.items():
+        d = spec.distance(self_id, j)
+        diff = np.asarray(xj, dtype=float) - own
+        err = float(diff @ diff) - d * d
+        u += err * diff
+    return u

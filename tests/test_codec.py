@@ -54,6 +54,65 @@ def test_vector_round_trip():
     assert np.array_equal(out, v)
 
 
+def _bits(arr):
+    return np.asarray(arr, dtype="<f8").tobytes()
+
+
+def _nan_with_payload():
+    return np.frombuffer(struct.pack("<QQ", 0x7FF0000000000ABC, 0xFFF8000000000001), "<f8")
+
+
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+VECTORS = {
+    "specials": lambda: np.concatenate([_nan_with_payload(), [0.0, -0.0, np.inf, -np.inf,
+                                                              5e-324, -2.2e-308]]),
+    "empty": lambda: np.zeros(0),
+    "strided": lambda: np.arange(12.0)[::5] / 3.0,
+    "read_only": lambda: _read_only(np.linspace(-1.0, 1.0, 5)),
+    "big_endian": lambda: np.array([1.5, -0.0, 3e-310], dtype=">f8"),
+    "float32": lambda: np.array([0.1, -2.5, 1e-40], dtype=np.float32),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VECTORS))
+def test_vector_shortcut_matches_the_generic_walk(name):
+    """A bare vector takes a shortcut; inside a list it takes the generic
+    walk. Both give the same item bytes and the same decoded bits."""
+    v = VECTORS[name]()
+    blob = encode(v)
+    wrapped = encode([v])
+    assert blob == wrapped[5:]
+    out = decode(blob)
+    assert out.dtype == np.float64 and out.flags.writeable
+    assert _bits(out) == _bits(decode(wrapped)[0]) == _bits(v.astype("<f8"))
+    for other in (bytearray(blob), memoryview(blob)):
+        again = decode(other)
+        assert _bits(again) == _bits(out) and again.flags.writeable
+
+
+def test_decoded_vector_is_a_fresh_writable_copy():
+    blob = encode(np.array([1.0, 2.0]))
+    a, b = decode(blob), decode(blob)
+    a += 1.0
+    assert np.array_equal(b, [1.0, 2.0])
+    assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("blob", [
+    struct.pack("<BI", 6, 12) + b"\x00" * 12,           # not a multiple of 8
+    struct.pack("<BI", 6, 8) + b"\x00" * 9,             # a trailing byte
+    struct.pack("<BI", 6, 16) + b"\x00" * 8,            # body runs past the end
+    struct.pack("<BI", 6, 8) + b"\x00" * 8 + encode(1),  # a second item
+])
+def test_malformed_vector_still_raises(blob):
+    with pytest.raises(DecodeError):
+        decode(blob)
+
+
 def test_matrix_round_trip():
     m = np.arange(12, dtype=float).reshape(3, 4) / 7.0
     out = decode(encode(m))

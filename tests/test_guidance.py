@@ -15,6 +15,7 @@ from fleetsim.guidance import (
     hexagon_formation,
     rendezvous_velocity,
 )
+from oracles import formation_velocity_loop
 
 
 def test_rendezvous_velocity_hand_value():
@@ -60,6 +61,25 @@ def test_formation_velocity_hand_values():
         np.array([0.0, 0.0]), {1: np.array([0.5, 0.0])}, spec, self_id=0
     )
     assert u == pytest.approx(np.array([-0.375, 0.0]))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_formation_velocity_matches_the_per_neighbor_loop_bit_for_bit(dim):
+    """The stacked law rounds as the loop does: same dot products, same
+    summation order from +0.0, coincident neighbors included."""
+    spec = FormationSpec.from_pairs([(0, j, 0.5 + j / 3.0) for j in range(1, 6)])
+    rng = np.random.default_rng([41, dim])
+    for draw in range(400):
+        own = rng.normal(scale=10.0 ** rng.integers(-3, 3), size=dim)
+        ids = rng.permutation(np.arange(1, 6))[: draw % 6]
+        neigh = {int(j): own + rng.normal(size=dim) for j in ids}
+        if ids.size and draw % 5 == 0:
+            neigh[int(ids[0])] = own.copy()  # a neighbor on top of this robot
+        got = formation_velocity(own, neigh, spec, self_id=0)
+        want = formation_velocity_loop(own, neigh, spec, 0)
+        assert got.shape == (dim,) and got.tobytes() == want.tobytes()
+    with pytest.raises(FormationError):
+        formation_velocity(np.zeros(dim), {1: np.ones(dim), 9: np.ones(dim)}, spec, 0)
 
 
 def test_formation_velocity_at_target_distance_is_zero():

@@ -180,6 +180,18 @@ def test_best_effort_all_dropped_keeps_no_neighbors():
         assert np.array_equal(a.pose, p0)
 
 
+def test_pose_is_a_read_only_copy_built_once_per_state():
+    agent = lockstep_pair(rendezvous_velocity, positions=((1.0, 2.0), (-1.0, 0.0)))[0]
+    pose = agent.pose
+    assert not np.shares_memory(pose, agent.state.pos)
+    with pytest.raises(ValueError):
+        pose += 100.0
+    assert np.array_equal(agent.state.pos, [1.0, 2.0])
+    assert agent.pose is pose
+    agent.state = SingleIntegratorState(np.array([3.0, 4.0]))
+    assert np.array_equal(agent.pose, [3.0, 4.0]) and not agent.pose.flags.writeable
+
+
 def test_agents_share_nothing_but_the_bus():
     """Neighbor data arrives as plain arrays, never as live objects."""
     agents = lockstep_pair(rendezvous_velocity)

@@ -249,3 +249,25 @@ def test_lockstep_clock():
     clock.advance(0.25)
     clock.advance(0.25)
     assert clock.now() == 0.5
+
+
+def test_pop_next_waits_for_a_head_still_in_flight():
+    clock = LockstepClock()
+    bus = make_bus(0, 1, clock=clock)
+    bus.deliver(0, 1, Envelope(0, b"late"), deliver_at=clock.now() + 0.004)
+    assert bus.pop_next(1, 0, round=0, timeout=0) is None
+    assert bus.pop_next(1, 0, timeout=0) is None
+    clock.advance(0.004)
+    assert bus.pop_next(1, 0, round=0, timeout=0).payload == b"late"
+
+
+def test_pop_next_on_a_bounded_link_trims_before_it_pops():
+    """Three messages in flight on a depth-1 link all arrive at once; the
+    pop returns the newest, not the head."""
+    clock = LockstepClock()
+    bus = make_bus(0, 1, clock=clock, depth=1)
+    for k in range(3):
+        bus.deliver(0, 1, Envelope(k, b"%d" % k), deliver_at=0.002)
+    clock.advance(0.002)
+    assert bus.pop_next(1, 0, timeout=0).payload == b"2"
+    assert bus.pending(1, 0) == 0
