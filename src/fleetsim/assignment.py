@@ -54,17 +54,18 @@ received and forgets what it priced.
 Halting is a heuristic: an agent flags itself done after its basis survives
 ``margin`` consecutive rounds unchanged (in both drivers ``default_margin``:
 twice the graph diameter bound, floored at 4, longer on lossy links). A
-flagged agent keeps broadcasting and can unflag if a better basis arrives;
-the lockstep driver stops once every agent is flagged, the threaded entry
-point additionally waits for its neighbors' flags. The round budget (50 n,
-or ``round_budget`` on the lockstep driver) turns livelock into a loud
-NonConvergenceError instead of a hang.
+flagged agent keeps broadcasting and can unflag if a better basis arrives.
+A :class:`LockstepSolve` runs each lockstep solve (the library driver's and
+each task-cloud epoch's) and stops once every agent is flagged; the threaded
+entry point also waits for its neighbors' flags. A round budget (50 n, or
+the caller's, at least 1) turns livelock into a loud NonConvergenceError.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import time
 import weakref
 from dataclasses import dataclass, field
@@ -96,6 +97,7 @@ __all__ = [
     "default_margin",
     "lockstep_round",
     "agreed_result",
+    "LockstepSolve",
     "run_distributed_simplex",
     "solve_assignment_network",
     "cloud_complete",
@@ -771,6 +773,36 @@ def agreed_result(agents) -> tuple[int, tuple[int, ...], float]:
     return results[0]
 
 
+class LockstepSolve:
+    """A lockstep solve stepped one round at a time over the caller's
+    communicators: one agent per cost row, and the payload parses that
+    its rounds share (see ``_gather``). A budget below 1 raises ValueError."""
+
+    def __init__(self, costs, margin: int, budget: int):
+        if budget < 1:
+            raise ValueError("round budget %r runs no round" % (budget,))
+        n = len(costs)
+        self.agents = [DistributedSimplexAgent(i, costs, n, margin=margin) for i in range(n)]
+        self.budget = budget
+        self.rounds = 0
+        self._parsed: dict = {}
+
+    def round(self, comms: list[Communicator], rnd: int):
+        """Run ``lockstep_round`` tagged ``rnd``. Returns ``agreed_result``
+        once every agent has halted, else None; raises NonConvergenceError
+        once ``budget`` rounds have run."""
+        agents = self.agents
+        lockstep_round(agents, comms, rnd, self._parsed)
+        self.rounds += 1
+        if all(a.halted for a in agents):
+            return agreed_result(agents)
+        if self.rounds >= self.budget:
+            raise NonConvergenceError("no convergence in %d rounds" % self.budget, diagnostics={
+                "rounds": self.rounds, "objectives": [a.basis.objective for a in agents],
+                "halted": [a.halted for a in agents]})
+        return None
+
+
 def run_distributed_simplex(comm: Communicator, i: int, costs,
                             n: int) -> tuple[int, tuple[int, ...], float]:
     """Blocking per-agent protocol run over a live communicator.
@@ -809,10 +841,11 @@ def solve_assignment_network(costs, graph, *, profile: str = "static",
 
     Sweeps the network round by round over real communicators (every send
     and receive goes through the bus, so drops, schedules and mailbox
-    semantics all apply). Stops when every agent has flagged halted;
-    returns (perm, objective, rounds). Raises NonConvergenceError on
-    budget exhaustion or a consensus mismatch. The bus clock never
-    advances, so a ``transport`` with latency raises ValueError.
+    semantics all apply), one :class:`LockstepSolve` round at a time.
+    Stops when every agent has flagged halted; returns (perm, objective,
+    rounds). Raises NonConvergenceError on budget exhaustion or a
+    consensus mismatch. A ``round_budget`` below 1 raises ValueError, and
+    so does a ``transport`` with latency, as the bus clock never advances.
 
     The raised error's traceback keeps its file and line entries, but the
     locals of the driver's finished frames are cleared: otherwise a held
@@ -841,19 +874,10 @@ def _solve_network(costs, graph, profile, transport, round_budget):
         Communicator(bus, i, graph, profile=profile, config=tc)
         for i in range(n)
     ]
-    margin = default_margin(base, tc.drop_prob)
-    agents = [DistributedSimplexAgent(i, costs, n, margin=margin) for i in range(n)]
-    budget = round_budget if round_budget is not None else 50 * n
-    parsed: dict = {}
-    for rnd in range(budget):
-        lockstep_round(agents, comms, rnd, parsed)
-        if all(a.halted for a in agents):
-            _, perm, objective = agreed_result(agents)
+    solve = LockstepSolve(costs, default_margin(base, tc.drop_prob),
+                          round_budget if round_budget is not None else 50 * n)
+    for rnd in itertools.count():
+        agreed = solve.round(comms, rnd)
+        if agreed is not None:
+            _, perm, objective = agreed
             return perm, objective, rnd + 1
-    raise NonConvergenceError(
-        "no convergence in %d rounds" % budget,
-        diagnostics={
-            "objectives": [a.basis.objective for a in agents],
-            "halted": [a.halted for a in agents],
-        },
-    )

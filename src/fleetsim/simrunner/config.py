@@ -348,6 +348,8 @@ def _parse_assignment(block, n: int, graph: CommGraph) -> dict:
         "init_box": _parse_box(block.get("init_box", [[0.0, 0.0], [2.0, 2.0]]), path + ".init_box"),
         "round_budget": _as_int(block.get("round_budget", 50 * n), path + ".round_budget"),
     }
+    if out["round_budget"] < 1:
+        _fail(path + ".round_budget", "must be >= 1")
     if "robot_positions" in block:
         pts = _as_points(block["robot_positions"], path + ".robot_positions")
         if len(pts) != n:

@@ -27,12 +27,10 @@ import numpy as np
 from .. import mpc
 from ..assignment import (
     CloudState,
-    DistributedSimplexAgent,
-    agreed_result,
+    LockstepSolve,
     cloud_complete,
     costs_from_positions,
     default_margin,
-    lockstep_round,
 )
 from ..communicator import Communicator
 from ..control import SiToUniParams
@@ -184,20 +182,6 @@ def _run_rendezvous(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
 # -- dynamic task assignment -----------------------------------------------------
 
 
-class _AssignmentEpoch:
-    """One distributed optimization over the current live task window."""
-
-    def __init__(self, number: int, live_ids: list[int], costs: np.ndarray, margin: int):
-        self.number = number
-        self.live_ids = live_ids
-        self.costs = costs
-        n = costs.shape[0]
-        self.agents = [
-            DistributedSimplexAgent(i, costs, n, margin=margin) for i in range(n)
-        ]
-        self.parsed: dict = {}  # the payload parses of the epoch's rounds
-
-
 def _run_assignment(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
     p = cfg.params
     n = cfg.n
@@ -220,16 +204,14 @@ def _run_assignment(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
     cloud_comm = Communicator(cloud_bus, n, star, profile="static")
 
     margin = default_margin(cfg.graph, p["drop_prob"])
-    budget = p["round_budget"]
     speed = p["speed"]
     arrive = p["arrive_radius"]
 
     # robots' shared view of the live window; seeded from the initial reveal
     live: dict[int, np.ndarray] = {}
     targets: list[int | None] = [None] * n
-    epoch: _AssignmentEpoch | None = None
+    epoch = None  # (number, live task ids, costs, LockstepSolve)
     epoch_count = 0
-    pending_restart = True  # the initial reveal at t=0
     for task in cloud.revealed:
         writer.write({
             "kind": "task_event", "t": 0.0, "event": "reveal",
@@ -245,8 +227,7 @@ def _run_assignment(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
         t = k * cfg.dt
 
         # phase A: cloud inbox (reveals and completions broadcast last tick)
-        changed = pending_restart
-        pending_restart = False
+        changed = k == 0  # the initial reveal at t=0
         for i in range(n):
             for _, msg in robot_cloud[i].drain(n):
                 if msg["event"] == "reveal":
@@ -268,41 +249,34 @@ def _run_assignment(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
             task_pts = [live[j] for j in live_ids]
             costs = np.zeros((n, n))
             costs[:, : len(task_pts)] = costs_from_positions(pos, task_pts)
-            epoch = _AssignmentEpoch(epoch_count, live_ids, costs, margin)
+            epoch = (epoch_count, live_ids, costs, LockstepSolve(costs, margin, p["round_budget"]))
             epoch_count += 1
         if epoch is not None:
-            lockstep_round(epoch.agents, peer_comms, k, epoch.parsed)
-            rounds = epoch.agents[0].rounds
-            if all(a.halted for a in epoch.agents):
-                _, perm, objective = agreed_result(epoch.agents)
-                reference = hungarian(AssignmentProblem(n, epoch.costs))[1]
+            number, live_ids, costs, solve = epoch
+            try:
+                agreed = solve.round(peer_comms, k)
+            except NonConvergenceError as exc:
+                exc.diagnostics["epoch"] = number
+                raise
+            if agreed is not None:
+                _, perm, objective = agreed
+                reference = hungarian(AssignmentProblem(n, costs))[1]
                 writer.write({
-                    "kind": "assignment", "t": t, "epoch": epoch.number,
+                    "kind": "assignment", "t": t, "epoch": number,
                     "perm": list(perm), "objective": float(objective),
-                    "reference": float(reference), "rounds": rounds,
+                    "reference": float(reference), "rounds": solve.rounds,
                 })
                 for i in range(n):
-                    task_idx = perm[i]
-                    if task_idx < len(epoch.live_ids):
-                        task_id = epoch.live_ids[task_idx]
-                        if task_id in live:
-                            targets[i] = task_id
-                            writer.write({
-                                "kind": "task_event", "t": t, "event": "assign",
-                                "task": task_id, "agent": i,
-                            })
-                        else:
-                            targets[i] = None
+                    task_id = live_ids[perm[i]] if perm[i] < len(live_ids) else None
+                    if task_id in live:
+                        targets[i] = task_id
+                        writer.write({
+                            "kind": "task_event", "t": t, "event": "assign",
+                            "task": task_id, "agent": i,
+                        })
                     else:
                         targets[i] = None
                 epoch = None
-            elif rounds >= budget:
-                raise NonConvergenceError(
-                    "assignment epoch %d exceeded %d rounds" % (epoch.number, budget),
-                    diagnostics={"epoch": epoch.number, "rounds": rounds,
-                                 "objectives": [a.basis.objective for a in epoch.agents],
-                                 "halted": [a.halted for a in epoch.agents]},
-                )
 
         # phase C: task-directed driving
         arrivals: list[tuple[int, int]] = []
@@ -358,7 +332,7 @@ def _run_assignment(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
         peer_bus.clock.advance(cfg.dt)
         cloud_bus.clock.advance(cfg.dt)
         _log_poses(writer, t_done, pos)
-        if completed == total_tasks and finished_at is None:
+        if completed == total_tasks:
             finished_at = t_done
             break
 

@@ -199,6 +199,11 @@ class MessageBus:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         return None
+                if len(link.queue) > ready and isinstance(self.clock, WallClock):
+                    # a wall clock wakes no waiter when a message arrives,
+                    # so wait no longer than the first one still in flight
+                    arrives = link.queue[ready][0] - self.clock.now()
+                    remaining = arrives if remaining is None else min(remaining, arrives)
                 self._waiting += 1
                 try:
                     cond.wait(remaining)

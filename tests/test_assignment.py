@@ -6,8 +6,10 @@ plus the task-cloud bookkeeping.
 """
 
 import gc
+import math
 import struct
 import threading
+import time
 import traceback
 import weakref
 from types import SimpleNamespace
@@ -20,6 +22,7 @@ from fleetsim.assignment import (
     DEFAULT_BIG_M,
     CloudState,
     DistributedSimplexAgent,
+    LockstepSolve,
     Task,
     agreed_result,
     artificial_columns,
@@ -887,6 +890,46 @@ def test_network_solver_rejects_latency(latency):
     with pytest.raises(ValueError, match="latency"):
         solve_assignment_network(np.eye(3), complete_graph(3),
                                  transport=TransportConfig(latency=latency))
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_network_solver_rejects_a_budget_below_one_round(budget):
+    """A budget that runs no round is refused before any round, as
+    latency is."""
+    with pytest.raises(ValueError, match="round budget"):
+        solve_assignment_network(np.eye(3), complete_graph(3), round_budget=budget)
+
+
+def test_lockstep_solve_steps_to_its_budget():
+    """Each round below the budget returns None; the round that spends
+    it raises with the rounds run and each agent's objective and flag."""
+    costs = np.random.default_rng(0).random((3, 3))
+    bus = MessageBus()
+    comms = [Communicator(bus, i, complete_graph(3)) for i in range(3)]
+    solve = LockstepSolve(costs, 4, 2)
+    assert solve.round(comms, 0) is None
+    with pytest.raises(NonConvergenceError, match="no convergence in 2 rounds") as info:
+        solve.round(comms, 1)
+    diagnostics = info.value.diagnostics
+    assert diagnostics["rounds"] == solve.rounds == 2
+    assert diagnostics["halted"] == [False] * 3
+    assert diagnostics["objectives"] == [a.basis.objective for a in solve.agents]
+
+
+def test_threaded_protocol_budget_error_carries_diagnostics():
+    """Agent 1 never runs, so agent 0 never hears it halt and gives up
+    after 50 n = 100 paced rounds, about 0.1 s."""
+    costs = np.array([[1.0, 2.0], [2.0, 1.0]])
+    bus = MessageBus()
+    comms = [Communicator(bus, i, complete_graph(2)) for i in range(2)]
+    started = time.monotonic()
+    with pytest.raises(NonConvergenceError, match="agent 0: no convergence in 100 rounds") as info:
+        run_distributed_simplex(comms[0], 0, costs, 2)
+    assert time.monotonic() - started < 30.0
+    diagnostics = info.value.diagnostics
+    assert diagnostics["agent"] == 0 and diagnostics["rounds"] == 100
+    # robot 1's unit still rides on an artificial column
+    assert DEFAULT_BIG_M < diagnostics["objective"] < math.inf
 
 
 # -- task cloud -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Communicator profile tests: reliable, time-varying, and best-effort."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from fleetsim.errors import (
     UnsupportedOperationError,
 )
 from fleetsim.netgraph import CommGraph, EdgeSchedule, graph_from_edges
-from fleetsim.transport import LockstepClock, MessageBus, TransportConfig
+from fleetsim.transport import LockstepClock, MessageBus, TransportConfig, WallClock
 
 
 def pair_graph():
@@ -280,6 +281,28 @@ def test_latency_delays_visibility():
         b.receive(0, timeout=0)
     clock.advance(0.5)
     assert b.receive(0, timeout=0) == "slow"
+
+
+def test_blocking_receive_on_a_delayed_wall_clock_link_wakes_on_arrival():
+    """On a wall clock nothing wakes a blocked receive when a delayed
+    message arrives; the wait ends at its delivery time, 50 ms here, both
+    with a 2 s timeout and with none."""
+    bus = MessageBus(WallClock())
+    g = pair_graph()
+    cfg = TransportConfig(latency=0.05)
+    a = Communicator(bus, 0, g, config=cfg)
+    b = Communicator(bus, 1, g, config=cfg)
+    a.send("timed", to=1)
+    started = time.monotonic()
+    assert b.receive(0, timeout=2.0) == "timed"
+    assert time.monotonic() - started < 1.0
+    a.send("untimed", to=1)
+    got = []
+    started = time.monotonic()
+    worker = threading.Thread(target=lambda: got.append(b.receive(0)), daemon=True)
+    worker.start()
+    worker.join(timeout=1.0)
+    assert got == ["untimed"] and time.monotonic() - started < 1.0
 
 
 def test_threaded_exchange_on_triangle():

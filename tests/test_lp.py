@@ -788,6 +788,39 @@ def test_dual_ray_reports_infeasible(monkeypatch):
     assert solve_lp(infeasible).status == INFEASIBLE
 
 
+def test_warm_basis_neither_primal_nor_dual_feasible_runs_both_phases(monkeypatch):
+    """A basis that b makes infeasible and that has a negative reduced
+    cost gives the dual simplex no start: it makes no pivot, and the solve
+    runs phase 1 and phase 2 exactly as the cold solve does."""
+    rng = np.random.default_rng(41)
+    real = lp_module._simplex
+    found = 0
+    while found < 5:
+        lp = random_feasible_lp(rng, 4, 8)
+        basis = sorted(rng.choice(8, size=4, replace=False).tolist())
+        B = lp.A[:, basis]
+        if np.linalg.cond(B) > 1e3:
+            continue
+        rc = lp.c - lp.c[basis] @ np.linalg.solve(B, lp.A)
+        if np.linalg.solve(B, lp.b).min() >= -1e-6 or rc.min() >= -1e-6:
+            continue
+        statuses = []
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if kwargs.get("dual"):
+                statuses.append((out[4], out[5]))
+            return out
+
+        monkeypatch.setattr(lp_module, "_simplex", spy)
+        runs = phase1_spy(monkeypatch)
+        assert_fell_back(lp, basis)
+        assert statuses == [(None, 0)] and len(runs) == 2  # the warm and the cold solve
+        monkeypatch.undo()
+        assert_kkt(lp, solve_lp(lp, basis=basis))
+        found += 1
+
+
 def mpc_local_lp_and_optimum(tmp_path):
     """A default two-agent local OCP LP, with rows b < 0, and its warm
     re-solve from its own optimum."""

@@ -197,6 +197,39 @@ def test_assignment_config_refuses_time_varying(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_assignment_config_refuses_a_budget_below_one_round(budget, tmp_path, capsys):
+    """A budget that runs no round fails under assignment.round_budget,
+    and the CLI exits 2 before it writes a trace."""
+    raw = default_config("assignment", 3).raw
+    raw["assignment"]["round_budget"] = budget
+    with pytest.raises(ConfigError, match=r"assignment\.round_budget: must be >= 1"):
+        parse_config(raw)
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main(["run", "assignment", "--config", str(path), "--out", str(out)]) == 2
+    assert "assignment.round_budget" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_pinned_robot_positions_start_the_run(tmp_path):
+    """``robot_positions`` replaces the seeded layout: the first pose
+    records are the pinned points; a list of the wrong length is refused."""
+    raw = default_config("assignment", 3).raw
+    pinned = [[0.25, 1.75], [1.5, 0.125], [0.5, 0.5]]
+    raw["assignment"]["robot_positions"] = pinned
+    raw["duration"] = 0.05
+    run_scenario(parse_config(raw), str(tmp_path))
+    _, records = read_trace(str(tmp_path / "trace.jsonl"))
+    poses = [r for r in records if r["kind"] == "pose"][:3]
+    assert [(r["t"], r["agent"], r["pos"]) for r in poses] == [
+        (0.0, i, p) for i, p in enumerate(pinned)]
+    raw["assignment"]["robot_positions"] = pinned[:2]
+    with pytest.raises(ConfigError, match=r"assignment\.robot_positions: need n=3"):
+        parse_config(raw)
+
+
 def test_mpc_block_errors():
     agent = {
         "A": [[1.0]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]],
