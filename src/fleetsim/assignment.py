@@ -855,10 +855,8 @@ def solve_assignment_network(costs, graph, *, profile: str = "static",
     try:
         return _solve_network(costs, graph, profile, transport, round_budget)
     except NonConvergenceError as exc:
-        tb = exc.__traceback__.tb_next  # this frame is still running
-        while tb is not None:
-            tb.tb_frame.clear()
-            tb = tb.tb_next
+        import traceback  # here, so that importing fleetsim does not load it
+        traceback.clear_frames(exc.__traceback__)  # skips this running frame
         raise
 
 

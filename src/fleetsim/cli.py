@@ -138,6 +138,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except FleetError as exc:
         print("scenario error: %s" % exc, file=sys.stderr)
+        if getattr(exc, "diagnostics", None):
+            print(json.dumps(exc.diagnostics, sort_keys=True, default=str), file=sys.stderr)
         return EXIT_SCENARIO
 
 

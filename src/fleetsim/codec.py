@@ -27,6 +27,9 @@ str keys. ``decode(encode(v))`` reproduces ``v`` (arrays compare with
 
 Lists and maps nest at most ``MAX_DEPTH`` levels deep: ``encode`` refuses
 deeper values, and ``decode`` rejects deeper bytes instead of recursing.
+
+A bare float64 vector or C-contiguous matrix (the pose and plan payloads)
+skips the generic walk both ways, with the walk's bytes and fresh arrays.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ _HEAD = struct.Struct("<BI")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 _U32 = struct.Struct("<I")
+_DIMS = struct.Struct("<II")
 _LE_F8 = np.dtype("<f8")
 
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
@@ -54,10 +58,11 @@ _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
 def encode(value) -> bytes:
     """Serialize a supported value to bytes."""
-    if (type(value) is np.ndarray and value.dtype == _LE_F8 and value.ndim == 1
-            and value.nbytes <= 0xFFFFFFFF):
-        # a bare float64 vector (the pose payload) is one VEC item
-        return _HEAD.pack(_VEC, value.nbytes) + value.tobytes()
+    if type(value) is np.ndarray and value.dtype == _LE_F8 and value.nbytes <= 0xFFFFFFF0:
+        if value.ndim == 1:
+            return _HEAD.pack(_VEC, value.nbytes) + value.tobytes()
+        if value.ndim == 2 and value.flags.c_contiguous:
+            return _HEAD.pack(_MAT, value.nbytes + 8) + _DIMS.pack(*value.shape) + value.tobytes()
     out = bytearray()
     _encode_into(value, out)
     return bytes(out)
@@ -124,9 +129,14 @@ def decode(data: bytes):
     """Parse bytes produced by :func:`encode`. Raises DecodeError otherwise."""
     if type(data) is bytes and len(data) >= _HEAD.size:
         tag, length = _HEAD.unpack_from(data)
-        if tag == _VEC and length == len(data) - _HEAD.size and not length % 8:
-            # one whole VEC item: a fresh writable copy, as the walk returns
-            return np.frombuffer(data, _LE_F8, offset=_HEAD.size).copy()
+        if length == len(data) - _HEAD.size:
+            # one whole VEC or MAT item: a fresh writable copy, as the walk returns
+            if tag == _VEC and not length % 8:
+                return np.frombuffer(data, _LE_F8, offset=_HEAD.size).copy()
+            if tag == _MAT and length >= 8:
+                r, c = _DIMS.unpack_from(data, _HEAD.size)
+                if length == 8 + 8 * r * c:
+                    return np.frombuffer(data, _LE_F8, offset=_HEAD.size + 8).reshape(r, c).copy()
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise DecodeError("decode needs bytes, got %r" % type(data).__name__)
     buf = memoryview(bytes(data))

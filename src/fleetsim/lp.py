@@ -76,7 +76,7 @@ class StandardLP:
     c: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
+        A = np.atleast_2d(np.ascontiguousarray(self.A, dtype=float))  # BLAS rounds by layout
         b = np.asarray(self.b, dtype=float).ravel()
         c = np.asarray(self.c, dtype=float).ravel()
         if A.shape != (b.shape[0], c.shape[0]):
@@ -322,22 +322,23 @@ def solve_lp(problem: StandardLP, basis=None) -> LpSolution:
     its critical region (Bemporad, Borrelli & Morari, IEEE TAC 2002) the
     solve returns with no factorization and no pricing.
     """
-    A, b, c = problem.A.copy(), problem.b.copy(), problem.c
+    A, b, c = problem.A, problem.b.copy(), problem.c
     m, n = A.shape
     # Rows with b < 0 are negated; that leaves B^-1 b, and so the
     # feasibility of a warm basis, unchanged, as (DB)^-1 Db = B^-1 b.
     flip = b < 0
-    A[flip] *= -1.0
     b[flip] *= -1.0
 
     # it1, iters: pivots of phase 1 and of the last simplex run (none: Binv is fresh)
     kept, status, iters, it1 = list(range(m)), None, 0, 0
-    hit = (isinstance(basis, WarmBasis) and basis.Binv is not None and basis.A is problem.A
+    hit = (isinstance(basis, WarmBasis) and basis.Binv is not None and basis.A is A
            and basis.c is c and np.array_equal(basis.flip, flip))
-    Binv = basis.Binv if hit else _warm_inverse(A, basis)
-    if hit and (xB := Binv @ b).min() >= -_TOL:
-        final, y, status = list(basis), c[basis] @ Binv, OPTIMAL
-    elif Binv is not None:  # a copy, as pivots must leave a kept factor as it was
+    if hit and (xB := basis.Binv @ b).min() >= -_TOL:
+        final, Binv, y, status = list(basis), basis.Binv, c[basis] @ basis.Binv, OPTIMAL
+    else:  # only these paths read A, so only they negate its rows
+        A = np.where(flip[:, None], -A, A) if flip.any() else A
+        Binv = basis.Binv if hit else _warm_inverse(A, basis)
+    if status is None and Binv is not None:  # a copy: pivots must leave a kept factor as it was
         final, xB, y, Binv, status, iters = _simplex(A, b, c, basis, Binv=Binv.copy(), dual=True)
     if status is None:
         start, kept, it1 = _phase1(A, b)

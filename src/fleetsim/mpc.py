@@ -56,6 +56,7 @@ __all__ = [
     "OcpSpec",
     "Plan",
     "build_local_ocp",
+    "build_local_ocps",
     "LocalOcp",
     "replan_local",
     "plan_cost",
@@ -251,27 +252,26 @@ class Plan:
     """An open-loop trajectory: states (T+1, n), inputs (T, m), outputs (T, r).
 
     ``valid_for`` is the spec the plan last passed :func:`validate_plan`
-    against, or None; such a plan's arrays are read-only, so it stays valid.
+    against, or None; such a plan's arrays are read-only, so it stays valid
+    and keeps the :func:`plan_cost` it was priced at when marked.
     """
 
     states: np.ndarray
     inputs: np.ndarray
     outputs: np.ndarray
     valid_for: OcpSpec | None = field(default=None, init=False, repr=False, compare=False)
+    _cost: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        states = np.atleast_2d(np.asarray(self.states, dtype=float))
-        inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
-        outputs = np.atleast_2d(np.asarray(self.outputs, dtype=float))
-        if states.shape[0] != inputs.shape[0] + 1:
-            raise PlanError(
-                "plan has %d states for %d inputs" % (states.shape[0], inputs.shape[0])
-            )
-        if outputs.shape[0] != inputs.shape[0]:
+        for name in ("states", "inputs", "outputs"):
+            a = getattr(self, name)
+            if not (type(a) is np.ndarray and a.ndim == 2 and a.dtype == np.float64):
+                object.__setattr__(self, name, np.atleast_2d(np.asarray(a, dtype=float)))
+        T = self.inputs.shape[0]
+        if self.states.shape[0] != T + 1:
+            raise PlanError("plan has %d states for %d inputs" % (self.states.shape[0], T))
+        if self.outputs.shape[0] != T:
             raise PlanError("plan outputs must cover t = 0..T-1")
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "outputs", outputs)
 
     @property
     def horizon(self) -> int:
@@ -294,6 +294,7 @@ def _mark_valid(plan: Plan, spec: OcpSpec, copy: bool) -> None:
             arr = arr.copy()
             object.__setattr__(plan, name, arr)
         arr.setflags(write=False)
+    object.__setattr__(plan, "_cost", plan_cost(plan, spec))  # not yet valid: a fresh sum
     object.__setattr__(plan, "valid_for", spec)
 
 
@@ -324,7 +325,10 @@ def validate_plan(plan: Plan, spec: OcpSpec) -> None:
 
 
 def plan_cost(plan: Plan, spec: OcpSpec) -> float:
-    """Weighted 1-norm cost, the same expression the LP minimizes."""
+    """Weighted 1-norm cost, the same expression the LP minimizes. A plan
+    valid for ``spec`` keeps it, the same bits, as its arrays are read-only."""
+    if plan.valid_for is spec:
+        return plan._cost
     dx = np.abs(plan.states[:-1] - spec.x_ref)
     du = np.abs(plan.inputs - spec.u_ref)
     return float((dx * spec.cost.w_x).sum() + (du * spec.cost.w_u).sum())
@@ -333,20 +337,22 @@ def plan_cost(plan: Plan, spec: OcpSpec) -> float:
 class LocalOcp:
     """One agent's local OCP as a standard-form LP, kept for a whole episode.
 
-    Made by :func:`build_local_ocp`, whose docstring gives the LP's layout.
-    A replan rewrites only the entries of ``lp.b`` that hold ``x_now`` and
-    the coupling right-hand sides (:meth:`set_rhs`), while A and c stay
-    shared and read-only. ``basis`` is the last optimal basis, the warm
-    start of the next solve (that solve's ``warm`` basis, with its factor),
-    or None before the first one.
+    Made by :func:`build_local_ocps` (the LP's layout is in
+    :func:`build_local_ocp`), at the model's x0 with the others at zero
+    output. A replan rewrites only the entries of ``lp.b`` that hold
+    ``x_now`` and the coupling right-hand sides (:meth:`set_rhs`); A and c
+    are read-only, shared by the OCPs of identical agents. ``basis`` is the
+    last optimal basis, the warm start of the next solve (that solve's
+    ``warm`` basis, with its factor), or None before the first one.
     """
 
-    def __init__(self, spec: OcpSpec, lp: StandardLP, x_rows, coupling_rows):
+    def __init__(self, spec: OcpSpec, lp: StandardLP):
         self.spec = spec
         self.lp = lp
-        self._x_rows = x_rows
-        self._coupling_rows = coupling_rows
+        k = 0 if spec.coupling is None else spec.horizon * len(spec.coupling.g)
+        self._x_rows, self._coupling_rows = 2 * np.arange(spec.model.n), np.arange(lp.m - k, lp.m)
         self.basis: list[int] | None = None
+        self.set_rhs()
 
     def set_rhs(self, x_now=None, others_sum=None) -> None:
         """Rewrite the initial state and the coupling right-hand sides
@@ -381,7 +387,8 @@ class LocalOcp:
 
 
 def build_local_ocp(spec: OcpSpec) -> LocalOcp:
-    """Encode one agent's T-step OCP as a standard-form LP, once per episode.
+    """Encode one agent's T-step OCP as a standard-form LP, once per episode
+    (:func:`build_local_ocps` on this one spec).
 
     Columns: the states x(0..T) and inputs u(0..T-1), each split as
     [x+, x-, u+, u-]; the epigraph slacks of all states, then of all
@@ -401,6 +408,34 @@ def build_local_ocp(spec: OcpSpec) -> LocalOcp:
     coupling rows. The OCP starts at the model's x0 with the others at
     zero output.
     """
+    return build_local_ocps([spec])[0]
+
+
+def build_local_ocps(specs: list[OcpSpec]) -> list[LocalOcp]:
+    """:func:`build_local_ocp` for each spec. Specs bitwise equal in what
+    shapes A and c (the model's A, B, C and D, the horizon, the weights,
+    the sets' and the coupling's matrices) share one read-only A and c as
+    long as their OCPs live; each OCP has its own b."""
+    groups: dict = {}  # what shapes A and c -> the first LP built with them
+    ocps = []
+    for spec in specs:
+        mdl, T, sets = spec.model, spec.horizon, (spec.x_set, spec.u_set, spec.coupling)
+        key = (T, *(None if a is None else (a.shape, a.tobytes()) for a in (
+            mdl.A, mdl.B, mdl.C, mdl.D, spec.cost.w_x, spec.cost.w_u,
+            *(getattr(s, "G", None) for s in sets))))
+        # b family by family; LocalOcp's set_rhs writes x0 over the rows 2k
+        # and the coupling bounds over the coupling rows
+        ref = np.kron(np.tile(np.concatenate([spec.x_ref, spec.u_ref]), T), [1.0, -1.0])
+        b = np.concatenate([np.kron(spec.terminal_state, [0.0, 1.0]), np.zeros(T * mdl.n), ref,
+                            *(np.tile(s.g, T) for s in sets if s is not None)])
+        if key not in groups:
+            groups[key] = _ocp_lp(spec, b)
+        ocps.append(LocalOcp(spec, groups[key].with_rhs(b)))
+    return ocps
+
+
+def _ocp_lp(spec: OcpSpec, b: np.ndarray) -> StandardLP:
+    """The LP that :func:`build_local_ocp` lays out, with right-hand side b."""
     mdl = spec.model
     T, n, m = spec.horizon, mdl.n, mdl.m
     nx, nu = (T + 1) * n, T * m
@@ -408,46 +443,37 @@ def build_local_ocp(spec: OcpSpec) -> LocalOcp:
     now, nxt, I_T = np.eye(T, T + 1), np.eye(T, T + 1, 1), np.eye(T)
     pairs = np.zeros((2 * n, nx))
     pairs[0::2, :n] = pairs[1::2, T * n:] = np.eye(n)
-    pairs_b = np.zeros(2 * n)
-    pairs_b[1::2] = spec.terminal_state
     epi = np.kron(np.eye(n + m), [[1.0], [-1.0]])
     epi_s = np.kron(np.eye(n + m), [[-1.0], [-1.0]])
-    ref = np.tile(np.concatenate([spec.x_ref, spec.u_ref]), T)
-    # (x coefficients, u coefficients, epigraph-slack coefficients, rhs);
-    # None is a zero block
+    # (x coefficients, u coefficients, epigraph-slack coefficients), one
+    # family per block of rows; None is a zero block
     families = [
-        (pairs, None, None, pairs_b),
-        (np.kron(nxt, np.eye(n)) - np.kron(now, mdl.A), -np.kron(I_T, mdl.B), None,
-         np.zeros(T * n)),
+        (pairs, None, None),
+        (np.kron(nxt, np.eye(n)) - np.kron(now, mdl.A), -np.kron(I_T, mdl.B), None),
         (np.kron(now, epi[:, :n]), np.kron(I_T, epi[:, n:]),
-         np.hstack([np.kron(I_T, epi_s[:, :n]), np.kron(I_T, epi_s[:, n:])]),
-         np.kron(ref, [1.0, -1.0])),
+         np.hstack([np.kron(I_T, epi_s[:, :n]), np.kron(I_T, epi_s[:, n:])])),
     ]
     if spec.x_set is not None:
-        families.append((np.kron(nxt, spec.x_set.G), None, None, np.tile(spec.x_set.g, T)))
+        families.append((np.kron(nxt, spec.x_set.G), None, None))
     if spec.u_set is not None:
-        families.append((None, np.kron(I_T, spec.u_set.G), None, np.tile(spec.u_set.g, T)))
-    n_coupling = 0
+        families.append((None, np.kron(I_T, spec.u_set.G), None))
     if spec.coupling is not None:
         H = spec.coupling.G
         # row by row: a BLAS matrix product may round H @ C differently
         HC = np.array([h @ mdl.C for h in H]).reshape(len(H), n)
         HD = np.array([h @ mdl.D for h in H]).reshape(len(H), m)
-        n_coupling = T * len(H)
-        families.append((np.kron(now, HC), np.kron(I_T, HD), None, np.zeros(n_coupling)))
+        families.append((np.kron(now, HC), np.kron(I_T, HD), None))
 
-    X, U, S = (np.vstack([np.zeros((len(f[3]), w)) if f[j] is None else f[j] for f in families])
+    heights = [len(f[0] if f[0] is not None else f[1]) for f in families]
+    X, U, S = (np.vstack([np.zeros((k, w)) if f[j] is None else f[j]
+                          for f, k in zip(families, heights)])
                for j, w in enumerate((nx, nu, T * (n + m))))
-    b = np.concatenate([f[3] for f in families])
     n_eq = 2 * n + T * n
     # 0.0 + M and 0.0 - M store every zero as +0.0, so A and c hold no -0.0
     A = np.hstack([0.0 + X, 0.0 - X, 0.0 + U, 0.0 - U, 0.0 + S, np.eye(len(b))[:, n_eq:]])
     c = np.concatenate([np.zeros(2 * (nx + nu)), np.tile(spec.cost.w_x, T),
                         np.tile(spec.cost.w_u, T), np.zeros(len(b) - n_eq)]) + 0.0
-    ocp = LocalOcp(spec, StandardLP(A, b, c), 2 * np.arange(n),
-                   np.arange(len(b) - n_coupling, len(b)))
-    ocp.set_rhs()
-    return ocp
+    return StandardLP(A, b, c)
 
 
 def replan_local(ocp: LocalOcp, x_now, others_sum=None):

@@ -351,11 +351,11 @@ def _run_assignment(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
 def _run_mpc(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
     p = cfg.params
     n = cfg.n
-    # one OCP per agent for the episode; the bootstrap starts from their
-    # optima and seeds their bases, and each replan rewrites its b and
-    # warm-starts. The builds and the steps are looked up on the module so
-    # that a wrapper installed there, such as a perfbench span, sees them.
-    ocps = [mpc.build_local_ocp(spec) for spec in ocp_specs(p)]
+    # one OCP per agent for the episode, identical agents sharing A and c;
+    # the bootstrap starts from their optima and seeds their bases, and each
+    # replan rewrites its b and warm-starts. The build and the steps are
+    # looked up on the module so that a wrapper installed there sees them.
+    ocps = mpc.build_local_ocps(ocp_specs(p))
     plans = centralized_bootstrap(ocps)
 
     # each step the other agents send their plans to the agent whose turn
@@ -377,9 +377,8 @@ def _run_mpc(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
         if comms:
             for i in range(n):
                 if i != turn:
-                    comms[i].send({"z": plans[i].outputs}, turn, round=k)
-            gathered = comms[turn].exchange_collect(round=k)
-            others = sum(np.asarray(v["z"], dtype=float) for v in gathered.values())
+                    comms[i].send(plans[i].outputs, turn, round=k)  # a bare MAT item
+            others = sum(comms[turn].exchange_collect(round=k).values())
         step = mpc.mpc_step(ocps, plans, k, others_outputs=others)
         plans = step.plans
         max_residual = max(max_residual, step.applied_residual)
@@ -435,5 +434,9 @@ def run_scenario(cfg: ScenarioConfig, out_path: str) -> dict:
         summary["wall_seconds"] = time.perf_counter() - started
         summary["trace"] = trace_path
         return summary
+    except NonConvergenceError as exc:
+        import traceback  # here, so that importing fleetsim does not load it
+        traceback.clear_frames(exc.__traceback__)  # the engine's frame holds its network
+        raise
     finally:
         writer.close()

@@ -113,6 +113,75 @@ def test_malformed_vector_still_raises(blob):
         decode(blob)
 
 
+def _mat_item(m):
+    """A MAT item as the generic walk has always written it."""
+    a = np.ascontiguousarray(m, dtype="<f8")
+    return struct.pack("<BIII", 7, 8 + a.nbytes, *a.shape) + a.tobytes()
+
+
+MATRICES = {
+    "plan_outputs": lambda: np.arange(8.0).reshape(8, 1) / 3.0,
+    "one_by_one": lambda: np.array([[-0.0]]),
+    "zero_rows": lambda: np.zeros((0, 3)),
+    "zero_cols": lambda: np.zeros((4, 0)),
+    "specials": lambda: VECTORS["specials"]().reshape(2, 4),
+    "read_only": lambda: _read_only(np.linspace(-1.0, 1.0, 6).reshape(2, 3)),
+}
+
+# 2-d arrays the matrix shortcut leaves to the generic walk
+WALKED_MATRICES = {
+    "strided": lambda: (np.arange(24.0).reshape(4, 6) / 3.0)[:, ::2],
+    "transposed": lambda: (np.arange(12.0).reshape(3, 4) / 7.0).T,
+    "float32": lambda: np.array([[0.1, -2.5], [1e-40, 3.0]], dtype=np.float32),
+    "big_endian": lambda: np.array([[1.5, -0.0, 3e-310]], dtype=">f8"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRICES) + sorted(WALKED_MATRICES))
+def test_matrix_shortcut_writes_the_walks_bytes(name, monkeypatch):
+    """A bare C-contiguous float64 matrix skips the generic walk, any other
+    2-d array takes it; both write the MAT item the walk always wrote, and
+    decoding gives a fresh writable (r, c) float64 array with its bits."""
+    from fleetsim import codec
+
+    m = {**MATRICES, **WALKED_MATRICES}[name]()
+    walked = []
+    real = codec._encode_array
+    monkeypatch.setattr(codec, "_encode_array",
+                        lambda arr, out: (walked.append(arr), real(arr, out)))
+    blob = encode(m)
+    assert len(walked) == (name in WALKED_MATRICES)
+    assert blob == _mat_item(m) == encode([m])[5:]
+    for data in (blob, bytearray(blob), memoryview(blob)):
+        out = decode(data)
+        assert out.dtype == np.float64 and out.shape == m.shape
+        assert out.flags.writeable and out.flags.c_contiguous
+        assert _bits(out) == _bits(m)
+
+
+def test_decoded_matrix_is_a_fresh_writable_copy():
+    blob = encode(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    a, b = decode(blob), decode(blob)
+    a += 1.0
+    assert np.array_equal(b, [[1.0, 2.0], [3.0, 4.0]])
+    assert not np.shares_memory(a, b)
+
+
+@pytest.mark.parametrize("blob", [
+    _mat_item(np.ones((2, 3)))[:-1],                                    # truncated body
+    _mat_item(np.ones((2, 3)))[:10],                                    # truncated dims
+    struct.pack("<BIII", 7, 8 + 16, 1, 1) + b"\x00" * 16,               # dims too small
+    struct.pack("<BIII", 7, 8 + 8, 2, 1) + b"\x00" * 8,                 # dims too large
+    struct.pack("<BIII", 7, 8, 2**32 - 1, 2**32 - 1),                   # huge dims, no body
+    struct.pack("<BI", 7, 4) + b"\x00" * 4,                             # no room for dims
+    _mat_item(np.ones((1, 1))) + b"\x00",                               # a trailing byte
+    _mat_item(np.ones((1, 1))) + encode(1),                             # a second item
+])
+def test_malformed_matrix_still_raises(blob):
+    with pytest.raises(DecodeError):
+        decode(blob)
+
+
 def test_matrix_round_trip():
     m = np.arange(12, dtype=float).reshape(3, 4) / 7.0
     out = decode(encode(m))

@@ -22,6 +22,7 @@ from fleetsim.mpc import (
     Polyhedron,
     StageCost,
     build_local_ocp,
+    build_local_ocps,
     centralized_bootstrap,
     coupling_residual,
     mpc_round,
@@ -88,8 +89,9 @@ def coupled_pair(horizon=8, x0=(0.2, -0.4)):
 
 
 def fresh_ocps(specs):
-    """One new episode-long OCP per agent, none solved yet."""
-    return [build_local_ocp(spec) for spec in specs]
+    """One new episode-long OCP per agent, none solved yet, built as the
+    ``mpc`` engine builds them: identical agents share A and c."""
+    return build_local_ocps(specs)
 
 
 # -- validation ----------------------------------------------------------------
@@ -650,18 +652,104 @@ def zero_bounds_spec():
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_OCP_LPS))
 def test_local_ocp_lp_bytes_match_golden(name):
+    assert _lp_digest(build_local_ocp(_golden_spec(name)).lp) == GOLDEN_OCP_LPS[name]
+
+
+def _golden_spec(name):
     from test_lp import dependent_terminal_mpc
 
-    spec = {
+    return {
         "mpc_default": lambda: ocp_specs(default_config("mpc", 4).params)[0],
         "double_integrator": double_integrator_spec,
         "dependent_terminal": lambda: ocp_specs(dependent_terminal_mpc(1).params)[0],
         "hand": hand_spec,
         "zero_bounds": zero_bounds_spec,
     }[name]()
-    lp = build_local_ocp(spec).lp
-    digest = hashlib.sha256(lp.A.tobytes() + lp.b.tobytes() + lp.c.tobytes()).hexdigest()
-    assert digest == GOLDEN_OCP_LPS[name]
+
+
+def _lp_digest(lp):
+    return hashlib.sha256(lp.A.tobytes() + lp.b.tobytes() + lp.c.tobytes()).hexdigest()
+
+
+def test_grouped_build_shares_a_and_c_within_each_group_only():
+    """A mixed fleet: three default agents (other x0 and input bounds move
+    only b), two with another w_u, and one with another B. Each group
+    shares one read-only A and one c by identity, no two groups share
+    them, every agent has its own b, and each OCP is bitwise the one
+    built alone."""
+    block = default_config("mpc", 6, seed=2).params
+    agents = block["agents"]
+    agents[1].update(u_min=[-0.5], u_max=[0.8])
+    for agent in agents[3:5]:
+        agent.update(w_u=[0.3])
+    agents[5].update(B=[[0.5]])
+    specs = ocp_specs(block)
+    ocps = build_local_ocps(specs)
+    groups = [[0, 1, 2], [3, 4], [5]]
+    for group in groups:
+        head = ocps[group[0]].lp
+        assert not head.A.flags.writeable and not head.c.flags.writeable
+        for i in group:
+            assert ocps[i].lp.A is head.A and ocps[i].lp.c is head.c
+    heads = [ocps[group[0]].lp for group in groups]
+    for j, one in enumerate(heads):
+        for other in heads[j + 1:]:
+            assert one.A is not other.A and one.c is not other.c
+    for i, ocp in enumerate(ocps):
+        assert ocp.spec is specs[i]
+        assert not any(np.shares_memory(ocp.lp.b, o.lp.b) for o in ocps[:i])
+        assert _lp_digest(ocp.lp) == _lp_digest(build_local_ocp(specs[i]).lp)
+    assert not np.array_equal(ocps[0].lp.b, ocps[1].lp.b)
+
+
+def test_grouped_build_keeps_every_golden_ocp():
+    """Every golden OCP, built in one grouped call next to a twin of
+    itself, keeps its recorded bytes and shares A and c with the twin."""
+    names = sorted(GOLDEN_OCP_LPS)
+    specs = [_golden_spec(name) for name in names]
+    ocps = build_local_ocps(specs + specs)
+    for k, name in enumerate(names):
+        one, twin = ocps[k].lp, ocps[k + len(names)].lp
+        assert _lp_digest(one) == _lp_digest(twin) == GOLDEN_OCP_LPS[name]
+        assert one.A is twin.A and one.c is twin.c and one.b is not twin.b
+
+
+def test_plan_cost_of_a_valid_plan_is_kept_bit_for_bit(monkeypatch):
+    """A plan valid for a spec keeps the cost it was priced at when
+    marked, with the bits of a fresh sum; a plan not valid for the spec it
+    is priced against is priced fresh each time."""
+    specs = coupled_pair()
+    other = replace(specs[0], cost=StageCost(w_x=np.array([0.7]), w_u=np.array([0.3])))
+    ocps = fresh_ocps(specs)
+    plans = mpc_step(ocps, centralized_bootstrap(ocps), 0).plans
+    plan, spec = plans[0], specs[0]
+
+    def fresh(p, s):
+        dx = np.abs(p.states[:-1] - s.x_ref)
+        du = np.abs(p.inputs - s.u_ref)
+        return float((dx * s.cost.w_x).sum() + (du * s.cost.w_u).sum())
+
+    calls = []
+    real_abs = np.abs
+    monkeypatch.setattr(np, "abs", lambda x: (calls.append(1), real_abs(x))[1])
+    assert plan.valid_for is spec
+    assert plan_cost(plan, spec).hex() == fresh(plan, spec).hex()
+    assert len(calls) == 2  # only fresh() computed
+    # priced against another spec it is not valid for: fresh every time
+    calls.clear()
+    assert plan_cost(plan, other).hex() == fresh(plan, other).hex()
+    assert plan_cost(plan, other).hex() == fresh(plan, other).hex()
+    assert len(calls) == 8
+    # valid for the other spec now: that spec's cost, not the kept one
+    validate_plan(plan, other)
+    assert plan.valid_for is other
+    assert plan_cost(plan, other).hex() == fresh(plan, other).hex()
+    assert plan_cost(plan, spec).hex() == fresh(plan, spec).hex()
+    # a plan never validated is priced fresh, and follows its arrays
+    loose = Plan(plan.states.copy(), plan.inputs.copy(), plan.outputs.copy())
+    before = plan_cost(loose, spec)
+    loose.inputs[0] += 0.5
+    assert plan_cost(loose, spec).hex() == fresh(loose, spec).hex() != before.hex()
 
 
 def test_mpc_step_warm_starts_and_the_oracle_stays_cold(monkeypatch):

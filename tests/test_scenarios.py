@@ -834,6 +834,41 @@ def test_assignment_budget_error_carries_diagnostics(tmp_path):
     assert all(math.isfinite(v) for v in diagnostics["objectives"])
 
 
+def test_cli_prints_the_budget_errors_diagnostics(tmp_path, capsys):
+    """After the message, exit 3 prints the error's diagnostics as one
+    sorted JSON line, which names the epoch and the rounds it ran."""
+    cfg_file = tmp_path / "tight.yaml"
+    cfg_file.write_text(TIGHT_ASSIGNMENT_YAML)
+    assert main(["run", "assignment", "--config", str(cfg_file), "--out", str(tmp_path)]) == 3
+    message, line = capsys.readouterr().err.splitlines()
+    assert message == "scenario error: no convergence in 1 rounds"
+    diagnostics = json.loads(line)
+    assert line == json.dumps(diagnostics, sort_keys=True)
+    assert diagnostics["epoch"] == 0 and diagnostics["rounds"] == 1
+
+
+def test_held_engine_error_keeps_no_network_alive(tmp_path):
+    """Holding the assignment engine's budget error keeps none of its
+    agents or buses reachable, while its traceback still names the raise
+    site."""
+    import gc
+    import traceback
+
+    from fleetsim.assignment import DistributedSimplexAgent
+
+    def network():
+        gc.collect()
+        return [o for o in gc.get_objects() if isinstance(o, (DistributedSimplexAgent, MessageBus))]
+
+    before = network()  # held, so no id of theirs is reused
+    with pytest.raises(NonConvergenceError) as info:
+        run_scenario(parse_config(TIGHT_ASSIGNMENT_YAML), str(tmp_path))
+    assert info.value.diagnostics["epoch"] == 0
+    assert [o for o in network() if not any(o is p for p in before)] == []
+    text = "".join(traceback.format_exception(info.value))
+    assert "in _run_assignment" in text and "raise NonConvergenceError(" in text
+
+
 def test_failed_run_leaves_readable_partial_trace(tmp_path):
     """The engine raises during its first tick; the trace written so far
     reads back: the header, the t = 0 reveals and poses, no summary."""
