@@ -28,8 +28,10 @@ str keys. ``decode(encode(v))`` reproduces ``v`` (arrays compare with
 Lists and maps nest at most ``MAX_DEPTH`` levels deep: ``encode`` refuses
 deeper values, and ``decode`` rejects deeper bytes instead of recursing.
 
-A bare float64 vector or C-contiguous matrix (the pose and plan payloads)
-skips the generic walk both ways, with the walk's bytes and fresh arrays.
+One walk goes each way. ``encode`` writes an array, bare or nested, as one
+VEC or MAT item of its values in C order, whatever its layout or float
+dtype; ``decode`` reads the payload by offset and returns every array as
+a fresh writable C-contiguous float64 copy.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ _BOOL, _INT, _FLOAT, _STR, _BYTES, _VEC, _MAT, _LIST, _MAP = range(1, 10)
 _HEAD = struct.Struct("<BI")
 _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
-_U32 = struct.Struct("<I")
 _DIMS = struct.Struct("<II")
 _LE_F8 = np.dtype("<f8")
 
@@ -58,11 +59,8 @@ _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
 def encode(value) -> bytes:
     """Serialize a supported value to bytes."""
-    if type(value) is np.ndarray and value.dtype == _LE_F8 and value.nbytes <= 0xFFFFFFF0:
-        if value.ndim == 1:
-            return _HEAD.pack(_VEC, value.nbytes) + value.tobytes()
-        if value.ndim == 2 and value.flags.c_contiguous:
-            return _HEAD.pack(_MAT, value.nbytes + 8) + _DIMS.pack(*value.shape) + value.tobytes()
+    if type(value) is np.ndarray:
+        return _array_item(value)
     out = bytearray()
     _encode_into(value, out)
     return bytes(out)
@@ -92,7 +90,7 @@ def _encode_into(value, out: bytearray, depth: int = 0) -> None:
     elif isinstance(value, (bytes, bytearray)):
         _item(out, _BYTES, bytes(value))
     elif isinstance(value, np.ndarray):
-        _encode_array(value, out)
+        out += _array_item(value)
     elif isinstance(value, (list, dict)):
         if depth == MAX_DEPTH:
             raise CodecError("lists and maps nest deeper than %d levels" % MAX_DEPTH)
@@ -112,106 +110,94 @@ def _encode_into(value, out: bytearray, depth: int = 0) -> None:
         raise CodecError("unsupported value type %r" % type(value).__name__)
 
 
-def _encode_array(arr: np.ndarray, out: bytearray) -> None:
-    if not np.issubdtype(arr.dtype, np.floating):
-        raise CodecError("arrays must be float, got dtype %s" % arr.dtype)
-    a = np.ascontiguousarray(arr, dtype="<f8")
-    if a.ndim == 1:
-        _item(out, _VEC, a.tobytes())
-    elif a.ndim == 2:
-        r, c = a.shape
-        _item(out, _MAT, _U32.pack(r) + _U32.pack(c) + a.tobytes())
-    else:
-        raise CodecError("only 1-d and 2-d arrays are supported, got %d-d" % a.ndim)
+def _array_item(arr: np.ndarray) -> bytes:
+    """One VEC or MAT item; ``tobytes`` writes C order for any layout."""
+    if arr.dtype != _LE_F8:
+        if not np.issubdtype(arr.dtype, np.floating):
+            raise CodecError("arrays must be float, got dtype %s" % arr.dtype)
+        arr = arr.astype(_LE_F8)
+    if arr.ndim > 2:
+        raise CodecError("only 1-d and 2-d arrays are supported, got %d-d" % arr.ndim)
+    size = arr.nbytes if arr.ndim < 2 else arr.nbytes + 8
+    if size > 0xFFFFFFFF:
+        raise CodecError("payload body too large: %d bytes" % size)
+    if arr.ndim < 2:  # a 0-d array goes as a 1-element vector
+        return _HEAD.pack(_VEC, size) + arr.tobytes()
+    return _HEAD.pack(_MAT, size) + _DIMS.pack(*arr.shape) + arr.tobytes()
 
 
 def decode(data: bytes):
     """Parse bytes produced by :func:`encode`. Raises DecodeError otherwise."""
-    if type(data) is bytes and len(data) >= _HEAD.size:
-        tag, length = _HEAD.unpack_from(data)
-        if length == len(data) - _HEAD.size:
-            # one whole VEC or MAT item: a fresh writable copy, as the walk returns
-            if tag == _VEC and not length % 8:
-                return np.frombuffer(data, _LE_F8, offset=_HEAD.size).copy()
-            if tag == _MAT and length >= 8:
-                r, c = _DIMS.unpack_from(data, _HEAD.size)
-                if length == 8 + 8 * r * c:
-                    return np.frombuffer(data, _LE_F8, offset=_HEAD.size + 8).reshape(r, c).copy()
-    if not isinstance(data, (bytes, bytearray, memoryview)):
-        raise DecodeError("decode needs bytes, got %r" % type(data).__name__)
-    buf = memoryview(bytes(data))
-    if len(buf) == 0:
+    if type(data) is not bytes:
+        if not isinstance(data, (bytes, bytearray, memoryview)):
+            raise DecodeError("decode needs bytes, got %r" % type(data).__name__)
+        data = bytes(data)
+    if not data:
         raise DecodeError("empty payload")
-    value, used = _decode_one(buf)
-    if used != len(buf):
-        raise DecodeError("trailing bytes after payload (%d unused)" % (len(buf) - used))
+    value, used = _decode_one(data, 0, len(data))
+    if used != len(data):
+        raise DecodeError("trailing bytes after payload (%d unused)" % (len(data) - used))
     return value
 
 
-def _decode_one(buf: memoryview, depth: int = 0):
-    # ``depth`` counts the lists and maps enclosing the item
-    if len(buf) < _HEAD.size:
+def _decode_one(data: bytes, pos: int, limit: int, depth: int = 0):
+    """The item at ``data[pos:]`` and the offset past it; the item must end
+    by ``limit``, and ``depth`` counts the lists and maps enclosing it."""
+    if limit - pos < _HEAD.size:
         raise DecodeError("truncated item header")
-    tag, length = _HEAD.unpack_from(buf, 0)
-    end = _HEAD.size + length
-    if end > len(buf):
+    tag, length = _HEAD.unpack_from(data, pos)
+    pos += _HEAD.size
+    end = pos + length
+    if end > limit:
         raise DecodeError("item body runs past end of buffer")
-    body = buf[_HEAD.size : end]
 
-    if tag == _BOOL:
-        if length != 1 or body[0] not in (0, 1):
-            raise DecodeError("malformed bool")
-        return bool(body[0]), end
-    if tag == _INT:
-        if length != 8:
-            raise DecodeError("malformed int")
-        return _I64.unpack(body)[0], end
-    if tag == _FLOAT:
-        if length != 8:
-            raise DecodeError("malformed float")
-        return _F64.unpack(body)[0], end
-    if tag == _STR:
-        try:
-            return bytes(body).decode("utf-8"), end
-        except UnicodeDecodeError as exc:
-            raise DecodeError("invalid utf-8 in string") from exc
-    if tag == _BYTES:
-        return bytes(body), end
     if tag == _VEC:
         if length % 8:
             raise DecodeError("vector body not a multiple of 8")
-        return np.frombuffer(body, dtype="<f8").astype(np.float64), end
+        return np.frombuffer(data, _LE_F8, length // 8, pos).copy(), end
     if tag == _MAT:
         if length < 8:
             raise DecodeError("matrix body too short")
-        r = _U32.unpack(body[0:4])[0]
-        c = _U32.unpack(body[4:8])[0]
+        r, c = _DIMS.unpack_from(data, pos)
         if length != 8 + 8 * r * c:
             raise DecodeError("matrix body length mismatch")
-        flat = np.frombuffer(body[8:], dtype="<f8").astype(np.float64)
-        return flat.reshape(r, c), end
+        return np.frombuffer(data, _LE_F8, r * c, pos + 8).reshape(r, c).copy(), end
+    if tag == _BOOL:
+        if length != 1 or data[pos] > 1:
+            raise DecodeError("malformed bool")
+        return data[pos] == 1, end
+    if tag == _INT:
+        if length != 8:
+            raise DecodeError("malformed int")
+        return _I64.unpack_from(data, pos)[0], end
+    if tag == _FLOAT:
+        if length != 8:
+            raise DecodeError("malformed float")
+        return _F64.unpack_from(data, pos)[0], end
+    if tag == _STR:
+        try:
+            return data[pos:end].decode("utf-8"), end
+        except UnicodeDecodeError as exc:
+            raise DecodeError("invalid utf-8 in string") from exc
+    if tag == _BYTES:
+        return data[pos:end], end
     if tag != _LIST and tag != _MAP:
         raise DecodeError("unknown tag 0x%02x" % tag)
     if depth == MAX_DEPTH:
         raise DecodeError("lists and maps nest deeper than %d levels" % MAX_DEPTH)
     depth += 1
-    pos = 0
     if tag == _LIST:
         items = []
-        while pos < length:
-            v, used = _decode_one(body[pos:], depth)
+        while pos < end:
+            v, pos = _decode_one(data, pos, end, depth)
             items.append(v)
-            pos += used
         return items, end
     out = {}
-    while pos < length:
-        k, used = _decode_one(body[pos:], depth)
-        pos += used
+    while pos < end:
+        k, pos = _decode_one(data, pos, end, depth)
         if not isinstance(k, str):
             raise DecodeError("map key is not a string")
-        if pos >= length:
+        if pos >= end:
             raise DecodeError("map key without value")
-        v, used = _decode_one(body[pos:], depth)
-        pos += used
-        out[k] = v
+        out[k], pos = _decode_one(data, pos, end, depth)
     return out, end

@@ -352,7 +352,6 @@ class LocalOcp:
         k = 0 if spec.coupling is None else spec.horizon * len(spec.coupling.g)
         self._x_rows, self._coupling_rows = 2 * np.arange(spec.model.n), np.arange(lp.m - k, lp.m)
         self.basis: list[int] | None = None
-        self.set_rhs()
 
     def set_rhs(self, x_now=None, others_sum=None) -> None:
         """Rewrite the initial state and the coupling right-hand sides
@@ -423,10 +422,10 @@ def build_local_ocps(specs: list[OcpSpec]) -> list[LocalOcp]:
         key = (T, *(None if a is None else (a.shape, a.tobytes()) for a in (
             mdl.A, mdl.B, mdl.C, mdl.D, spec.cost.w_x, spec.cost.w_u,
             *(getattr(s, "G", None) for s in sets))))
-        # b family by family; LocalOcp's set_rhs writes x0 over the rows 2k
-        # and the coupling bounds over the coupling rows
+        # b family by family, at x0 with the others at zero output
         ref = np.kron(np.tile(np.concatenate([spec.x_ref, spec.u_ref]), T), [1.0, -1.0])
-        b = np.concatenate([np.kron(spec.terminal_state, [0.0, 1.0]), np.zeros(T * mdl.n), ref,
+        ends = np.column_stack([mdl.x0, spec.terminal_state]).ravel()
+        b = np.concatenate([ends, np.zeros(T * mdl.n), ref,
                             *(np.tile(s.g, T) for s in sets if s is not None)])
         if key not in groups:
             groups[key] = _ocp_lp(spec, b)

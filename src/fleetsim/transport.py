@@ -122,6 +122,8 @@ class MessageBus:
 
     def _wake_all(self) -> None:
         with self._lock:
+            if not self._waiting:
+                return
             for cond in self._conds.values():
                 cond.notify_all()
 

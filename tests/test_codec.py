@@ -1,5 +1,6 @@
 """Round-trip and malformed-input tests for the message codec."""
 
+import hashlib
 import math
 import struct
 
@@ -80,8 +81,8 @@ VECTORS = {
 
 @pytest.mark.parametrize("name", sorted(VECTORS))
 def test_vector_shortcut_matches_the_generic_walk(name):
-    """A bare vector takes a shortcut; inside a list it takes the generic
-    walk. Both give the same item bytes and the same decoded bits."""
+    """A bare vector and one inside a list give the same item bytes and
+    the same decoded bits."""
     v = VECTORS[name]()
     blob = encode(v)
     wrapped = encode([v])
@@ -128,7 +129,7 @@ MATRICES = {
     "read_only": lambda: _read_only(np.linspace(-1.0, 1.0, 6).reshape(2, 3)),
 }
 
-# 2-d arrays the matrix shortcut leaves to the generic walk
+# 2-d arrays that are not C-contiguous little-endian float64
 WALKED_MATRICES = {
     "strided": lambda: (np.arange(24.0).reshape(4, 6) / 3.0)[:, ::2],
     "transposed": lambda: (np.arange(12.0).reshape(3, 4) / 7.0).T,
@@ -138,19 +139,12 @@ WALKED_MATRICES = {
 
 
 @pytest.mark.parametrize("name", sorted(MATRICES) + sorted(WALKED_MATRICES))
-def test_matrix_shortcut_writes_the_walks_bytes(name, monkeypatch):
-    """A bare C-contiguous float64 matrix skips the generic walk, any other
-    2-d array takes it; both write the MAT item the walk always wrote, and
-    decoding gives a fresh writable (r, c) float64 array with its bits."""
-    from fleetsim import codec
-
+def test_matrix_shortcut_writes_the_walks_bytes(name):
+    """Every 2-d float array, whatever its layout or dtype, writes the MAT
+    item the walk always wrote, and decoding gives a fresh writable (r, c)
+    float64 array with its bits."""
     m = {**MATRICES, **WALKED_MATRICES}[name]()
-    walked = []
-    real = codec._encode_array
-    monkeypatch.setattr(codec, "_encode_array",
-                        lambda arr, out: (walked.append(arr), real(arr, out)))
     blob = encode(m)
-    assert len(walked) == (name in WALKED_MATRICES)
     assert blob == _mat_item(m) == encode([m])[5:]
     for data in (blob, bytearray(blob), memoryview(blob)):
         out = decode(data)
@@ -387,3 +381,69 @@ def test_decode_malformed_bool():
     blob = struct.pack("<BI", 1, 1) + b"\x02"
     with pytest.raises(DecodeError):
         decode(blob)
+
+
+def _wire_arrays():
+    """Vectors and matrices of every layout and dtype the encoder accepts."""
+    return ([make() for _, make in sorted(VECTORS.items())]
+            + [make() for _, make in sorted({**MATRICES, **WALKED_MATRICES}.items())]
+            + [np.zeros((0, 0)), np.array([[0.5, -65504.0]], dtype=np.float16),
+               (np.arange(30.0).reshape(5, 6) / 9.0)[::2, 1::2].T])
+
+
+def _wire_table():
+    """A fixed value table covering every tag, the scalar extremes and
+    every array layout, bare and nested in lists and maps."""
+    nan = struct.unpack("<d", struct.pack("<Q", 0x7FF800000000ABCD))[0]
+    scalars = [True, False, 0, -1, 2**63 - 1, -(2**63), np.int32(-7), np.bool_(True),
+               0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+               float("inf"), float("-inf"), nan, np.float32(0.1), "", "naïve ünïcode ✓ 𝄞",
+               b"", b"\x00\xff\x01", [], {}]
+    table = scalars + [scalars, {"s%d" % k: v for k, v in enumerate(scalars)}]
+    for arr in _wire_arrays():
+        table += [arr, [arr, 1.5], {"a": arr, "b": [arr]}]
+    table.append(nested(MAX_DEPTH, np.arange(3.0).reshape(3, 1)))
+    return table
+
+
+# sha256 of the concatenated encodings of ``_wire_table()``
+WIRE_DIGEST = "a33c9bcb16922de84478de55b89748163a49828e9a685974b7a022ec8ed764f1"
+
+
+def _same(out, again, value):
+    """``out`` and ``again`` decode ``value``: equal, floats and arrays to
+    the bit, and every array a fresh writable C-contiguous float64 array."""
+    if isinstance(value, np.ndarray):
+        assert type(out) is np.ndarray and out.dtype == np.float64
+        assert out.flags.writeable and out.flags.c_contiguous
+        assert out.shape == value.shape and _bits(out) == _bits(value)
+        assert not np.shares_memory(out, again)
+    elif isinstance(value, (list, dict)):
+        keys = list(value) if isinstance(value, dict) else list(range(len(value)))
+        assert type(out) is type(value) and len(out) == len(value)
+        if isinstance(value, dict):
+            assert list(out) == keys
+        for k in keys:
+            _same(out[k], again[k], value[k])
+    elif isinstance(value, (float, np.floating)):
+        assert type(out) is float and _bits(out) == _bits(float(value))
+    else:
+        plain = value.item() if isinstance(value, np.generic) else value
+        assert out == plain and type(out) is type(plain)
+
+
+def test_wire_format_digest():
+    """The bytes written for a fixed value table are pinned by one digest,
+    and every blob decodes back from bytes, bytearray and memoryview."""
+    table = _wire_table()
+    blobs = [encode(value) for value in table]
+    assert hashlib.sha256(b"".join(blobs)).hexdigest() == WIRE_DIGEST
+    for value, blob in zip(table, blobs):
+        for data in (blob, bytearray(blob), memoryview(blob)):
+            _same(decode(data), decode(data), value)
+
+
+def test_zero_d_array_goes_as_a_one_element_vector():
+    for value in (np.array(1.5), np.array(-0.0, dtype=">f8"), np.array(0.25, dtype=np.float32)):
+        assert encode(value) == encode(value.reshape(1))
+        assert encode([value]) == encode([value.reshape(1)])

@@ -198,6 +198,28 @@ def test_deliver_wakes_a_thread_already_blocked_in_pop_next():
     assert out[0].payload == b"ping" and bus._waiting == 0
 
 
+def test_lockstep_advance_wakes_a_thread_blocked_on_a_future_message():
+    """A message queued for a later lockstep time is not deliverable, so a
+    thread in ``pop_next`` waits; the ``advance`` that reaches the delivery
+    time must wake it, long before its timeout."""
+    clock = LockstepClock()
+    bus = make_bus(0, 1, clock=clock)
+    clock.advance(0.5)
+    bus.deliver(0, 1, Envelope(0, b"later"), deliver_at=1.0)
+    out = []
+    t = threading.Thread(target=lambda: out.append(bus.pop_next(1, 0, timeout=30.0)))
+    t.start()
+    deadline = time.monotonic() + 10.0
+    while not bus._waiting and time.monotonic() < deadline:
+        time.sleep(0.001)
+    assert bus._waiting == 1 and not out
+    start = time.monotonic()
+    clock.advance(0.5)
+    t.join(timeout=10.0)
+    assert not t.is_alive() and time.monotonic() - start < 10.0
+    assert out[0].payload == b"later" and bus._waiting == 0
+
+
 def test_blocked_receivers_all_wake_under_fast_thread_switching():
     """Eight receiver threads block in ``pop_next`` while eight sender
     threads deliver to them; with the interpreter switching threads as
