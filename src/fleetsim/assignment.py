@@ -74,7 +74,7 @@ import numpy as np
 
 from . import codec
 from .communicator import Communicator
-from .errors import CloudError, DecodeError, NonConvergenceError, ProtocolError
+from .errors import CloudError, DecodeError, NonConvergenceError, ProtocolError, clear_frames
 # simplex_from_basis is no longer called here; it stays importable from this
 # module only because the benchmark's traced run (perfbench/spans.py) looks
 # it up as ``assignment.simplex_from_basis``
@@ -855,8 +855,7 @@ def solve_assignment_network(costs, graph, *, profile: str = "static",
     try:
         return _solve_network(costs, graph, profile, transport, round_budget)
     except NonConvergenceError as exc:
-        import traceback  # here, so that importing fleetsim does not load it
-        traceback.clear_frames(exc.__traceback__)  # skips this running frame
+        clear_frames(exc)
         raise
 
 

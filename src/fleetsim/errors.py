@@ -74,6 +74,15 @@ class NonConvergenceError(FleetError):
         self.diagnostics = diagnostics or {}
 
 
+def clear_frames(exc: BaseException) -> None:
+    """Clear the locals of the finished frames in ``exc``'s traceback, so a
+    held error keeps nothing they referred to alive; its file and line
+    entries stay, and frames still running, the caller's too, keep theirs."""
+    import traceback  # here, so that importing fleetsim does not load it
+
+    traceback.clear_frames(exc.__traceback__)
+
+
 class CloudError(FleetError):
     """Task cloud bookkeeping violation (double completion, unknown task)."""
 

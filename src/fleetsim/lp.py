@@ -10,11 +10,14 @@ which keeps the simulator's traces reproducible.
 
 Phase 1 starts from a slack crash basis (Bixby, "Implementing the simplex
 method: the initial basis", ORSA J. Computing 1992): every row that holds
-a positive singleton column, such as an inequality's slack, starts with
-its lowest-index such column basic, and only the remaining rows get an
-artificial. The start basis depends on the LP alone, so the determinism
-above holds. It is diagonal, so phase 1 starts from its exact inverse
-diag(1/a) instead of a dense factorization.
+a singleton column whose nonzero has the sign of its b_r (b_r = 0 counts
+as positive), such as an inequality's slack, starts with its lowest-index
+such column basic, and every other row gets an artificial signed like
+b_r. Each basic value b_r / a is then >= 0 with no row negated, so every
+basis, factor and dual the solver returns refers to the caller's rows.
+The start basis depends on the LP alone, so the determinism above holds.
+It is diagonal, so phase 1 starts from its exact inverse diag(1/a)
+instead of a dense factorization.
 
 ``solve_lp`` also takes a warm start: the optimal basis of an earlier
 solve of an LP with the same A and c, dual feasible for any b, from which
@@ -111,11 +114,11 @@ class StandardLP:
 
 
 class WarmBasis(list):
-    """A basis of the LP with arrays A and c, and its B^-1 (or None) under ``flip``."""
+    """A basis of the LP with arrays A and c, and its B^-1 (or None)."""
 
-    def __init__(self, cols, A, c, flip, Binv):
+    def __init__(self, cols, A, c, Binv):
         super().__init__(cols)
-        self.A, self.c, self.flip, self.Binv = A, c, flip, Binv
+        self.A, self.c, self.Binv = A, c, Binv
 
 
 @dataclass
@@ -254,26 +257,29 @@ def _warm_inverse(A, basis):
 
 
 def _phase1(A, b):
-    """Phase 1 from the crash basis on the sign-normalized system.
+    """Phase 1 from the crash basis, the one code that reads the signs of b.
 
     Returns (basis, kept rows, pivots); basis is None when the LP is
     infeasible.
     """
     m, n = A.shape
+    sign = np.where(b < 0, -1.0, 1.0)  # -0.0 is not < 0, so it counts as positive
     # Crash basis. ``single`` is sorted, so np.unique's first occurrence is
-    # each row's lowest-index positive singleton; after the flip its basic
+    # each row's lowest-index singleton with the sign of b_r, and its basic
     # value b_r / a is >= 0.
-    single = np.flatnonzero((np.count_nonzero(A, axis=0) == 1) & (A.max(axis=0) > 0.0))
-    rows, first = np.unique(A[:, single].argmax(axis=0), return_index=True)
+    single = np.flatnonzero(np.count_nonzero(A, axis=0) == 1)
+    at = (A[:, single] != 0.0).argmax(axis=0)
+    signed = A[at, single] * sign[at] > 0.0
+    rows, first = np.unique(at[signed], return_index=True)
     crash = np.full(m, -1)
-    crash[rows] = single[first]
+    crash[rows] = single[signed][first]
     art_rows = np.flatnonzero(crash < 0)
     k = art_rows.size
-    A1 = np.hstack([A, np.eye(m)[:, art_rows]])
+    A1 = np.hstack([A, np.eye(m)[:, art_rows] * sign[art_rows]])
     c1 = np.concatenate([np.zeros(n), np.ones(k)])
     crash[art_rows] = np.arange(n, n + k)
-    # A1[:, crash] is diagonal (a singleton a > 0 or an artificial 1 on
-    # each row), so its inverse is exact without a factorization
+    # A1[:, crash] is diagonal (a singleton or an artificial with the sign
+    # of b_r on each row), so its inverse is exact without a factorization
     Binv = np.diag(1.0 / A1[np.arange(m), crash])
     basis, xB, _, Binv, status, it1 = _simplex(A1, b, c1, crash.tolist(), Binv=Binv)
     if status != OPTIMAL:
@@ -309,36 +315,30 @@ def solve_lp(problem: StandardLP, basis=None) -> LpSolution:
     """Two-phase revised simplex, or a warm re-solve from a dual feasible basis.
 
     Phase 1 minimizes artificial infeasibility from the crash basis: the
-    lowest-index positive singleton column of each row that has one, an
-    artificial on every other row. Redundant rows discovered there are
-    dropped before phase 2.
+    lowest-index singleton column with the sign of b_r of each row that has
+    one, an artificial with that sign on every other row. Redundant rows
+    discovered there are dropped before phase 2.
 
     ``basis`` is an optional warm start, typically the ``warm`` basis of an
     earlier solve of an LP with the same A and c but another b. If it has
     one column per row and is nonsingular and dual feasible, phase 1 is
     skipped and a dual simplex restores B^-1 b >= -tol if needed; any other
     basis is ignored. A plain list is factored once. A :class:`WarmBasis`
-    of this A and c under the same row flips brings its factor, and inside
-    its critical region (Bemporad, Borrelli & Morari, IEEE TAC 2002) the
-    solve returns with no factorization and no pricing.
+    of this A and c brings its factor, and inside its critical region
+    (Bemporad, Borrelli & Morari, IEEE TAC 2002) the solve returns with no
+    factorization and no pricing. No row is ever negated: phase 1 signs
+    its artificials, and every basis, factor and dual refers to the
+    caller's rows.
     """
-    A, b, c = problem.A, problem.b.copy(), problem.c
+    A, b, c = problem.A, problem.b, problem.c
     m, n = A.shape
-    # Rows with b < 0 are negated; that leaves B^-1 b, and so the
-    # feasibility of a warm basis, unchanged, as (DB)^-1 Db = B^-1 b.
-    flip = b < 0
-    b[flip] *= -1.0
-
     # it1, iters: pivots of phase 1 and of the last simplex run (none: Binv is fresh)
     kept, status, iters, it1 = list(range(m)), None, 0, 0
-    hit = (isinstance(basis, WarmBasis) and basis.Binv is not None and basis.A is A
-           and basis.c is c and np.array_equal(basis.flip, flip))
-    if hit and (xB := basis.Binv @ b).min() >= -_TOL:
-        final, Binv, y, status = list(basis), basis.Binv, c[basis] @ basis.Binv, OPTIMAL
-    else:  # only these paths read A, so only they negate its rows
-        A = np.where(flip[:, None], -A, A) if flip.any() else A
-        Binv = basis.Binv if hit else _warm_inverse(A, basis)
-    if status is None and Binv is not None:  # a copy: pivots must leave a kept factor as it was
+    hit = isinstance(basis, WarmBasis) and basis.Binv is not None and basis.A is A and basis.c is c
+    Binv = basis.Binv if hit else _warm_inverse(A, basis)
+    if hit and (xB := Binv @ b).min() >= -_TOL:
+        final, y, status = list(basis), c[basis] @ Binv, OPTIMAL
+    elif Binv is not None:  # a copy: pivots must leave a kept factor as it was
         final, xB, y, Binv, status, iters = _simplex(A, b, c, basis, Binv=Binv.copy(), dual=True)
     if status is None:
         start, kept, it1 = _phase1(A, b)
@@ -352,9 +352,6 @@ def solve_lp(problem: StandardLP, basis=None) -> LpSolution:
         return LpSolution(status=status, basis=final, iterations=it1 + iters)
     x = np.zeros(n)
     x[final] = np.maximum(xB, 0.0)
-    # express the duals against the caller's row orientation, not the
-    # sign-normalized one used internally
-    y[flip[kept]] *= -1.0
     dropped = len(kept) < m
     return LpSolution(
         status=OPTIMAL,
@@ -364,7 +361,7 @@ def solve_lp(problem: StandardLP, basis=None) -> LpSolution:
         y=y,
         kept_rows=kept if dropped else None,
         iterations=it1 + iters,
-        warm=None if dropped else WarmBasis(final, problem.A, problem.c, flip,
+        warm=None if dropped else WarmBasis(final, problem.A, problem.c,
                                             Binv if iters == 0 else None),
     )
 

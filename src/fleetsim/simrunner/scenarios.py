@@ -35,7 +35,7 @@ from ..assignment import (
 from ..communicator import Communicator
 from ..control import SiToUniParams
 from ..dynamics import SingleIntegratorState, UnicycleState
-from ..errors import NonConvergenceError
+from ..errors import NonConvergenceError, clear_frames
 from ..guidance import containment_law, formation_law
 from ..lp import AssignmentProblem, hungarian
 from ..mpc import centralized_bootstrap
@@ -435,8 +435,7 @@ def run_scenario(cfg: ScenarioConfig, out_path: str) -> dict:
         summary["trace"] = trace_path
         return summary
     except NonConvergenceError as exc:
-        import traceback  # here, so that importing fleetsim does not load it
-        traceback.clear_frames(exc.__traceback__)  # the engine's frame holds its network
+        clear_frames(exc)  # the engine's frame holds its network
         raise
     finally:
         writer.close()

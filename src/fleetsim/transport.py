@@ -113,7 +113,10 @@ class MessageBus:
         self.clock._subscribe(self._wake_all)
 
     def register(self, agent_id: int, queue_depth: int | None = None) -> None:
-        """Claim an id. Raises RegistrationError if already taken."""
+        """Claim an id. Raises RegistrationError if already taken, and
+        ValueError for a ``queue_depth`` that keeps no message."""
+        if queue_depth is not None and queue_depth < 1:
+            raise ValueError("queue_depth must be at least 1, got %r" % (queue_depth,))
         with self._lock:
             if agent_id in self._conds:
                 raise RegistrationError("agent id %d already registered" % agent_id)
@@ -128,9 +131,12 @@ class MessageBus:
                 cond.notify_all()
 
     def _link(self, src: int, dst: int) -> _Link:
+        """The (src, dst) link; a first use checks that ``dst`` is registered."""
         link = self._links.get((src, dst))
         if link is None:
-            link = _Link(self._depths.get(dst))
+            if dst not in self._conds:
+                raise RegistrationError("agent id %d is not registered" % dst)
+            link = _Link(self._depths[dst])
             self._links[(src, dst)] = link
         return link
 
@@ -139,8 +145,6 @@ class MessageBus:
         some thread is blocked in ``pop_next``."""
         at = self.clock.now() if deliver_at is None else deliver_at
         with self._lock:
-            if dst not in self._conds:
-                raise RegistrationError("agent id %d is not registered" % dst)
             link = self._link(src, dst)
             link.queue.append((at, env))
             if link.depth is not None and len(link.queue) > link.depth:
@@ -172,7 +176,6 @@ class MessageBus:
         None on timeout (timeout=0 polls without blocking).
         """
         with self._lock:
-            cond = self._conds[dst]
             link = self._link(src, dst)
             queue = link.queue
             # the lockstep case: an unbounded link whose head has arrived
@@ -183,32 +186,24 @@ class MessageBus:
             deadline = None if timeout is None else time.monotonic() + timeout
             while True:
                 ready = self._deliverable(link)
-                if round is None:
-                    if ready:
-                        return link.queue.popleft()[1]
-                else:
-                    hit = None
-                    for k in range(ready):
-                        if link.queue[k][1].round == round:
-                            hit = k
-                            break
-                    if hit is not None:
-                        for _ in range(hit):
-                            link.queue.popleft()
-                        return link.queue.popleft()[1]
+                for k in range(ready):  # older-round envelopes ahead of a hit go
+                    if round is None or queue[k][1].round == round:
+                        for _ in range(k):
+                            queue.popleft()
+                        return queue.popleft()[1]
                 remaining = None
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         return None
-                if len(link.queue) > ready and isinstance(self.clock, WallClock):
+                if len(queue) > ready and isinstance(self.clock, WallClock):
                     # a wall clock wakes no waiter when a message arrives,
                     # so wait no longer than the first one still in flight
-                    arrives = link.queue[ready][0] - self.clock.now()
+                    arrives = queue[ready][0] - self.clock.now()
                     remaining = arrives if remaining is None else min(remaining, arrives)
                 self._waiting += 1
                 try:
-                    cond.wait(remaining)
+                    self._conds[dst].wait(remaining)
                 finally:
                     self._waiting -= 1
 

@@ -4,6 +4,7 @@ Covers the two-phase solver and its phase-1 crash basis, warm starts, cost
 perturbation, and the assignment formulation with the dropped redundant row.
 """
 
+import hashlib
 import itertools
 import os
 import subprocess
@@ -386,8 +387,8 @@ def _rows_lp(rows, cost, free=None):
 # x0 and x1 sit in both rows, so only the columns the comments name can
 # crash.
 CRASH_CASES = {
-    # x0 + x1 >= 1 is stored as -x0 - x1 + s = -1; the row flip turns its
-    # slack to -1, so that row cannot crash and takes an artificial
+    # x0 + x1 >= 1 is stored as -x0 - x1 + s = -1; its slack's +1 has
+    # the other sign than b, so that row cannot crash and takes an artificial
     "negative-rhs le row": StandardLP(
         [[-1.0, -1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 1.0]], [-1.0, 2.0], [1.0, 2.0, 0.0, 0.0]
     ),
@@ -404,7 +405,7 @@ CRASH_CASES = {
     "free variable in one row": _rows_lp(
         [("eq", [1.0, 1.0], 2.0), ("le", [1.0, 1.0], 1.5)], [1.0, 1.0], free=[1.0, 0.0]
     ),
-    # after the flip of row 0 it is z's negative half that crashes
+    # row 0 has b < 0, so it is z's negative half that crashes there
     "free variable in one flipped row": _rows_lp(
         [("eq", [1.0, 1.0], -2.0), ("le", [1.0, 1.0], 1.5)], [1.0, 1.0], free=[1.0, 0.0]
     ),
@@ -832,7 +833,7 @@ def mpc_local_lp_and_optimum(tmp_path):
 def test_factor_hit_skips_inv_and_matches_a_fresh_factor(monkeypatch, tmp_path):
     lp, fresh = mpc_local_lp_and_optimum(tmp_path)
     assert fresh.warm.Binv is not None and fresh.iterations == 0
-    moved = lp.with_rhs(lp.b * 1.001)  # the same flips, still inside the region
+    moved = lp.with_rhs(lp.b * 1.001)  # still inside the region
     calls = inv_spy(monkeypatch)
     hit = solve_lp(moved, basis=fresh.warm)
     again = solve_lp(moved, basis=list(fresh.warm))
@@ -846,18 +847,36 @@ def test_factor_hit_skips_inv_and_matches_a_fresh_factor(monkeypatch, tmp_path):
     assert_kkt(moved, hit)
 
 
-def test_changed_flip_mask_factors_afresh(monkeypatch, tmp_path):
+def test_a_b_of_other_signs_reuses_the_kept_factor(monkeypatch, tmp_path):
+    """The kept factor is B^-1 of the caller's rows, so it serves a b
+    whose signs have changed with no factorization, and the solve equals
+    one from a fresh factor bit for bit."""
     lp, fresh = mpc_local_lp_and_optimum(tmp_path)
     b = lp.b.copy()
     row = int(np.flatnonzero(b < 0)[0])
-    b[row] = 0.0  # the row is no longer flipped
+    b[row] = 0.0  # the sign of b in this row changes
     moved = lp.with_rhs(b)
     calls = inv_spy(monkeypatch)
     warm = solve_lp(moved, basis=fresh.warm)
-    assert calls == [(lp.m, lp.m)]
+    assert calls == []
+    again = solve_lp(moved, basis=list(fresh.warm))
     monkeypatch.undo()
+    assert warm.basis == again.basis
+    assert warm.x.tobytes() == again.x.tobytes()
+    assert warm.y.tobytes() == again.y.tobytes()
     assert_same_solve(warm, solve_lp(moved))
     assert_kkt(moved, warm)
+
+
+def test_kept_factor_is_the_inverse_of_the_callers_basis():
+    """Warm-solved from a plain list, an LP with rows b < 0 keeps
+    np.linalg.inv of its own basis columns, no row negated."""
+    lp = random_feasible_lp(np.random.default_rng(7), 5, 9)
+    assert np.any(lp.b < 0)
+    cold = solve_lp(lp)
+    sol = solve_lp(lp, basis=list(cold.basis))
+    assert sol.iterations == 0
+    assert sol.warm.Binv.tobytes() == np.linalg.inv(lp.A[:, sol.basis]).tobytes()
 
 
 def test_factor_of_another_lp_is_not_reused(monkeypatch, tmp_path):
@@ -876,9 +895,9 @@ def test_dual_pivots_leave_the_cached_factor_as_it_was(tmp_path):
     kept = fresh.warm.Binv.copy()
     x_rows = np.flatnonzero(lp.b < 0)
     b = lp.b.copy()
-    b[x_rows] *= 3.0  # the same flips, outside the region
+    b[x_rows] *= 3.0  # the same signs, outside the region
     moved = lp.with_rhs(b)
-    assert np.min(fresh.warm.Binv @ np.abs(moved.b)) < 0
+    assert np.min(fresh.warm.Binv @ moved.b) < 0
     sol = solve_lp(moved, basis=fresh.warm)
     assert sol.iterations > 0 and sol.warm.Binv is None
     assert fresh.warm.Binv.tobytes() == kept.tobytes()
@@ -893,3 +912,76 @@ def test_with_rhs_checks_only_b():
     for bad in ([1.0, np.nan, 3.0], [1.0, np.inf, 3.0], [1.0, 2.0]):
         with pytest.raises(LpError):
             lp.with_rhs(bad)
+
+
+# -- one digest over a seeded table of solves ---------------------------------
+
+
+def seeded_lp_table(rng, per_family=50):
+    """LPs from five families, each of which puts a sign of b to work:
+    mixed-sign b with +1 slacks, >= rows (-1 slacks) with b < 0, integer
+    coefficients in -2..2 with some b = 0, a duplicated (dependent) row,
+    and singleton columns of both signs."""
+    lps = []
+    for _ in range(per_family):
+        m = int(rng.integers(2, 7))
+        k = int(rng.integers(1, 5))
+        G = rng.standard_normal((m, k))
+        lps.append(StandardLP(np.hstack([G, np.eye(m)]), rng.standard_normal(m),
+                              np.concatenate([rng.random(k), np.zeros(m)])))
+        lps.append(StandardLP(np.hstack([G, -np.eye(m)]), -rng.random(m) - 0.1,
+                              np.concatenate([rng.random(k) + 0.1, rng.random(m)])))
+        n = m + int(rng.integers(1, 5))
+        Z = rng.integers(-2, 3, (m, n)).astype(float)
+        x = rng.integers(0, 3, n) * (rng.random(n) < 0.5)
+        b = Z @ x
+        b[rng.random(m) < 0.3] = 0.0
+        lps.append(StandardLP(Z, b, rng.integers(0, 3, n).astype(float)))
+        A = rng.standard_normal((m, n))
+        A = np.vstack([A, A[int(rng.integers(m))]])
+        lps.append(StandardLP(A, A @ rng.random(n), rng.random(n)))
+        D = np.zeros((m, 2 * m))
+        D[np.arange(m), np.arange(m)] = rng.choice([1.0, 2.0], m)
+        D[np.arange(m), m + np.arange(m)] = -rng.choice([1.0, 0.5], m)
+        lps.append(StandardLP(np.hstack([G, D]), rng.standard_normal(m),
+                              np.concatenate([rng.standard_normal(k), rng.random(2 * m)])))
+    return lps
+
+
+# recorded with numpy 2.4.6 and one OpenBLAS thread
+SEEDED_TABLE_DIGEST = "031b185502f20caa94bbfefd6471ab25372b4a21ab7795f494d32bf4a1549d97"
+
+
+def test_seeded_solve_table_digest():
+    """Cold solves of the seeded table, then warm re-solves after b is
+    scaled by 1.001, -1 and 0.5 and perturbed, each from the cold solve's
+    ``warm``, from a re-solve's ``warm`` (which carries its factor) and
+    from a plain list, hash to the digest recorded when rows with b < 0
+    were still negated before the solve. Signing phase 1's artificials
+    instead changes no bit of any result but the sign of a zero dual,
+    which the negated rows left at -0.0."""
+    rng = np.random.default_rng(2028)
+    digest = hashlib.sha256()
+    solves = 0
+
+    def record(sol):
+        nonlocal solves
+        solves += 1
+        digest.update(repr((sol.status, sol.basis, sol.kept_rows, sol.iterations)).encode())
+        # + 0.0 turns -0.0 into 0.0: a zero dual carries no sign
+        for arr in (sol.x, None if sol.y is None else sol.y + 0.0):
+            digest.update(b"-" if arr is None else arr.tobytes())
+
+    for lp in seeded_lp_table(rng):
+        cold = solve_lp(lp)
+        record(cold)
+        if cold.status != OPTIMAL:
+            continue
+        own = solve_lp(lp, basis=cold.basis)
+        record(own)
+        for b in (lp.b * 1.001, -lp.b, lp.b * 0.5, lp.b + 0.3 * rng.standard_normal(lp.m)):
+            moved = lp.with_rhs(b)
+            for start in (cold.warm, own.warm, list(cold.basis)):
+                record(solve_lp(moved, basis=start))
+    assert solves > 2000
+    assert digest.hexdigest() == SEEDED_TABLE_DIGEST

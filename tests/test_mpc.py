@@ -859,6 +859,25 @@ def test_bootstrap_starts_warm_and_seeds_every_first_replan(monkeypatch, tmp_pat
     assert all(warm for _, warm, _ in replans)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_bootstrap_factors_once(monkeypatch, n, seed):
+    """The agents of a default config share A and c, and the first one's
+    kept factor serves every other local solve whatever the signs of its
+    b: the bootstrap calls np.linalg.inv once."""
+    ocps = fresh_ocps(ocp_specs(default_config("mpc", n, seed).params))
+    calls = []
+    real = np.linalg.inv
+
+    def spy(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "inv", spy)
+    centralized_bootstrap(ocps)
+    assert len(calls) == 1
+
+
 def test_bootstrap_under_a_binding_budget_falls_back(monkeypatch):
     """Under the binding budget the agents' own optima overspend it: the
     stacked LP (``mpc._stacked_lp``) solves in two phases and reaches the

@@ -47,6 +47,29 @@ def test_deliver_unregistered():
         bus.deliver(0, 42, Envelope(0, b""))
 
 
+@pytest.mark.parametrize("depth", [0, -1])
+def test_register_refuses_a_depth_that_keeps_no_message(depth):
+    """Depth 0 would keep no arrived message, and -1 would make the next
+    deliver pop from an empty queue."""
+    bus = MessageBus()
+    with pytest.raises(ValueError, match="queue_depth"):
+        bus.register(1, queue_depth=depth)
+    bus.register(1, queue_depth=1)  # the id was not claimed
+
+
+@pytest.mark.parametrize("receive", [
+    lambda bus: bus.pop_next(42, 0, timeout=0),
+    lambda bus: bus.pop_newest(42, 0),
+    lambda bus: bus.drain(42, 0),
+    lambda bus: bus.pending(42, 0),
+], ids=["pop_next", "pop_newest", "drain", "pending"])
+def test_receive_on_an_unregistered_id_raises_and_opens_no_link(receive):
+    bus = make_bus(0)
+    with pytest.raises(RegistrationError, match="agent id 42 is not registered"):
+        receive(bus)
+    assert bus._links == {}
+
+
 def test_fifo_order():
     bus = make_bus(0, 1)
     for k in range(50):
