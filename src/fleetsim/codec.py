@@ -23,7 +23,8 @@ with tags
 Supported python values: bool, int (within i64), float, str, bytes,
 1-d/2-d float64 numpy arrays, lists of supported values, and dicts with
 str keys. ``decode(encode(v))`` reproduces ``v`` (arrays compare with
-``np.array_equal``, including dtype and shape).
+``np.array_equal``, including dtype and shape), with one exception: a 0-d
+float array goes as a one-element VEC and decodes with shape (1,).
 
 Lists and maps nest at most ``MAX_DEPTH`` levels deep: ``encode`` refuses
 deeper values, and ``decode`` rejects deeper bytes instead of recursing.

@@ -251,22 +251,23 @@ class OcpSpec:
 class Plan:
     """An open-loop trajectory: states (T+1, n), inputs (T, m), outputs (T, r).
 
-    ``valid_for`` is the spec the plan last passed :func:`validate_plan`
-    against, or None; such a plan's arrays are read-only, so it stays valid
-    and keeps the :func:`plan_cost` it was priced at when marked.
+    A value: the plan holds read-only 2-d float64 copies of the arrays it
+    is given, so no caller can change it later. ``valid_for`` is the spec
+    the plan last passed :func:`validate_plan` against, or None.
     """
 
     states: np.ndarray
     inputs: np.ndarray
     outputs: np.ndarray
     valid_for: OcpSpec | None = field(default=None, init=False, repr=False, compare=False)
-    _cost: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("states", "inputs", "outputs"):
-            a = getattr(self, name)
-            if not (type(a) is np.ndarray and a.ndim == 2 and a.dtype == np.float64):
-                object.__setattr__(self, name, np.atleast_2d(np.asarray(a, dtype=float)))
+            a = np.array(getattr(self, name), dtype=float, ndmin=2)
+            if a.ndim != 2:
+                raise PlanError("plan %s must be 2-d, got shape %s" % (name, a.shape))
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         T = self.inputs.shape[0]
         if self.states.shape[0] != T + 1:
             raise PlanError("plan has %d states for %d inputs" % (self.states.shape[0], T))
@@ -277,40 +278,25 @@ class Plan:
     def horizon(self) -> int:
         return self.inputs.shape[0]
 
-    @classmethod
-    def from_states_inputs(cls, model: LinearAgentModel, states, inputs) -> "Plan":
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-        outputs = states[:-1] @ model.C.T + inputs @ model.D.T
-        return cls(states, inputs, outputs)
-
-
-def _mark_valid(plan: Plan, spec: OcpSpec, copy: bool) -> None:
-    """Record that ``plan`` is valid for ``spec`` and make its arrays
-    read-only, as copies with ``copy`` so no alias can change them later."""
-    for name in ("states", "inputs", "outputs"):
-        arr = getattr(plan, name)
-        if copy:
-            arr = arr.copy()
-            object.__setattr__(plan, name, arr)
-        arr.setflags(write=False)
-    object.__setattr__(plan, "_cost", plan_cost(plan, spec))  # not yet valid: a fresh sum
-    object.__setattr__(plan, "valid_for", spec)
-
 
 def validate_plan(plan: Plan, spec: OcpSpec) -> None:
-    """Raise PlanError unless the plan follows the model dynamics and ends
-    at the terminal state; a NaN anywhere fails the check it reaches.
+    """Raise PlanError unless the plan's arrays are as wide as the model's
+    state, input and output, it follows the model dynamics and it ends at
+    the terminal state; a NaN anywhere fails the check it reaches.
 
-    A plan that passes is marked valid for ``spec`` (``Plan.valid_for``),
-    with read-only copies of its arrays, and is not checked again against
-    that spec.
+    A plan that passes is marked valid for ``spec`` (``Plan.valid_for``)
+    and is not checked again against that spec: its arrays are read-only,
+    so it stays valid.
     """
     if plan.valid_for is spec:
         return
     mdl = spec.model
     if plan.horizon != spec.horizon:
         raise PlanError("plan horizon %d does not match spec %d" % (plan.horizon, spec.horizon))
+    for name, dim in (("states", mdl.n), ("inputs", mdl.m), ("outputs", mdl.r)):
+        width = getattr(plan, name).shape[1]
+        if width != dim:
+            raise PlanError("plan %s are %d wide, the model needs %d" % (name, width, dim))
     pred = plan.states[:-1] @ mdl.A.T + plan.inputs @ mdl.B.T
     worst = float(np.max(np.abs(pred - plan.states[1:]))) if plan.horizon else 0.0
     if not worst <= _DYN_TOL:
@@ -321,14 +307,11 @@ def validate_plan(plan: Plan, spec: OcpSpec) -> None:
     term = float(np.max(np.abs(plan.states[-1] - spec.terminal_state)))
     if not term <= 1e-6:
         raise PlanError("plan does not end at the terminal state (off by %.2e)" % term)
-    _mark_valid(plan, spec, copy=True)
+    object.__setattr__(plan, "valid_for", spec)
 
 
 def plan_cost(plan: Plan, spec: OcpSpec) -> float:
-    """Weighted 1-norm cost, the same expression the LP minimizes. A plan
-    valid for ``spec`` keeps it, the same bits, as its arrays are read-only."""
-    if plan.valid_for is spec:
-        return plan._cost
+    """Weighted 1-norm cost, the same expression the LP minimizes."""
     dx = np.abs(plan.states[:-1] - spec.x_ref)
     du = np.abs(plan.inputs - spec.u_ref)
     return float((dx * spec.cost.w_x).sum() + (du * spec.cost.w_u).sum())
@@ -382,7 +365,8 @@ class LocalOcp:
         nx, nu = (T + 1) * n, T * m
         xs = x_solution[:nx] - x_solution[nx:2 * nx]
         us = x_solution[2 * nx:2 * nx + nu] - x_solution[2 * nx + nu:2 * (nx + nu)]
-        return Plan.from_states_inputs(spec.model, xs.reshape(T + 1, n), us.reshape(T, m))
+        states, inputs = xs.reshape(T + 1, n), us.reshape(T, m)
+        return Plan(states, inputs, states[:-1] @ spec.model.C.T + inputs @ spec.model.D.T)
 
 
 def build_local_ocp(spec: OcpSpec) -> LocalOcp:
@@ -517,7 +501,7 @@ def shift_plan(plan: Plan, spec: OcpSpec) -> Plan:
         zerr = mdl.C @ states[-2] + mdl.D @ inputs[-1] - outputs[-1]
         if float(np.max(np.abs(zerr))) > _DYN_TOL:
             raise PlanError("shifted plan outputs inconsistent at the appended step")
-    _mark_valid(new, spec, copy=False)
+    object.__setattr__(new, "valid_for", spec)
     return new
 
 
@@ -551,6 +535,11 @@ def mpc_round(ocps: list[LocalOcp], plans: list[Plan], turn: int,
     ocp = ocps[turn]
     spec = ocp.spec
     old = plans[turn]
+    try:
+        validate_plan(old, spec)
+    except PlanError as exc:
+        raise FeasibilityError("agent %d has no valid fallback plan" % turn) from exc
+    old_cost = plan_cost(old, spec)
     if others_outputs is None and spec.coupling is not None:
         # only meaningful under a coupling, where all agents share the
         # output dimension; decoupled agents may have differing shapes
@@ -558,11 +547,6 @@ def mpc_round(ocps: list[LocalOcp], plans: list[Plan], turn: int,
             (p.outputs for j, p in enumerate(plans) if j != turn),
             np.zeros_like(old.outputs),
         )
-    try:
-        validate_plan(old, spec)
-        old_cost = plan_cost(old, spec)
-    except PlanError as exc:
-        raise FeasibilityError("agent %d has no valid fallback plan" % turn) from exc
 
     new_plan, new_cost = replan_local(ocp, old.states[0], others_outputs)
     if new_plan is None:

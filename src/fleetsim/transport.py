@@ -114,9 +114,11 @@ class MessageBus:
 
     def register(self, agent_id: int, queue_depth: int | None = None) -> None:
         """Claim an id. Raises RegistrationError if already taken, and
-        ValueError for a ``queue_depth`` that keeps no message."""
-        if queue_depth is not None and queue_depth < 1:
-            raise ValueError("queue_depth must be at least 1, got %r" % (queue_depth,))
+        ValueError for a ``queue_depth`` that is not an int of at least 1
+        (a bool is refused)."""
+        if queue_depth is not None and (isinstance(queue_depth, bool)
+                                        or not isinstance(queue_depth, int) or queue_depth < 1):
+            raise ValueError("queue_depth must be an int of at least 1, got %r" % (queue_depth,))
         with self._lock:
             if agent_id in self._conds:
                 raise RegistrationError("agent id %d already registered" % agent_id)

@@ -218,6 +218,73 @@ def test_validate_plan_catches_dynamics_violation():
         validate_plan(bad, spec)
 
 
+def test_a_plan_owns_read_only_copies_of_its_arrays():
+    """A plan is a value: writing to the caller's arrays afterwards leaves
+    it as it was, and its own arrays are read-only 2-d float64."""
+    states = np.array([[1.0], [0.5], [0.0]])
+    inputs = np.array([[-0.5], [-0.5]])
+    outputs = np.array([[1.0], [0.5]])
+    plan = Plan(states, inputs, outputs)
+    before = [a.copy() for a in (states, inputs, outputs)]
+    for arr in (states, inputs, outputs):
+        arr[0] = 9.0
+    for held, was in zip((plan.states, plan.inputs, plan.outputs), before):
+        assert np.array_equal(held, was)
+        assert held.dtype == np.float64 and held.ndim == 2 and not held.flags.writeable
+    ints = Plan([[1], [0]], [[-1]], [[1]])
+    assert ints.states.dtype == np.float64 and not ints.states.flags.writeable
+
+
+def _default_n2_spec():
+    """The default mpc n = 2 spec: T = 8, scalar state, input and output."""
+    return ocp_specs(default_config("mpc", 2).params)[0]
+
+
+def _resting_plan(spec, wide=None):
+    """The plan resting at the terminal pair, with the array named ``wide``
+    widened to two columns of the same values."""
+    T = spec.horizon
+    arrays = {"states": np.tile(spec.terminal_state, (T + 1, 1)),
+              "inputs": np.tile(spec.terminal_input, (T, 1)),
+              "outputs": np.tile(spec.terminal_output, (T, 1))}
+    if wide is not None:
+        arrays[wide] = np.hstack([arrays[wide], arrays[wide]])
+    return Plan(**arrays)
+
+
+def test_a_plan_refuses_an_array_that_is_not_2d():
+    spec = _default_n2_spec()
+    plan = _resting_plan(spec)
+    with pytest.raises(PlanError, match="states must be 2-d"):
+        Plan(plan.states[:, :, None], plan.inputs, plan.outputs)
+    with pytest.raises(PlanError, match="outputs must be 2-d"):
+        Plan(plan.states, plan.inputs, plan.outputs[None])
+
+
+@pytest.mark.parametrize("name", ["states", "inputs", "outputs"])
+def test_validate_plan_checks_each_width_before_the_dynamics(name):
+    """An array wider than the model's state, input or output is refused
+    by name, even where broadcasting would let the arithmetic run."""
+    spec = _default_n2_spec()
+    validate_plan(_resting_plan(spec), spec)
+    plan = _resting_plan(spec, name)
+    for check in (validate_plan, shift_plan):
+        with pytest.raises(PlanError, match="plan %s are 2 wide, the model needs 1" % name):
+            check(plan, spec)
+    assert plan.valid_for is None
+
+
+@pytest.mark.parametrize("name", ["states", "inputs", "outputs"])
+def test_mpc_round_refuses_a_fallback_plan_of_the_wrong_width(name):
+    specs = ocp_specs(default_config("mpc", 2).params)
+    ocps = fresh_ocps(specs)
+    plans = centralized_bootstrap(ocps)
+    plans[0] = _resting_plan(specs[0], name)
+    with pytest.raises(FeasibilityError, match="no valid fallback plan") as info:
+        mpc_round(ocps, plans, 0)
+    assert isinstance(info.value.__cause__, PlanError)
+
+
 def test_validate_plan_refuses_nan():
     spec = scalar_spec(horizon=2, x0=1.0)
     states, inputs = np.array([[1.0], [0.5], [0.0]]), np.array([[-0.5], [-0.5]])
@@ -317,33 +384,37 @@ def test_shift_plan_rejects_corrupted_input():
 
 
 def test_a_valid_plan_is_marked_read_only_and_not_checked_again(monkeypatch):
+    """A plan passes the full check once per spec: the check's arithmetic
+    (its np.abs calls) runs for an unmarked plan and never for one marked
+    valid for the spec, whose read-only arrays cannot have changed."""
     spec = scalar_spec(horizon=3, x0=0.6)
     plan, _ = replan_local(build_local_ocp(spec), np.array([0.6]))
-    assert plan.valid_for is None and plan.states.flags.writeable
-    validate_plan(plan, spec)
-    assert plan.valid_for is spec
+    assert plan.valid_for is None
     for arr in (plan.states, plan.inputs, plan.outputs):
         with pytest.raises(ValueError):
             arr[0] = 9.0
-    # the mark holds for this spec only, and a copy of the arrays carries none
+    validate_plan(plan, spec)
+    assert plan.valid_for is spec
+
     other = scalar_spec(horizon=3, x0=0.6)
+    calls = []
+    real_abs = np.abs
+    monkeypatch.setattr(np, "abs", lambda x: (calls.append(1), real_abs(x))[1])
+    validate_plan(plan, spec)
+    assert calls == []
+    # the mark holds for this spec only, and a copy of the arrays carries none
     validate_plan(plan, other)
-    assert plan.valid_for is other
-    assert Plan(plan.states, plan.inputs, plan.outputs).valid_for is None
-
-    checked = []
-    real = mpc._mark_valid
-
-    def spy(plan, spec, copy):
-        checked.append(copy)
-        real(plan, spec, copy)
-
-    monkeypatch.setattr(mpc, "_mark_valid", spy)
+    assert plan.valid_for is other and len(calls) == 3
+    copy = Plan(plan.states, plan.inputs, plan.outputs)
+    assert copy.valid_for is None
+    validate_plan(copy, other)
+    assert len(calls) == 6
+    # the marked input of a shift is not checked again, nor is its output
+    calls.clear()
     shifted = shift_plan(plan, other)
-    assert checked == [False]  # the marked input is not checked again
     assert shifted.valid_for is other and not shifted.states.flags.writeable
     validate_plan(shifted, other)
-    assert checked == [False]
+    assert calls == []
 
 
 def test_shift_plan_checks_the_output_of_its_appended_step():
@@ -714,10 +785,11 @@ def test_grouped_build_keeps_every_golden_ocp():
         assert one.A is twin.A and one.c is twin.c and one.b is not twin.b
 
 
-def test_plan_cost_of_a_valid_plan_is_kept_bit_for_bit(monkeypatch):
-    """A plan valid for a spec keeps the cost it was priced at when
-    marked, with the bits of a fresh sum; a plan not valid for the spec it
-    is priced against is priced fresh each time."""
+def test_plan_cost_of_a_valid_plan_is_kept_bit_for_bit(monkeypatch, tmp_path):
+    """plan_cost prices on demand: a plan, valid for the spec or not, costs
+    the bits of a fresh sum each time. On the default n = 4 run a step
+    prices at most n + 2 plans: the turn agent's old and new plan, and
+    each agent's plan for the step's costs; no shifted plan is priced."""
     specs = coupled_pair()
     other = replace(specs[0], cost=StageCost(w_x=np.array([0.7]), w_u=np.array([0.3])))
     ocps = fresh_ocps(specs)
@@ -729,27 +801,21 @@ def test_plan_cost_of_a_valid_plan_is_kept_bit_for_bit(monkeypatch):
         du = np.abs(p.inputs - s.u_ref)
         return float((dx * s.cost.w_x).sum() + (du * s.cost.w_u).sum())
 
-    calls = []
-    real_abs = np.abs
-    monkeypatch.setattr(np, "abs", lambda x: (calls.append(1), real_abs(x))[1])
     assert plan.valid_for is spec
-    assert plan_cost(plan, spec).hex() == fresh(plan, spec).hex()
-    assert len(calls) == 2  # only fresh() computed
-    # priced against another spec it is not valid for: fresh every time
-    calls.clear()
-    assert plan_cost(plan, other).hex() == fresh(plan, other).hex()
-    assert plan_cost(plan, other).hex() == fresh(plan, other).hex()
-    assert len(calls) == 8
-    # valid for the other spec now: that spec's cost, not the kept one
+    for s in (spec, other, spec):
+        assert plan_cost(plan, s).hex() == fresh(plan, s).hex()
     validate_plan(plan, other)
     assert plan.valid_for is other
-    assert plan_cost(plan, other).hex() == fresh(plan, other).hex()
-    assert plan_cost(plan, spec).hex() == fresh(plan, spec).hex()
-    # a plan never validated is priced fresh, and follows its arrays
-    loose = Plan(plan.states.copy(), plan.inputs.copy(), plan.outputs.copy())
-    before = plan_cost(loose, spec)
-    loose.inputs[0] += 0.5
-    assert plan_cost(loose, spec).hex() == fresh(loose, spec).hex() != before.hex()
+    for s in (other, spec):
+        assert plan_cost(plan, s).hex() == fresh(plan, s).hex()
+
+    n = 4
+    cfg = default_config("mpc", n)
+    priced = []
+    real = mpc.plan_cost
+    monkeypatch.setattr(mpc, "plan_cost", lambda p, s: priced.append(1) or real(p, s))
+    run_scenario(cfg, str(tmp_path))
+    assert 0 < len(priced) <= (n + 2) * cfg.params["steps"]
 
 
 def test_mpc_step_warm_starts_and_the_oracle_stays_cold(monkeypatch):

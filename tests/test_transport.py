@@ -57,6 +57,17 @@ def test_register_refuses_a_depth_that_keeps_no_message(depth):
     bus.register(1, queue_depth=1)  # the id was not claimed
 
 
+@pytest.mark.parametrize("depth", [1.5, 2.0, True])
+def test_register_refuses_a_depth_that_is_not_an_int(depth):
+    """A float depth would make a later deliver fail in the middle of its
+    drop, after the message was queued; True is refused as the config
+    refuses a bool for an integer."""
+    bus = MessageBus()
+    with pytest.raises(ValueError, match="queue_depth"):
+        bus.register(1, queue_depth=depth)
+    bus.register(1, queue_depth=2)  # the id was not claimed
+
+
 @pytest.mark.parametrize("receive", [
     lambda bus: bus.pop_next(42, 0, timeout=0),
     lambda bus: bus.pop_newest(42, 0),
