@@ -35,10 +35,12 @@ connected network. Two exact rules make it so, with no number perturbed:
   side, else the one nearest the tail. That is the ratio test under an
   infinitesimal extra supply at every node but the root.
 - A column below -1e-9 (``lp._TOL``) in reduced cost enters, the most
-  negative first. Failing that, a column within 1e-9 of zero enters if the
-  lowest-key arc on its cycle (``_column_keys``, itself included) is
+  negative first. Failing that, a column within 1e-9 of zero may enter if
+  the lowest-key arc on its cycle (``_column_keys``, itself included) is
   traversed backward: an infinitesimal cost perturbation ordered by key.
-  Integer potentials that weigh the arc of key j by 2^(K-1-j) decide it.
+  Integer potentials that weigh the arc of key j by 2^(K-1-j) decide it,
+  and of the columns that may, the one most negative in that perturbed
+  reduced cost enters (steepest lexicographic pricing).
 
 Potentials count big-M units apart from the real part, so rounding at the
 scale of M does not pile up down the tree. A pivot recomputes them only
@@ -331,9 +333,10 @@ class _Tree:
 
 def _entering(tree: _Tree, arcs: _Arcs, cost: np.ndarray) -> int:
     """Index of the arc that enters ``tree``: the most negative reduced
-    cost below -_TOL, else the first (lowest key) lexicographically negative
-    arc within _TOL of zero; -1 if none. ``cost`` is the arcs' cost, with
-    +inf on arcs the tree holds."""
+    cost below -_TOL, else, of the arcs within _TOL of zero, the one most
+    negative in lexicographic reduced cost (the first, by key, of equals);
+    -1 if none is negative. ``cost`` is the arcs' cost, with +inf on arcs
+    the tree holds."""
     if not arcs.keys:
         return -1
     rc = cost - tree.price[arcs.tail] + tree.price[arcs.head]
@@ -341,10 +344,12 @@ def _entering(tree: _Tree, arcs: _Arcs, cost: np.ndarray) -> int:
     if rc[j] < -_TOL:
         return j
     weight, lex, keys, tails, heads = _weights(tree.n), tree.lex, arcs.keys, arcs.tails, arcs.heads
+    best, j = 0, -1
     for c in (rc <= _TOL).nonzero()[0].tolist():
-        if weight[keys[c]] - lex[tails[c]] + lex[heads[c]] < 0:
-            return c
-    return -1
+        lex_rc = weight[keys[c]] - lex[tails[c]] + lex[heads[c]]
+        if lex_rc < best:
+            best, j = lex_rc, c
+    return j
 
 
 def _pivot(t: _Tree, k: int, l: int, key: int, cost: float) -> int:

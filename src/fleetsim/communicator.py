@@ -81,6 +81,8 @@ class Communicator:
         self.profile = profile
         self.config = config
         self.in_neighbors, self.out_neighbors = neighbor_sets(self.graph, self.agent_id)
+        # a static profile, or a bare graph, keeps every base edge active
+        self._varying = profile != "static" and self.schedule is not None
         self._rng = np.random.default_rng([self.config.rng_seed, self.agent_id])
         self._round = 0
         bus.register(self.agent_id, queue_depth=1 if profile == "best_effort" else None)
@@ -90,13 +92,6 @@ class Communicator:
     @property
     def round(self) -> int:
         return self._round
-
-    def _active_edges(self, r: int):
-        """The adjacency active at round ``r``, or None when every base
-        edge is (a static profile, or no schedule)."""
-        if self.profile == "static" or self.schedule is None:
-            return None
-        return sample_active(self.schedule, r).adjacency
 
     # -- sending -----------------------------------------------------------
 
@@ -112,20 +107,25 @@ class Communicator:
         reliable profiles raise TopologyError otherwise, before anything is
         queued, and best-effort skips them silently. On the time-varying
         profiles an edge inactive at this round is skipped without error.
+        A broadcast, ``to`` being :attr:`out_neighbors` itself, needs no
+        check.
         """
-        recipients = [int(to)] if isinstance(to, (int, np.integer)) else [int(d) for d in to]
-        if self.profile == "best_effort":
-            recipients = [dst for dst in recipients if dst in self.out_neighbors]
+        if to is self.out_neighbors:
+            recipients = to
         else:
-            for dst in recipients:
-                if dst not in self.out_neighbors:
-                    raise TopologyError(
-                        "agent %d is not an out-neighbor of %d" % (dst, self.agent_id)
-                    )
+            recipients = [int(to)] if isinstance(to, (int, np.integer)) else [int(d) for d in to]
+            if self.profile == "best_effort":
+                recipients = [dst for dst in recipients if dst in self.out_neighbors]
+            else:
+                for dst in recipients:
+                    if dst not in self.out_neighbors:
+                        raise TopologyError(
+                            "agent %d is not an out-neighbor of %d" % (dst, self.agent_id)
+                        )
         r = self._round if round is None else int(round)
         env = Envelope(r, data)
         deliver_at = self.bus.clock.now() + self.config.latency
-        active = self._active_edges(r)
+        active = sample_active(self.schedule, r).adjacency if self._varying else None
         drop = self.config.drop_prob
         for dst in recipients:
             if active is not None and not active[self.agent_id, dst]:
@@ -197,7 +197,7 @@ class Communicator:
                 if p is not None:
                     got[j] = p
             return got
-        active = self._active_edges(r)
+        active = sample_active(self.schedule, r).adjacency if self._varying else None
         expected = self.in_neighbors if active is None else [
             j for j in self.in_neighbors if active[j, self.agent_id]]
         deadline = None if timeout is None else time.monotonic() + timeout

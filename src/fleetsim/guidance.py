@@ -121,10 +121,19 @@ def formation_velocity(own, neigh: Mapping[int, np.ndarray], spec: FormationSpec
     summed in neighbor order from +0.0. The golden formation traces depend
     on both, so a BLAS whose ``ddot`` rounds differently changes them.
     """
-    own = np.asarray(own, dtype=float)
+    return _formation_terms(own, neigh, _squared_distances(spec, self_id, neigh))
+
+
+def _squared_distances(spec: FormationSpec, self_id: int, neigh) -> np.ndarray:
     d = np.array([spec.distance(self_id, j) for j in neigh], dtype=float)
+    return d * d
+
+
+def _formation_terms(own, neigh, d2: np.ndarray) -> np.ndarray:
+    """The law's sum, given the squared target distance of each neighbor."""
+    own = np.asarray(own, dtype=float)
     diff = np.array(list(neigh.values()), dtype=float).reshape(-1, own.size) - own
-    err = np.matmul(diff[:, None, :], diff[:, :, None]).reshape(-1) - d * d
+    err = np.matmul(diff[:, None, :], diff[:, :, None]).reshape(-1) - d2
     return np.add.reduce(err[:, None] * diff, axis=0, initial=0.0)
 
 
@@ -135,7 +144,16 @@ def containment_law(is_leader: bool, gain: float = 1.0) -> Law:
 
 
 def formation_law(spec: FormationSpec, self_id: int) -> Law:
-    def law(own, neigh):
-        return formation_velocity(own, neigh, spec, self_id)
-    return law
+    """:func:`formation_velocity` for robot ``self_id``, with the squared
+    target distances kept per tuple of neighbor ids, in order. An
+    undeclared neighbor raises on every call, since a lookup that raises
+    keeps nothing."""
+    squared: dict[tuple, np.ndarray] = {}
 
+    def law(own, neigh):
+        ids = tuple(neigh)
+        d2 = squared.get(ids)
+        if d2 is None:
+            d2 = squared[ids] = _squared_distances(spec, self_id, neigh)
+        return _formation_terms(own, neigh, d2)
+    return law

@@ -530,6 +530,13 @@ def mpc_round(ocps: list[LocalOcp], plans: list[Plan], turn: int,
     itself broken there is nothing to fall back to and FeasibilityError
     is raised.
     """
+    plans, accepted, _ = _round(ocps, plans, turn, others_outputs)
+    return plans, accepted
+
+
+def _round(ocps, plans, turn, others_outputs):
+    """:func:`mpc_round`, also returning the cost of the turn agent's plan
+    in the returned list, which the round has priced."""
     if not 0 <= turn < len(ocps):
         raise ModelError("turn %d out of range" % turn)
     ocp = ocps[turn]
@@ -553,14 +560,14 @@ def mpc_round(ocps: list[LocalOcp], plans: list[Plan], turn: int,
         warnings.warn(
             "agent %d local solve infeasible; keeping previous plan" % turn,
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-        return list(plans), False
+        return list(plans), False, old_cost
     if new_cost <= old_cost + _ACCEPT_TOL:
         out = list(plans)
         out[turn] = new_plan
-        return out, True
-    return list(plans), False
+        return out, True, new_cost
+    return list(plans), False, old_cost
 
 
 @dataclass
@@ -584,11 +591,13 @@ def mpc_step(ocps: list[LocalOcp], plans: list[Plan], t: int,
     """One closed-loop step over the agents' episode-long OCPs:
     round-robin replan, apply, shift.
 
-    The turn at time t is t mod N; ``others_outputs`` goes to
-    :func:`mpc_round` as it is. Applied states come straight off the
-    plans (the plant is the model).
+    The turn at time t is t mod N; ``others_outputs`` goes to the
+    :func:`mpc_round` of that turn as it is, and the cost that round
+    priced is the turn agent's entry of ``costs``. Applied states come
+    straight off the plans (the plant is the model).
     """
-    plans, replanned = mpc_round(ocps, plans, t % len(ocps), others_outputs)
+    turn = t % len(ocps)
+    plans, replanned, turn_cost = _round(ocps, plans, turn, others_outputs)
     specs = [ocp.spec for ocp in ocps]
     coupling = specs[0].coupling
     stage = 0.0
@@ -602,7 +611,8 @@ def mpc_step(ocps: list[LocalOcp], plans: list[Plan], t: int,
         applied_residual=0.0 if coupling is None
         else _overspend(sum(p.outputs[0] for p in plans), coupling),
         stage_cost=stage,
-        costs=[plan_cost(p, s) for p, s in zip(plans, specs)],
+        costs=[turn_cost if i == turn else plan_cost(p, s)
+               for i, (p, s) in enumerate(zip(plans, specs))],
         replanned=replanned,
     )
 

@@ -61,8 +61,7 @@ def _uniform_points(rng: np.random.Generator, box, count: int) -> np.ndarray:
 
 
 def _log_poses(writer: TraceWriter, t: float, positions) -> None:
-    for i, pos in enumerate(positions):
-        writer.pose(t, i, pos)
+    writer.rows("pose", t, enumerate(positions))
 
 
 # -- consensus-style kinematic scenarios ----------------------------------------
@@ -91,8 +90,7 @@ def _run_guidance(cfg: ScenarioConfig, writer: TraceWriter, bus: MessageBus,
             a.tick_publish(k)
         for a in agents:
             a.tick_compute(k)
-        for a in agents:
-            writer.input(k * cfg.dt, a.agent_id, a.last_input)
+        writer.rows("input", k * cfg.dt, [(a.agent_id, a.last_input) for a in agents])
         bus.clock.advance(cfg.dt)
         _log_poses(writer, (k + 1) * cfg.dt, [a.pose for a in agents])
     return steps
@@ -280,10 +278,11 @@ def _run_assignment(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
 
         # phase C: task-directed driving
         arrivals: list[tuple[int, int]] = []
+        inputs = []
         for i in range(n):
             tgt = targets[i]
             if tgt is None or tgt not in live:
-                writer.input(t, i, (0.0, 0.0))
+                inputs.append((i, (0.0, 0.0)))
                 continue
             goal = live[tgt]
             delta = goal - pos[i]
@@ -292,12 +291,12 @@ def _run_assignment(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
                 new = goal.copy()
             else:
                 new = pos[i] + (speed * cfg.dt / dist) * delta
-            u = (new - pos[i]) / cfg.dt
-            writer.input(t, i, u)
+            inputs.append((i, (new - pos[i]) / cfg.dt))
             pos[i] = new
             if float(np.linalg.norm(goal - pos[i])) <= arrive:
                 arrivals.append((i, tgt))
                 targets[i] = None
+        writer.rows("input", t, inputs)
 
         for i, task_id in arrivals:
             robot_cloud[i].send({"complete": task_id}, n, round=k)

@@ -42,6 +42,14 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+# a pose or input line as json.dumps writes it (sorted keys, no spaces),
+# split around its time into (head, tail, vector field): head + repr(t) +
+# tail takes the agent and the joined vector
+_ROW_FORMATS = {
+    "pose": ('{"agent":%d,"kind":"pose","pos":[%s],"t":', "}\n", "pos"),
+    "input": ('{"agent":%d,"kind":"input","t":', ',"u":[%s]}\n', "u"),
+}
+
 
 def _numpy_default(value):
     """``json.dumps`` hook for the numpy values engines put in records."""
@@ -57,10 +65,12 @@ def _numpy_default(value):
 class TraceWriter:
     """Appends schema-versioned JSONL records to a file.
 
-    :meth:`pose` and :meth:`input` are the per-tick writers. They format
-    the line :meth:`write` gives, with ``%r`` for floats. When the sum of
-    a record's floats is not finite (``%r`` writes ``nan`` where json
-    writes ``NaN``), the record goes to :meth:`write` instead.
+    :meth:`rows` writes all of a tick's pose or input records, and
+    :meth:`pose` and :meth:`input` write one. They format the line
+    :meth:`write` gives, with ``%r`` for floats and ``t`` formatted once
+    per call. When the sum of a record's floats is not finite (``%r``
+    writes ``nan`` where json writes ``NaN``), that record goes to
+    :meth:`write` instead.
 
     Records are flushed on close; ``run_scenario`` closes the writer
     when an engine fails too, so a failed run leaves a readable partial
@@ -82,25 +92,37 @@ class TraceWriter:
         self._fh.write(line + "\n")
         self._count += 1
 
+    def rows(self, kind: str, t: float, items) -> None:
+        """Write one ``kind`` record, ``"pose"`` or ``"input"``, at time
+        ``t`` for each (agent, vector) pair of ``items``, in order. The
+        formatted lines go out in one file write, split only around a
+        record that goes to :meth:`write`."""
+        head, tail, field = _ROW_FORMATS[kind]
+        t = float(t)
+        line = head + repr(t) + tail
+        lines = []
+        for agent, vec in items:
+            vec = np.asarray(vec, dtype=float).tolist()
+            if math.isfinite(sum(vec, t)):
+                lines.append(line % (agent, ",".join(map(repr, vec))))
+                continue
+            self._put(lines)
+            lines = []
+            self.write({"kind": kind, "t": t, "agent": agent, field: vec})
+        self._put(lines)
+
+    def _put(self, lines: list[str]) -> None:
+        if lines:
+            self._fh.write("".join(lines))
+            self._count += len(lines)
+
     def pose(self, t: float, agent: int, pos) -> None:
         """Write ``{"kind": "pose", "t": t, "agent": agent, "pos": pos}``."""
-        t, pos = float(t), np.asarray(pos, dtype=float).tolist()
-        if not math.isfinite(sum(pos, t)):
-            self.write({"kind": "pose", "t": t, "agent": agent, "pos": pos})
-            return
-        self._fh.write('{"agent":%d,"kind":"pose","pos":[%s],"t":%r}\n'
-                       % (agent, ",".join(map(repr, pos)), t))
-        self._count += 1
+        self.rows("pose", t, ((agent, pos),))
 
     def input(self, t: float, agent: int, u) -> None:
         """Write ``{"kind": "input", "t": t, "agent": agent, "u": u}``."""
-        t, u = float(t), np.asarray(u, dtype=float).tolist()
-        if not math.isfinite(sum(u, t)):
-            self.write({"kind": "input", "t": t, "agent": agent, "u": u})
-            return
-        self._fh.write('{"agent":%d,"kind":"input","t":%r,"u":[%s]}\n'
-                       % (agent, t, ",".join(map(repr, u))))
-        self._count += 1
+        self.rows("input", t, ((agent, u),))
 
     @property
     def count(self) -> int:

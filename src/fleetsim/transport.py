@@ -147,7 +147,7 @@ class MessageBus:
         some thread is blocked in ``pop_next``."""
         at = self.clock.now() if deliver_at is None else deliver_at
         with self._lock:
-            link = self._link(src, dst)
+            link = self._links.get((src, dst)) or self._link(src, dst)
             link.queue.append((at, env))
             if link.depth is not None and len(link.queue) > link.depth:
                 self._deliverable(link)  # drops arrived messages beyond the depth
@@ -178,7 +178,7 @@ class MessageBus:
         None on timeout (timeout=0 polls without blocking).
         """
         with self._lock:
-            link = self._link(src, dst)
+            link = self._links.get((src, dst)) or self._link(src, dst)
             queue = link.queue
             # the lockstep case: an unbounded link whose head has arrived
             # and carries the round is answered without a scan or a wait

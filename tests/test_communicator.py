@@ -200,6 +200,52 @@ def test_send_with_a_non_neighbor_queues_nothing():
     assert bus.pending(1, 0) == 0 and bus.pending(2, 0) == 0
 
 
+@pytest.mark.parametrize("profile", PROFILES)
+def test_a_broadcast_queues_what_an_equal_explicit_list_does(profile):
+    """Sending to ``out_neighbors`` itself skips the recipient checks and
+    hands the bus the same envelopes, drops and inactive edges included,
+    as sending to an equal list does."""
+    base = graph_from_edges(5, [(0, 1), (0, 2), (0, 4), (2, 3)])
+    graph = EdgeSchedule(base, activation_prob=0.5, rng_seed=3) if profile != "static" else base
+    config = TransportConfig(drop_prob=0.3 if profile == "best_effort" else 0.0, rng_seed=5)
+    queued = []
+    for explicit in (False, True):
+        bus = MessageBus()
+        src = Communicator(bus, 0, graph, profile=profile, config=config)
+        for i in range(1, 5):
+            Communicator(bus, i, graph, profile=profile, config=config)
+        log, deliver = [], bus.deliver
+        bus.deliver = lambda *args, **kw: log.append((args, kw)) or deliver(*args, **kw)
+        for r in range(12):
+            to = list(src.out_neighbors) if explicit else src.out_neighbors
+            src.send(float(r), to, round=r)
+        queued.append(log)
+    assert queued[0] == queued[1]
+    sent = len(queued[0])
+    if profile == "static":
+        assert sent == 3 * 12
+    else:  # some edges are inactive, or some sends dropped
+        assert 0 < sent < 3 * 12
+
+
+@pytest.mark.parametrize("profile", ["static", "time_varying"])
+def test_a_non_neighbor_still_raises_beside_a_broadcast(profile):
+    """Only ``out_neighbors`` itself skips the check: a reliable send to a
+    list that adds a non-neighbor to it raises before anything is queued."""
+    g = graph_from_edges(3, [(0, 1)])
+    bus = MessageBus()
+    a = Communicator(bus, 0, g, profile=profile)
+    Communicator(bus, 1, g, profile=profile)
+    Communicator(bus, 2, g, profile=profile)
+    with pytest.raises(TopologyError):
+        a.send(1.0, [*a.out_neighbors, 2])
+    with pytest.raises(TopologyError):
+        a.send(1.0, 2)
+    assert bus.pending(1, 0) == 0 and bus.pending(2, 0) == 0
+    a.send(1.0, a.out_neighbors)
+    assert bus.pending(1, 0) == 1 and bus.pending(2, 0) == 0
+
+
 def test_best_effort_skips_non_neighbor():
     g = graph_from_edges(3, [(0, 1)])
     bus = MessageBus()

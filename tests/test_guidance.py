@@ -212,6 +212,37 @@ def test_law_factories():
     )
 
 
+def test_formation_law_matches_the_velocity_over_changing_neighbor_sets():
+    """The law keeps the squared target distances per tuple of neighbor
+    ids; over shrinking and reordered neighbor sets, at moving positions,
+    it equals formation_velocity bit for bit."""
+    spec = hexagon_formation(1.3)
+    law = formation_law(spec, 0)
+    rng = np.random.default_rng(7)
+    orders = [(1, 2, 4, 5), (1, 2, 4), (2, 1), (5,), (), (5, 4, 2, 1), (1, 2, 4, 5), (4, 1)]
+    for _ in range(3):  # later passes reuse what the first one kept
+        own = rng.normal(size=2)
+        pts = {j: rng.normal(size=2) for j in (1, 2, 4, 5)}
+        for order in orders:
+            neigh = {j: pts[j] for j in order}
+            got = law(own, neigh)
+            assert got.tobytes() == formation_velocity(own, neigh, spec, 0).tobytes()
+
+
+def test_formation_law_raises_on_an_undeclared_neighbor_every_time():
+    """Robot 3 sits opposite robot 0 in the hexagon, with no declared
+    distance; a lookup that raises keeps nothing, so every call raises,
+    and the declared neighbors still work in between."""
+    spec = hexagon_formation()
+    law = formation_law(spec, 0)
+    own, neigh = np.zeros(2), {1: np.array([1.0, 0.5]), 3: np.array([-2.0, 0.0])}
+    for _ in range(3):
+        with pytest.raises(FormationError, match=r"\(0, 3\)"):
+            law(own, neigh)
+        declared = {1: neigh[1]}
+        assert law(own, declared).tobytes() == formation_velocity(own, declared, spec, 0).tobytes()
+
+
 def test_rendezvous_two_agents_converge():
     x = np.array([[2.0, 0.0], [-2.0, 0.0]])
     dt = 0.05

@@ -788,8 +788,9 @@ def test_grouped_build_keeps_every_golden_ocp():
 def test_plan_cost_of_a_valid_plan_is_kept_bit_for_bit(monkeypatch, tmp_path):
     """plan_cost prices on demand: a plan, valid for the spec or not, costs
     the bits of a fresh sum each time. On the default n = 4 run a step
-    prices at most n + 2 plans: the turn agent's old and new plan, and
-    each agent's plan for the step's costs; no shifted plan is priced."""
+    prices at most n + 1 plans: the turn agent's old and new plan, and
+    each other agent's plan for the step's costs; no shifted plan is
+    priced, and the turn agent's cost is the one its round priced."""
     specs = coupled_pair()
     other = replace(specs[0], cost=StageCost(w_x=np.array([0.7]), w_u=np.array([0.3])))
     ocps = fresh_ocps(specs)
@@ -815,7 +816,7 @@ def test_plan_cost_of_a_valid_plan_is_kept_bit_for_bit(monkeypatch, tmp_path):
     real = mpc.plan_cost
     monkeypatch.setattr(mpc, "plan_cost", lambda p, s: priced.append(1) or real(p, s))
     run_scenario(cfg, str(tmp_path))
-    assert 0 < len(priced) <= (n + 2) * cfg.params["steps"]
+    assert 0 < len(priced) <= (n + 1) * cfg.params["steps"]
 
 
 def test_mpc_step_warm_starts_and_the_oracle_stays_cold(monkeypatch):

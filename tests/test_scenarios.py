@@ -545,6 +545,54 @@ def test_pose_and_input_lines_match_the_generic_path(tmp_path, t):
     assert math.isnan(records[0]["pos"][0]) and records[2]["pos"] == [math.inf]
 
 
+class _CountedWrites:
+    """A file handle that counts its write calls."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def write(self, text):
+        self.writes += 1
+        return self.fh.write(text)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
+def test_a_tick_of_rows_writes_what_per_record_calls_write(tmp_path):
+    """rows() writes a tick's pose or input records in one call. With a
+    NaN pose and an infinite input between finite ones it gives the bytes
+    and count of per-record pose/input calls and of the generic write;
+    a finite tick takes one file write, and read_trace reads it back."""
+    poses = [[0.5, -1.25], [math.nan, 2.0], np.array([0.1, 0.2]), (3.0, np.float32(0.5))]
+    inputs = [(0.25, 0.0), np.array([1.0, math.inf]), [2.0, -0.0], [1e-7, 5.0]]
+    paths = [tmp_path / name for name in ("rows.jsonl", "single.jsonl", "generic.jsonl")]
+    with TraceWriter(str(paths[0]), {}) as wr, TraceWriter(str(paths[1]), {}) as ws, \
+            TraceWriter(str(paths[2]), {}) as wg:
+        for t in (0.01, np.float64(0.02)):
+            wr.rows("pose", t, enumerate(poses))
+            wr.rows("input", t, enumerate(inputs))
+            for i, pos in enumerate(poses):
+                ws.pose(t, i, pos)
+                wg.write({"kind": "pose", "t": float(t), "agent": i,
+                          "pos": [float(v) for v in pos]})
+            for i, u in enumerate(inputs):
+                ws.input(t, i, u)
+                wg.write({"kind": "input", "t": float(t), "agent": i,
+                          "u": [float(v) for v in u]})
+        wr._fh = counted = _CountedWrites(wr._fh)
+        wr.rows("pose", 0.03, enumerate(poses[2:]))
+        assert counted.writes == 1
+        assert wr.count == 1 + 4 * 4 + 2 and ws.count == wg.count == 1 + 4 * 4
+    rows, single, generic = (p.read_bytes() for p in paths)
+    assert rows.startswith(single) and single == generic
+    _, records = read_trace(str(paths[0]))
+    assert len(records) == 4 * 4 + 2
+    assert records[0] == {"agent": 0, "kind": "pose", "pos": [0.5, -1.25], "t": 0.01}
+    assert math.isnan(records[1]["pos"][0]) and records[5]["u"] == [1.0, math.inf]
+    assert records[-1] == {"agent": 1, "kind": "pose", "pos": [3.0, 0.5], "t": 0.03}
+
+
 def test_header_only_trace_summarizes_to_zero_rows(tmp_path):
     path = tmp_path / "empty.jsonl"
     TraceWriter(str(path), {"scenario": "rendezvous", "n": 2}).close()
