@@ -152,9 +152,6 @@ class CloudState:
         backlog = [Task(len(tasks) + i, p) for i, p in enumerate(hidden)]
         return cls(revealed=tasks, hidden=backlog)
 
-    def live_tasks(self) -> list[Task]:
-        return [t for t in self.revealed if t.state != COMPLETED]
-
 
 def cloud_complete(cloud: CloudState, task_id: int) -> Task | None:
     """Mark a revealed task completed and reveal one hidden task, if any.

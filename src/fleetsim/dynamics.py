@@ -131,8 +131,8 @@ def _clamp_vec(u: np.ndarray, bound) -> np.ndarray:
     return np.clip(u, -float(bound), float(bound))
 
 
-def _finite(arr, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
+def _finite(vec: np.ndarray, what: str) -> None:
+    if not all(map(math.isfinite, vec.tolist())):
         raise NumericError("%s contains NaN or inf" % what)
 
 

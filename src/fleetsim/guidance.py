@@ -113,27 +113,52 @@ def formation_velocity(own, neigh: Mapping[int, np.ndarray], spec: FormationSpec
 
     u = sum_j (||x_own - x_j||^2 - d_ij^2) (x_j - x_own), the negative
     gradient of the quartic shape potential restricted to this robot.
-    A neighbor without a declared distance is a wiring bug and raises.
+    Neighbor positions are numpy arrays; the 2-d case reads them with
+    ``tolist``. A neighbor without a declared distance, or whose position
+    has another shape than this robot's, is a wiring bug and raises.
 
-    One stacked ``matmul`` takes every squared norm: for vector·vector it
-    calls the BLAS ``ddot`` that ``diff @ diff`` calls, which OpenBLAS
-    contracts to ``fma(dy, dy, dx * dx)`` in 2-d. The terms are then
-    summed in neighbor order from +0.0. The golden formation traces depend
-    on both, so a BLAS whose ``ddot`` rounds differently changes them.
+    No step calls BLAS, so the bits do not depend on the BLAS kernel. Each
+    squared norm is summed component by component, x then y (then z),
+    and the terms are summed in neighbor order from +0.0. The 2-d case
+    does this in Python floats, in the same order of operations as the
+    numpy expression of the 3-d case.
     """
     return _formation_terms(own, neigh, _squared_distances(spec, self_id, neigh))
 
 
-def _squared_distances(spec: FormationSpec, self_id: int, neigh) -> np.ndarray:
-    d = np.array([spec.distance(self_id, j) for j in neigh], dtype=float)
-    return d * d
+def _squared_distances(spec: FormationSpec, self_id: int, neigh) -> tuple:
+    return tuple(d * d for d in [spec.distance(self_id, j) for j in neigh])
 
 
-def _formation_terms(own, neigh, d2: np.ndarray) -> np.ndarray:
+def _formation_terms(own, neigh, d2: tuple) -> np.ndarray:
     """The law's sum, given the squared target distance of each neighbor."""
     own = np.asarray(own, dtype=float)
-    diff = np.array(list(neigh.values()), dtype=float).reshape(-1, own.size) - own
-    err = np.matmul(diff[:, None, :], diff[:, :, None]).reshape(-1) - d2
+    try:
+        if own.shape != (2,):
+            pts = np.array(list(neigh.values()), dtype=float).reshape(len(neigh), own.size)
+            return _stacked_terms(own, pts, d2)
+        ox, oy = own.tolist()
+        ux = uy = 0.0
+        for p, e2 in zip(neigh.values(), d2):
+            px, py = p.tolist()
+            dx = px - ox
+            dy = py - oy
+            e = (dx * dx + dy * dy) - e2
+            ux += e * dx
+            uy += e * dy
+        return np.array([ux, uy])
+    except (ValueError, TypeError, AttributeError):
+        for j, p in neigh.items():
+            if not isinstance(p, np.ndarray) or p.shape != own.shape:
+                raise FormationError("neighbor %r position is not an array of shape %s: %r"
+                                     % (j, own.shape, p)) from None
+        raise
+
+
+def _stacked_terms(own: np.ndarray, pts: np.ndarray, d2: tuple) -> np.ndarray:
+    """The law's sum over the rows of ``pts`` in numpy, for any dimension."""
+    diff = pts - own
+    err = np.add.reduce(diff * diff, axis=1) - d2
     return np.add.reduce(err[:, None] * diff, axis=0, initial=0.0)
 
 
@@ -148,7 +173,7 @@ def formation_law(spec: FormationSpec, self_id: int) -> Law:
     target distances kept per tuple of neighbor ids, in order. An
     undeclared neighbor raises on every call, since a lookup that raises
     keeps nothing."""
-    squared: dict[tuple, np.ndarray] = {}
+    squared: dict[tuple, tuple] = {}
 
     def law(own, neigh):
         ids = tuple(neigh)

@@ -286,14 +286,16 @@ def _run_assignment(cfg: ScenarioConfig, writer: TraceWriter) -> dict:
                 continue
             goal = live[tgt]
             delta = goal - pos[i]
-            dist = float(np.linalg.norm(delta))
+            dx, dy = delta.tolist()
+            dist = math.sqrt(dx * dx + dy * dy)
             if dist <= speed * cfg.dt:
                 new = goal.copy()
             else:
                 new = pos[i] + (speed * cfg.dt / dist) * delta
             inputs.append((i, (new - pos[i]) / cfg.dt))
             pos[i] = new
-            if float(np.linalg.norm(goal - pos[i])) <= arrive:
+            dx, dy = (goal - pos[i]).tolist()
+            if math.sqrt(dx * dx + dy * dy) <= arrive:
                 arrivals.append((i, tgt))
                 targets[i] = None
         writer.rows("input", t, inputs)

@@ -117,12 +117,16 @@ def receding_horizon_oracle(spec: OcpSpec, steps: int,
 
 def formation_velocity_loop(own, neigh, spec, self_id: int) -> np.ndarray:
     """The distance-based formation law summed one neighbor at a time:
-    ``u += (diff @ diff - d*d) * diff`` from +0.0, in neighbor order."""
+    ``u += ((dx*dx + dy*dy) [+ dz*dz] - d*d) * diff`` from +0.0, in
+    neighbor order, with no BLAS call."""
     own = np.asarray(own, dtype=float)
     u = np.zeros_like(own)
     for j, xj in neigh.items():
         d = spec.distance(self_id, j)
         diff = np.asarray(xj, dtype=float) - own
-        err = float(diff @ diff) - d * d
-        u += err * diff
+        c = diff.tolist()
+        norm2 = c[0] * c[0] + c[1] * c[1]
+        if len(c) == 3:
+            norm2 += c[2] * c[2]
+        u += (norm2 - d * d) * diff
     return u

@@ -946,16 +946,16 @@ def make_cloud(n_live, n_hidden):
 
 def test_cloud_one_in_one_out():
     cloud = make_cloud(3, 2)
-    assert len(cloud.live_tasks()) == 3
+    assert sum(t.state != assignment.COMPLETED for t in cloud.revealed) == 3
     fresh = cloud_complete(cloud, 1)
     assert fresh is not None and fresh.task_id == 3
-    assert len(cloud.live_tasks()) == 3  # replacement keeps the count
+    assert sum(t.state != assignment.COMPLETED for t in cloud.revealed) == 3  # replacement keeps the count
     assert cloud.completed == [1]
     fresh = cloud_complete(cloud, 0)
     assert fresh.task_id == 4
     # backlog empty now: completions shrink the live set
     assert cloud_complete(cloud, 2) is None
-    assert len(cloud.live_tasks()) == 2
+    assert sum(t.state != assignment.COMPLETED for t in cloud.revealed) == 2
 
 
 def test_cloud_reveal_order_is_fifo():
@@ -979,5 +979,5 @@ def test_cloud_drains_completely():
     for tid in order:
         cloud_complete(cloud, tid)
     assert cloud.completed == order
-    assert not cloud.live_tasks()
+    assert all(t.state == assignment.COMPLETED for t in cloud.revealed)
     assert not cloud.hidden

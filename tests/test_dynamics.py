@@ -163,6 +163,25 @@ def test_nan_input_raises():
         step(UnicycleState(0.0, 0.0, 0.0), UnicycleInput(float("nan"), 0.0), cfg)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_non_finite_vector_inputs_raise_by_name(bad, dim):
+    """A NaN or an infinity in any component of a velocity or an
+    acceleration raises, naming the input; a clamp passes a NaN on."""
+    cfg = IntegratorConfig(dt=0.1)
+    clamped = IntegratorConfig(dt=0.1, saturation=1.0)
+    for k in range(dim):
+        vec = np.zeros(dim)
+        vec[k] = bad
+        single = SingleIntegratorState(np.zeros(dim))
+        double = DoubleIntegratorState(np.zeros(dim), np.zeros(dim))
+        for c in (cfg, clamped) if math.isnan(bad) else (cfg,):
+            with pytest.raises(NumericError, match=r"^velocity input contains NaN or inf$"):
+                step(single, VelocityInput(vec), c)
+            with pytest.raises(NumericError, match=r"^acceleration input contains NaN or inf$"):
+                step(double, AccelInput(vec), c)
+
+
 def test_bad_dt():
     with pytest.raises(ModelError):
         IntegratorConfig(dt=0.0)

@@ -480,17 +480,20 @@ def _golden_config(name):
     return parse_config(raw)
 
 
-# sha256 of short runs' traces (and one full assignment run): a refactor of the engines must keep these
-# bytes. They were recorded with numpy 2.4 and OpenBLAS on x86-64; a BLAS
-# that rounds the MPC solves differently needs them re-recorded.
+# sha256 of short runs' traces (and one full assignment run): a refactor of
+# the engines must keep these bytes. They were recorded with numpy 2.4 and
+# OpenBLAS on x86-64. The kinematic and assignment traces take no value from
+# BLAS, so they hold under every OpenBLAS kernel (test_blas_portability.py);
+# the mpc traces rest on BLAS through the LP solves, so a BLAS that rounds
+# those differently needs them re-recorded.
 GOLDEN_TRACES = {
     "rendezvous": "a1432cf882e48b383fa8de06c8ac24cbafa192aa400da10225b77d99f922668c",
     "rendezvous_n12": "e349dde3a1872cbea87b439a74e54b1fbc728b3a018937743cae74c205fb1930",
     "containment": "d66d53ad5d361f843825e92dcf90d82ac2c39554f5162423d15b804e10a029e1",
-    "formation": "e4785fa88325a28f4c9c20938a557ce341c49d56e3741a2f8c143480d904d407",
-    "formation_unicycle": "dd6d3ccf15029bde9181a3b384d7f2f33a8bd9d8147b3cb356445451978bb0a9",
-    "assignment": "e6ef5406f0e14d8f3e0f4eec6828ba6ace259f3224ea305ecdbaa4064124f90a",
-    "assignment_drained": "1fef37f2f35ecc876db170c13d6395821f8c2ac243e9724e991c24b95e5aa01e",
+    "formation": "86450787f7172af420d960e29ff99d46bc6155d049cf6539df78de8299ec2dc5",
+    "formation_unicycle": "2d6e2696099b184020c4a830e0a2ed5800541fd2f08ce44f0c724e5e15782c71",
+    "assignment": "4867f4b3b2c87b6cd1112af5dad901e02f10817a8940f771cd923493d71a66c3",
+    "assignment_drained": "31d2072baa021718b00071a6e863e4c9dc67182be7fe479f9051db5203501027",
     "mpc": "f63e43f34885a71ea36d12a403821e3a73f2a5d94717fbe7144698affbd22049",
     "mpc_binding": "ce4b5622d4f7a0b2d12864ee307c8820021af3c28004e14f0f9601504ca89332",
 }
