@@ -16,6 +16,11 @@ Three profiles cover the usual trade-offs:
 The reliable profiles never drop, so a ``drop_prob`` above 0 is refused
 off ``best_effort``. Payloads are arbitrary structured values run through
 the codec; the envelope adds the round tag, and the link names the sender.
+
+Every receive reads an envelope through :meth:`Envelope.value`. A bare
+array is decoded once per send, so all receivers of a broadcast share one
+read-only float64 array; copy it before changing it. Any other payload,
+such as a map, decodes afresh per receive and is the receiver's own.
 """
 
 from __future__ import annotations
@@ -154,7 +159,7 @@ class Communicator:
                 sender=int(frm),
                 round=round,
             )
-        return codec.decode(env.payload)
+        return env.value()
 
     def asynchronous_receive(self, frm: int):
         """Newest undelivered payload from ``frm``, or None. Never blocks.
@@ -164,7 +169,7 @@ class Communicator:
                 "newest-only receive is only available on the best_effort profile"
             )
         env = self.bus.pop_newest(self.agent_id, int(frm))
-        return None if env is None else codec.decode(env.payload)
+        return None if env is None else env.value()
 
     def drain(self, frm: int) -> list[tuple[int, object]]:
         """All pending (round, payload) pairs from ``frm``, oldest first.
@@ -172,7 +177,7 @@ class Communicator:
         Convenience for protocol loops that want every update at once;
         non-blocking on every profile.
         """
-        return [(env.round, codec.decode(env.payload)) for env in self.bus.drain(self.agent_id, int(frm))]
+        return [(env.round, env.value()) for env in self.bus.drain(self.agent_id, int(frm))]
 
     # -- synchronized exchange ----------------------------------------------
 
@@ -187,7 +192,8 @@ class Communicator:
 
         Reliable profiles block until each expected in-neighbor's message
         for the round is in (expected = active in-edges on time-varying);
-        best-effort returns the newest arrived payload per sender.
+        best-effort returns the newest arrived payload per sender. A bare
+        array payload is the read-only array all its receivers share.
         """
         r = self._round if round is None else int(round)
         got: dict[int, object] = {}
@@ -200,15 +206,19 @@ class Communicator:
         active = sample_active(self.schedule, r).adjacency if self._varying else None
         expected = self.in_neighbors if active is None else [
             j for j in self.in_neighbors if active[j, self.agent_id]]
-        deadline = None if timeout is None else time.monotonic() + timeout
+        me, pop = self.agent_id, self.bus.pop_next
+        if timeout is None:  # waits as long as it takes, so nothing goes missing
+            for j in expected:
+                got[j] = pop(me, j, round=r).value()
+            return got
+        deadline = time.monotonic() + timeout
         missing = []
         for j in expected:
-            left = None if deadline is None else max(0.0, deadline - time.monotonic())
-            env = self.bus.pop_next(self.agent_id, j, round=r, timeout=left)
+            env = pop(me, j, round=r, timeout=max(0.0, deadline - time.monotonic()))
             if env is None:
                 missing.append(j)
             else:
-                got[j] = codec.decode(env.payload)
+                got[j] = env.value()
         if missing:
             raise ExchangeTimeout(
                 "round %d exchange missing senders %s" % (r, missing),

@@ -1,6 +1,7 @@
 """Robot kinematic models and forward-Euler integration.
 
-Three model families, each a (state, input) pair:
+Three model families, each a (state, input) pair of frozen values; the
+states and inputs that hold vectors keep read-only float64 copies:
 
 * single integrator: pos' = u, 2-d or 3-d
 * unicycle: x' = v cos(theta), y' = v sin(theta), theta' = omega
@@ -41,9 +42,12 @@ def wrap_angle(theta: float) -> float:
 
 
 def _vec(x, name: str, dims=(2, 3)) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
+    """A read-only float64 copy of ``x``, so that neither the caller nor a
+    reader of the frozen state or input can change it later."""
+    v = np.array(x, dtype=float)
     if v.ndim != 1 or v.shape[0] not in dims:
         raise ModelError("%s must be a %s-vector, got shape %s" % (name, "/".join(map(str, dims)), v.shape))
+    v.setflags(write=False)
     return v
 
 
@@ -63,7 +67,7 @@ class UnicycleState:
 
     @property
     def pos(self) -> np.ndarray:
-        return np.array([self.x, self.y])
+        return np.array([self.x, self.y], dtype=float)
 
 
 @dataclass(frozen=True)

@@ -92,7 +92,15 @@ class PlanError(FleetError):
 
 
 class FeasibilityError(FleetError):
-    """No feasible MPC plan exists and no fallback is available."""
+    """No feasible MPC plan exists and no fallback is available.
+
+    ``diagnostics`` says where it arose: a closed-loop step records its
+    time ``t`` and the ``turn`` agent there.
+    """
+
+    def __init__(self, msg, diagnostics=None):
+        super().__init__(msg)
+        self.diagnostics = diagnostics or {}
 
 
 class RegistrationError(FleetError):

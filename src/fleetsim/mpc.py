@@ -545,7 +545,8 @@ def _round(ocps, plans, turn, others_outputs):
     try:
         validate_plan(old, spec)
     except PlanError as exc:
-        raise FeasibilityError("agent %d has no valid fallback plan" % turn) from exc
+        raise FeasibilityError("agent %d has no valid fallback plan" % turn,
+                               diagnostics={"turn": turn}) from exc
     old_cost = plan_cost(old, spec)
     if others_outputs is None and spec.coupling is not None:
         # only meaningful under a coupling, where all agents share the
@@ -594,10 +595,15 @@ def mpc_step(ocps: list[LocalOcp], plans: list[Plan], t: int,
     The turn at time t is t mod N; ``others_outputs`` goes to the
     :func:`mpc_round` of that turn as it is, and the cost that round
     priced is the turn agent's entry of ``costs``. Applied states come
-    straight off the plans (the plant is the model).
+    straight off the plans (the plant is the model). A FeasibilityError
+    of the round carries ``t`` and ``turn`` in its diagnostics.
     """
     turn = t % len(ocps)
-    plans, replanned, turn_cost = _round(ocps, plans, turn, others_outputs)
+    try:
+        plans, replanned, turn_cost = _round(ocps, plans, turn, others_outputs)
+    except FeasibilityError as exc:
+        exc.diagnostics["t"] = t
+        raise
     specs = [ocp.spec for ocp in ocps]
     coupling = specs[0].coupling
     stage = 0.0

@@ -72,6 +72,8 @@ JOB_RUNNING = "running"
 JOB_DONE = "done"
 JOB_CANCELLED = "cancelled"
 
+_F8 = np.dtype(float)
+
 
 @dataclass(frozen=True)
 class AgentSpec:
@@ -135,8 +137,10 @@ class Agent:
 
     ``last_input`` is the input the last cycle handed to the dynamics:
     the velocity ``u`` for a single integrator, ``(v, omega)`` for a
-    unicycle. ``error`` holds the exception that ended the free-running
-    loop, if one did.
+    unicycle. ``last_neighbors`` maps each neighbor heard in the last
+    cycle to its position as received: the read-only float64 array that
+    every receiver of that broadcast shares. ``error`` holds the exception
+    that ended the free-running loop, if one did.
     """
 
     def __init__(self, spec: AgentSpec, comm):
@@ -167,12 +171,13 @@ class Agent:
 
     @property
     def pose(self) -> np.ndarray:
-        """The position of the current state, as a read-only copy built
-        once per state."""
+        """The position of the current state, read-only: a single
+        integrator's own ``pos``, or the one array built per unicycle
+        state."""
         state, pose = self._pose
         if state is not self.state:
             state = self.state
-            pose = np.array(state.pos, dtype=float)
+            pose = state.pos
             pose.setflags(write=False)
             self._pose = (state, pose)
         return pose
@@ -204,7 +209,11 @@ class Agent:
         self.tick_compute(r, timeout=timeout)
 
     def _apply(self, raw: dict[int, object]) -> None:
-        neighbors = {j: np.asarray(v, dtype=float) for j, v in raw.items()}
+        neighbors = raw  # float64 arrays, as received, pass through
+        for v in raw.values():
+            if type(v) is not np.ndarray or v.dtype is not _F8:
+                neighbors = {j: np.asarray(v, dtype=float) for j, v in raw.items()}
+                break
         self.last_neighbors = neighbors
         u = np.asarray(self.spec.law(self.pose, neighbors), dtype=float)
         if isinstance(self.state, UnicycleState):

@@ -1,6 +1,14 @@
-"""Geometry and error metrics used by scenario summaries."""
+"""Geometry and error metrics used by scenario summaries.
+
+Distances are taken in Python floats, never through BLAS (``@`` and
+``np.linalg.norm`` call ``ddot``, whose rounding depends on the OpenBLAS
+kernel), so summaries and exported tables hold bit for bit on every host.
+A 2-d distance is ``math.sqrt(dx*dx + dy*dy)``.
+"""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -41,14 +49,24 @@ def convex_hull(points) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
+def _distance(a, b) -> float:
+    """Euclidean distance between two points of the same dimension, the
+    squares summed in coordinate order."""
+    total = 0.0
+    for x, y in zip(a, b, strict=True):
+        d = float(x) - float(y)
+        total += d * d
+    return math.sqrt(total)
+
+
 def _segment_distance(p, a, b) -> float:
-    p, a, b = np.asarray(p, float), np.asarray(a, float), np.asarray(b, float)
-    ab = b - a
-    denom = float(ab @ ab)
+    (px, py), (ax, ay), (bx, by) = p, a, b
+    abx, aby = bx - ax, by - ay
+    denom = abx * abx + aby * aby
     if denom == 0.0:
-        return float(np.linalg.norm(p - a))
-    t = float(np.clip((p - a) @ ab / denom, 0.0, 1.0))
-    return float(np.linalg.norm(p - (a + t * ab)))
+        return _distance(p, a)
+    t = min(max(((px - ax) * abx + (py - ay) * aby) / denom, 0.0), 1.0)
+    return _distance(p, (ax + t * abx, ay + t * aby))
 
 
 def point_hull_distance(point, hull_points) -> float:
@@ -57,13 +75,13 @@ def point_hull_distance(point, hull_points) -> float:
     ``hull_points`` is a CCW vertex list as produced by
     :func:`convex_hull`; 1- and 2-point degenerate hulls are handled.
     """
-    p = np.asarray(point, dtype=float)
-    hull = np.asarray(hull_points, dtype=float)
-    k = hull.shape[0]
+    p = np.asarray(point, dtype=float).tolist()
+    hull = np.asarray(hull_points, dtype=float).tolist()
+    k = len(hull)
     if k == 0:
         raise ValueError("empty hull")
     if k == 1:
-        return float(np.linalg.norm(p - hull[0]))
+        return _distance(p, hull[0])
     if k == 2:
         return _segment_distance(p, hull[0], hull[1])
     inside = True
@@ -85,17 +103,14 @@ def formation_error(positions, spec) -> float:
     """
     total = 0.0
     for i, j in spec.edges():
-        xi = np.asarray(positions[i], dtype=float)
-        xj = np.asarray(positions[j], dtype=float)
-        total += (float(np.linalg.norm(xi - xj)) - spec.distance(i, j)) ** 2
+        total += (_distance(positions[i], positions[j]) - spec.distance(i, j)) ** 2
     return total
 
 
 def max_pairwise_distance(positions) -> float:
-    arr = np.asarray(positions, dtype=float)
-    n = arr.shape[0]
+    pts = np.asarray(positions, dtype=float).tolist()
     worst = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            worst = max(worst, float(np.linalg.norm(arr[i] - arr[j])))
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            worst = max(worst, _distance(pts[i], pts[j]))
     return worst

@@ -102,7 +102,10 @@ class TraceWriter:
         line = head + repr(t) + tail
         lines = []
         for agent, vec in items:
-            vec = np.asarray(vec, dtype=float).tolist()
+            if type(vec) is tuple:  # a unicycle's (v, omega), say
+                vec = [float(x) for x in vec]
+            else:
+                vec = np.asarray(vec, dtype=float).tolist()
             if math.isfinite(sum(vec, t)):
                 lines.append(line % (agent, ",".join(map(repr, vec))))
                 continue

@@ -7,7 +7,9 @@ blocking paths are never exercised.
 
 The bus passes :class:`Envelope` objects, never packed bytes: an envelope
 carries the round tag beside the codec-encoded payload, and the (src, dst)
-link it is queued on names the sender.
+link it is queued on names the sender. A broadcast queues one envelope on
+every recipient's link, and :meth:`Envelope.value` decodes a bare-array
+payload once for all of them.
 
 Delivery discipline per link is strict FIFO: a message becomes visible only
 once it is at the queue head and its delivery time has passed. Queues are
@@ -23,8 +25,11 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+import numpy as np
+
+from . import codec
 from .errors import RegistrationError
 
 __all__ = ["Envelope", "TransportConfig", "LockstepClock", "WallClock", "MessageBus"]
@@ -32,10 +37,29 @@ __all__ = ["Envelope", "TransportConfig", "LockstepClock", "WallClock", "Message
 
 @dataclass(frozen=True)
 class Envelope:
-    """One message on the wire."""
+    """One message on the wire.
+
+    :meth:`value` decodes the payload. A bare array (a VEC or MAT item) is
+    decoded once, by the first receiver, and kept: every receiver of the
+    envelope gets that one read-only float64 array. Any other value, a
+    map or a list say, decodes afresh on each call, so each receiver owns
+    its copy.
+    """
 
     round: int
     payload: bytes
+    _shared: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+
+    def value(self):
+        """The decoded payload: the shared read-only array of a bare-array
+        payload, else a fresh :func:`fleetsim.codec.decode` of it."""
+        if self._shared is not None:
+            return self._shared
+        value = codec.decode(self.payload)
+        if type(value) is np.ndarray:
+            value.setflags(write=False)
+            object.__setattr__(self, "_shared", value)
+        return value
 
 
 @dataclass(frozen=True)

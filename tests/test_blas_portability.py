@@ -1,6 +1,7 @@
-"""The kinematic and assignment traces take no value from BLAS, so they
-hold bit for bit under every OpenBLAS kernel. Each kernel runs in its own
-process, because OpenBLAS reads ``OPENBLAS_CORETYPE`` once, when it loads.
+"""The kinematic and assignment traces, and the summaries and CSV tables
+read from kinematic traces, take no value from BLAS, so they hold bit for
+bit under every OpenBLAS kernel. Each kernel runs in its own process,
+because OpenBLAS reads ``OPENBLAS_CORETYPE`` once, when it loads.
 
     python tests/test_blas_portability.py   # prints this process's digests
 """
@@ -25,12 +26,17 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ("formation", "formation_unicycle", "assignment", "rendezvous", "containment", "mpc")
 # a portable AVX2 kernel and the oldest SSE3 one
 KERNELS = ("Haswell", "Prescott")
+# default n = 6 runs whose summary and exported tables are hashed
+SUMMARIZED = tuple((name, seed) for name in ("formation", "containment", "rendezvous")
+                   for seed in range(3))
 
 
 def trace_digests() -> dict:
-    """sha256 of each golden config's trace, and of the ``formation_hex``
-    first-episode trace that ``perfbench/reference.py`` prints."""
-    from fleetsim.simrunner import run_scenario
+    """sha256 of each golden config's trace, of the ``formation_hex``
+    first-episode trace that ``perfbench/reference.py`` prints, and of the
+    ``summarize`` JSON and each ``export_csv`` file of every SUMMARIZED
+    default run."""
+    from fleetsim.simrunner import default_config, export_csv, run_scenario, summarize
     from test_scenarios import _golden_config
 
     spec = importlib.util.spec_from_file_location("perfbench_workloads",
@@ -50,6 +56,14 @@ def trace_digests() -> dict:
         op = workloads.build("formation_hex", 0, tmp)[0]
         op.call()
         out["formation_hex"] = sha(op.inputs["trace"])
+        for name, seed in SUMMARIZED:
+            key = "%s/%d" % (name, seed)
+            path = os.path.join(tmp, "default.jsonl")
+            run_scenario(default_config(name, 6, seed=seed), path)
+            summary = json.dumps(summarize(path), sort_keys=True)
+            out["summary/" + key] = hashlib.sha256(summary.encode()).hexdigest()
+            for table in export_csv(path, os.path.join(tmp, "csv")):
+                out["csv/%s/%s" % (key, os.path.basename(table))] = sha(table)
     return out
 
 
@@ -76,7 +90,13 @@ def _digests_under(kernel: str | None) -> dict:
 @pytest.mark.skipif(not _openblas_on_x86_64(), reason="numpy's BLAS is not OpenBLAS on x86-64")
 def test_traces_hold_under_every_openblas_kernel():
     default = _digests_under(None)
-    assert sorted(default) == sorted(GOLDEN + ("formation_hex",))
+    tables = {"formation": "formation_error.csv", "containment": "hull_distance.csv",
+              "rendezvous": "spread.csv"}
+    summarized = ["%s/%s/%d%s" % (kind, name, seed, suffix)
+                  for name, seed in SUMMARIZED
+                  for kind, suffix in (("summary", ""), ("csv", "/positions.csv"),
+                                       ("csv", "/" + tables[name]))]
+    assert sorted(default) == sorted(GOLDEN + ("formation_hex",) + tuple(summarized))
     for kernel in KERNELS:
         assert _digests_under(kernel) == default, kernel
 

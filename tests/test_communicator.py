@@ -24,6 +24,11 @@ def triangle():
     return graph_from_edges(3, [(0, 1), (1, 2), (0, 2)])
 
 
+def fan_out():
+    """Agent 0 sends to 1 and 2, who hear only 0."""
+    return graph_from_edges(3, [(0, 1), (0, 2)], undirected=False)
+
+
 def make_pair(profile="static", graph=None, config=None):
     g = graph if graph is not None else pair_graph()
     bus = MessageBus()
@@ -300,6 +305,46 @@ def test_drain_returns_round_payload_pairs():
     a.send("y", to=1, round=4)
     assert b.drain(0) == [(3, "x"), (4, "y")]
     assert b.drain(0) == []
+
+
+@pytest.mark.parametrize("value", [np.array([1.5, -2.0]), np.arange(6.0).reshape(2, 3)])
+def test_receivers_of_an_array_broadcast_share_one_read_only_array(value):
+    """Every receive path hands out the one array decoded from a
+    broadcast; it is float64 and read-only, and the sender's stays
+    writable."""
+    bus = MessageBus()
+    comms = [Communicator(bus, i, fan_out()) for i in range(3)]
+    for r in range(3):
+        comms[0].exchange_send(value, round=r)
+    got = [comms[1].exchange_collect(round=0)[0], comms[2].exchange_collect(round=0)[0]]
+    got += [comms[1].receive(0, round=1), comms[2].drain(0)[0][1]]
+    assert got[1] is got[0] and got[2] is not got[0]
+    for arr in got:
+        assert np.array_equal(arr, value) and arr.dtype == np.float64
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr += 1.0
+    assert value.flags.writeable
+
+
+def test_a_map_payload_decodes_afresh_for_each_receiver():
+    bus = MessageBus()
+    comms = [Communicator(bus, i, fan_out()) for i in range(3)]
+    comms[0].exchange_send({"pos": np.array([1.0, 2.0]), "tags": [1, 2]}, round=0)
+    a = comms[1].exchange_collect(round=0)[0]
+    b = comms[2].exchange_collect(round=0)[0]
+    assert a is not b and a["pos"] is not b["pos"] and a["tags"] is not b["tags"]
+    a["pos"] += 1.0
+    a["tags"].append(3)
+    assert b["pos"].tolist() == [1.0, 2.0] and b["tags"] == [1, 2]
+
+
+def test_best_effort_receivers_share_the_array_too():
+    bus = MessageBus()
+    comms = [Communicator(bus, i, fan_out(), profile="best_effort") for i in range(3)]
+    comms[0].exchange_send(np.array([0.5, 0.25]), round=0)
+    a, b = (comms[i].asynchronous_receive(0) for i in (1, 2))
+    assert a is b and not a.flags.writeable
 
 
 def test_neighbors_exchange_auto_round():

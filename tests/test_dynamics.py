@@ -195,6 +195,32 @@ def test_states_are_immutable():
         s.pos = np.zeros(2)
 
 
+@pytest.mark.parametrize("make, fields", [
+    (SingleIntegratorState, ("pos",)),
+    (lambda x: DoubleIntegratorState(x, x), ("pos", "vel")),
+    (VelocityInput, ("u",)),
+    (AccelInput, ("a",)),
+])
+def test_vector_fields_are_read_only_copies(make, fields):
+    """A frozen state or input shares no memory with the caller's array,
+    and nobody can write to the arrays it holds."""
+    x = np.array([1.0, 2.0])
+    value = make(x)
+    x[0] = 99.0
+    for name in fields:
+        held = getattr(value, name)
+        assert held.dtype == np.float64 and not held.flags.writeable
+        with pytest.raises(ValueError):
+            held[1] = -5.0
+        assert held.tolist() == [1.0, 2.0]
+    ints = make(np.array([1, 2]))
+    assert all(getattr(ints, name).dtype == np.float64 for name in fields)
+
+
+def test_unicycle_position_is_float():
+    assert UnicycleState(1, 2, 0).pos.dtype == np.float64
+
+
 def test_3d_single_integrator():
     cfg = IntegratorConfig(dt=0.5)
     s = SingleIntegratorState(np.zeros(3))

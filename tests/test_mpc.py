@@ -5,6 +5,7 @@ round-robin loop, recursive feasibility, and the validation surface.
 """
 
 import hashlib
+import json
 import warnings
 from dataclasses import replace
 
@@ -563,6 +564,39 @@ def test_corrupted_plan_refused():
                   others_outputs=plans[1].outputs)
     with pytest.raises(FeasibilityError):
         mpc_step(fresh_ocps(specs), [broken, plans[1]], 0, others_outputs=plans[1].outputs)
+
+
+def test_a_step_without_a_fallback_says_where_it_arose(monkeypatch, tmp_path, capsys):
+    """A FeasibilityError of a closed-loop step carries the step's t and
+    turn, and the CLI prints them on its diagnostics line."""
+    specs = coupled_pair()
+    ocps = fresh_ocps(specs)
+    plans = centralized_bootstrap(ocps)
+    for t in range(3):
+        plans = mpc_step(ocps, plans, t).plans
+    broken = Plan(plans[1].states + 1.0, plans[1].inputs, plans[1].outputs)
+    with pytest.raises(FeasibilityError) as info:
+        mpc_step(ocps, [plans[0], broken], 3)
+    assert info.value.diagnostics == {"t": 3, "turn": 1}
+
+    from fleetsim.cli import main
+
+    real = mpc.mpc_step
+
+    def breaking_at_6(ocps, plans, t, **kw):
+        """The engine's step, with the turn agent's fallback plan off its
+        dynamics at t = 6."""
+        if t == 6:
+            plans = list(plans)
+            p = plans[t % len(ocps)]
+            plans[t % len(ocps)] = Plan(p.states + 1.0, p.inputs, p.outputs)
+        return real(ocps, plans, t, **kw)
+
+    monkeypatch.setattr(mpc, "mpc_step", breaking_at_6)
+    assert main(["run", "mpc", "-n", "4", "--seed", "0", "--out", str(tmp_path)]) == 3
+    message, line = capsys.readouterr().err.splitlines()
+    assert message == "scenario error: agent 2 has no valid fallback plan"
+    assert json.loads(line) == {"t": 6, "turn": 2}
 
 
 # -- episode-long OCPs and warm replans -----------------------------------------

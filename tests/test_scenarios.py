@@ -456,6 +456,30 @@ def test_mpc_engine_sends_plans_only_to_the_turn_agent(tmp_path, monkeypatch):
     assert all(dst == k % n and src != dst for k, src, dst in delivered)
 
 
+def test_a_formation_broadcast_is_decoded_once(tmp_path, monkeypatch):
+    """In a formation_hex-shaped episode (six unicycles, 1000 ticks, four
+    in-neighbours each) every pose broadcast is encoded once and decoded
+    once, by its first receiver, while the bus still delivers it to each
+    of its four receivers (24 000 decodes before receivers shared them)."""
+    from fleetsim import codec
+
+    raw = dict(default_config("formation", 6, seed=0, dt=0.01, duration=10.0).raw)
+    raw["formation"] = dict(raw["formation"], model="unicycle")
+    calls = {"encode": 0, "decode": 0, "deliver": 0}
+
+    def counted(name, fn):
+        def spy(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return spy
+
+    monkeypatch.setattr(codec, "encode", counted("encode", codec.encode))
+    monkeypatch.setattr(codec, "decode", counted("decode", codec.decode))
+    monkeypatch.setattr(MessageBus, "deliver", counted("deliver", MessageBus.deliver))
+    run_scenario(parse_config(raw), str(tmp_path))
+    assert calls == {"encode": 6000, "decode": 6000, "deliver": 24000}
+
+
 def _golden_config(name):
     scenario, _, variant = name.partition("_")
     if variant == "drained":
